@@ -66,9 +66,6 @@ def _load_config_map(path):
     return textio.read_keyvalues(path)
 
 
-_CASTS = {int: int, float: float, str: str}
-
-
 def _resolve(args, config_map, name, cast=str, default=None):
     """Flag value if given, else config-file value, else the default."""
     value = getattr(args, name, None)
@@ -77,7 +74,7 @@ def _resolve(args, config_map, name, cast=str, default=None):
     if name in config_map:
         raw = config_map[name]
         try:
-            return _CASTS.get(cast, cast)(raw)
+            return cast(raw)
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"config key {name}={raw!r}: {exc}") from exc
     return default
@@ -345,6 +342,8 @@ def cmd_analyze(args) -> int:
         regime = settings["regime"] or "random_entry"
         settings["regime"] = regime
         level = settings["horizon"] if regime == "forecasting" else (settings["density"] or 0.5)
+        if level is None:
+            raise _UsageError("forecasting needs --horizon")
         mask_obj = make_regime_mask(regime, graph.n_nodes, settings["snapshots"],
                                     level, settings["seed"])
         mask = mask_obj.mask
@@ -386,6 +385,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+_PLAN_METHOD_KEYS = {"upsilon": float, "epsilon": float, "beta": float, "delta": float,
+                     "max_iter": int, "temporal_step": int}
+
+
 def _parse_plan(path):
     kv = textio.read_keyvalues(path)
     regime = kv.get("regime", "random_entry")
@@ -407,15 +410,12 @@ def _parse_plan(path):
             raise ParameterError(
                 f"{path}: method {name!r} needs {prefix}objective= (one of {OBJECTIVES})"
             )
-        methods[name] = SolverConfig(
-            upsilon=float(kv.get(prefix + "upsilon", kv.get("upsilon", 1.0))),
-            epsilon=float(kv.get(prefix + "epsilon", kv.get("epsilon", 0.0))),
-            beta=float(kv.get(prefix + "beta", kv.get("beta", 1.0))),
-            delta=float(kv.get(prefix + "delta", kv.get("delta", 1e-6))),
-            max_iter=int(kv.get(prefix + "max_iter", kv.get("max_iter", 20000))),
-            objective=objective,
-            temporal_step=int(kv.get(prefix + "temporal_step", kv.get("temporal_step", 1))),
-        )
+        settings = {}  # keys the plan leaves out take SolverConfig's defaults
+        for key, cast in _PLAN_METHOD_KEYS.items():
+            value = kv.get(prefix + key, kv.get(key))
+            if value is not None:
+                settings[key] = cast(value)
+        methods[name] = SolverConfig(objective=objective, **settings)
     plan = ExperimentPlan(
         regime=regime,
         levels=levels,

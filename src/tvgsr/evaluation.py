@@ -26,7 +26,8 @@ DEFAULT_UPSILON_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
 
 RAW_HEADER = ("method", "regime", "density_or_horizon", "repetition",
-              "rmse", "mae", "mape", "iterations", "wall_time_s", "mape_excluded")
+              "rmse", "mae", "mape", "iterations", "wall_time_s", "mape_excluded",
+              "termination")
 AGGREGATE_HEADER = ("method", "regime", "density_or_horizon", "repetitions",
                     "rmse", "mae", "mape", "iterations", "wall_time_s")
 
@@ -178,8 +179,7 @@ def _score(x_hat, truth, eval_index):
     return rmse(estimate, reference), mae(estimate, reference), value, excluded
 
 
-def _evaluate_cell(args):
-    plan, dataset, graph, level, repetition = args
+def _evaluate_cell(plan, dataset, graph, level, repetition):
     seed = mask_seed(plan.base_seed, plan.regime, level, repetition)
     mask = make_regime_mask(plan.regime, dataset.n_nodes, dataset.n_snapshots, level, seed)
     mask_array = mask.mask
@@ -211,22 +211,37 @@ def _evaluate_cell(args):
     return (level, repetition), digest, per_method
 
 
+_worker_problem = ()  # (plan, dataset, graph), set once in each worker process
+
+
+def _init_worker(plan, dataset, graph):
+    global _worker_problem
+    _worker_problem = (plan, dataset, graph)
+
+
+def _evaluate_worker_cell(cell):
+    return _evaluate_cell(*_worker_problem, *cell)
+
+
 def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> ExperimentResult:
     """Run the full Monte-Carlo protocol for one plan.
 
     Every method inside a repetition sees the identical mask. Repetitions
     are independent work units; with ``jobs > 1`` they run in separate
     processes and the merged output is byte-identical to a sequential run.
+    Each worker receives the plan, dataset and graph once, when it starts,
+    so a task carries only its (level, repetition) cell.
     """
     if dataset.n_nodes != graph.n_nodes:
         raise InputError(f"dataset has {dataset.n_nodes} nodes, graph has {graph.n_nodes}")
-    tasks = [(plan, dataset, graph, level, repetition)
+    cells = [(level, repetition)
              for level in plan.levels for repetition in range(plan.repetitions)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_evaluate_cell, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(plan, dataset, graph)) as pool:
+            outcomes = list(pool.map(_evaluate_worker_cell, cells))
     else:
-        outcomes = [_evaluate_cell(task) for task in tasks]
+        outcomes = [_evaluate_cell(plan, dataset, graph, *cell) for cell in cells]
 
     cell_rows = {}
     mask_digests = {}
@@ -257,7 +272,7 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
 
 def write_raw_results(path, result: ExperimentResult, delimiter=textio.DELIMITER):
     rows = [(r.method, r.regime, r.level, r.repetition, r.rmse, r.mae, r.mape,
-             r.iterations, r.wall_time_s, r.mape_excluded) for r in result.rows]
+             r.iterations, r.wall_time_s, r.mape_excluded, r.termination) for r in result.rows]
     textio.write_table(path, RAW_HEADER, rows, delimiter=delimiter)
 
 

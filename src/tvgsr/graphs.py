@@ -61,7 +61,7 @@ class Spectrum:
 
 
 class Graph:
-    """Undirected weighted graph with cached Laplacian and spectrum.
+    """Undirected weighted graph with cached Laplacian (dense and CSR) and spectrum.
 
     Instances are immutable after construction (arrays are write-protected)
     and safe to share across concurrent workers.
@@ -97,6 +97,7 @@ class Graph:
         self.is_connected = self.n_components == 1
         self.sigma = None  # kernel bandwidth, set by build_knn_graph
         self._laplacian = None
+        self._laplacian_csr = None
         self._spectrum = None
 
     @property
@@ -106,6 +107,16 @@ class Graph:
             lap.setflags(write=False)
             self._laplacian = lap
         return self._laplacian
+
+    @property
+    def laplacian_csr(self) -> csr_matrix:
+        """CSR form of :attr:`laplacian`, built on first use."""
+        if self._laplacian_csr is None:
+            lap = csr_matrix(self.laplacian)
+            for array in (lap.data, lap.indices, lap.indptr):
+                array.setflags(write=False)
+            self._laplacian_csr = lap
+        return self._laplacian_csr
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:

@@ -20,21 +20,24 @@ concurrently over shared immutable graphs and operators.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import identity
 
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
 from .sampling import as_mask_array
-from .temporal import TEMPORAL_STEPS, _shifted_power_apply, as_signal, difference_operator
+from .temporal import TEMPORAL_STEPS, as_signal, difference_operator
 
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
 
 DENSE_GUARD = 4000  # maximum N*M for dense vectorized systems
 
 _TINY_DENOMINATOR = 1e-300
+_RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,73 @@ def _check_problem(y, mask, graph, min_snapshots=1):
     return y, mask
 
 
-def _temporal_pieces(graph: Graph, n_snapshots, config: SolverConfig):
-    op = difference_operator(n_snapshots, config.temporal_step)
-    ddt = op.matrix @ op.matrix.T
-    apply_power = _shifted_power_apply(graph.laplacian, config.epsilon, config.beta)
-    return op, ddt, apply_power
+class ProblemOperator:
+    """Matrix-free operators of one temporal reconstruction problem.
+
+    Applies the Sobolev penalty K = (L + epsilon*I)^beta, the difference
+    operator D and the Hessian action J o V + upsilon * K V D D^T without
+    forming an N x N or M x M product. Integer beta repeats the CSR action
+    of L + epsilon*I, with epsilon written on every diagonal entry so that
+    isolated nodes get it too; fractional beta multiplies by the dense
+    :func:`sobolev_power`. D and D D^T are column stencils of step s.
+    """
+
+    def __init__(self, graph: Graph, mask, config: SolverConfig):
+        n_nodes, n_snapshots = mask.shape
+        if n_snapshots <= config.temporal_step:
+            raise ParameterError(
+                f"need more snapshots than the step ({n_snapshots} <= {config.temporal_step})"
+            )
+        self.mask = mask
+        self.upsilon = config.upsilon
+        self.step = config.temporal_step
+        if float(config.beta).is_integer():
+            self._penalty = graph.laplacian_csr + config.epsilon * identity(n_nodes, format="csr")
+            self._repeats = int(config.beta)
+        else:
+            self._penalty = sobolev_power(graph.laplacian, config.epsilon, config.beta)
+            self._repeats = 1
+
+    def penalty(self, v) -> np.ndarray:
+        """(L + epsilon*I)^beta V."""
+        for _ in range(self._repeats):
+            v = self._penalty @ v
+        return v
+
+    def difference(self, x) -> np.ndarray:
+        """X D: column j is x_{j+s} - x_j."""
+        return x[:, self.step:] - x[:, :-self.step]
+
+    def smoothness(self, x) -> float:
+        """tr((X D)^T (L + epsilon*I)^beta (X D))."""
+        diff = self.difference(x)
+        return float(np.sum(diff * self.penalty(diff)))
+
+    def smoothness_gradient(self, x) -> np.ndarray:
+        """(L + epsilon*I)^beta X D D^T, with Z = X D scattered back by D^T."""
+        s = self.step
+        diff = self.difference(x)
+        scattered = np.zeros_like(x)
+        scattered[:, :-s] -= diff
+        scattered[:, s:] += diff
+        return self.penalty(scattered)
+
+    def hessian_action(self, v) -> np.ndarray:
+        """J o V + upsilon * (L + epsilon*I)^beta V D D^T."""
+        action = self.smoothness_gradient(v)
+        action *= self.upsilon
+        action += self.mask * v
+        return action
+
+    def temporal_max_eigenvalue(self) -> float:
+        """Largest eigenvalue of D D^T.
+
+        D D^T splits into s path-graph Laplacians over the snapshots i, i+s,
+        i+2s, ...; the longest has c = ceil(M / s) nodes and the largest
+        eigenvalue 2 + 2 cos(pi / c).
+        """
+        chain = -(-self.mask.shape[1] // self.step)
+        return 2.0 + 2.0 * math.cos(math.pi / chain)
 
 
 def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
@@ -132,11 +197,9 @@ def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
     if config.upsilon == 0.0:
         return data_term
     if config.objective == "gr_static":
-        smooth = float(np.sum(x_tilde * (graph.laplacian @ x_tilde)))
+        smooth = float(np.sum(x_tilde * (graph.laplacian_csr @ x_tilde)))
     else:
-        op, _, apply_power = _temporal_pieces(graph, y.shape[1], config)
-        diff = x_tilde @ op.matrix
-        smooth = float(np.sum(diff * apply_power(diff)))
+        smooth = ProblemOperator(graph, mask, config).smoothness(x_tilde)
     return data_term + 0.5 * config.upsilon * smooth
 
 
@@ -150,9 +213,9 @@ def gradient(x_tilde, y, mask, graph, config: SolverConfig) -> np.ndarray:
     if config.upsilon == 0.0:
         return residual
     if config.objective == "gr_static":
-        return residual + config.upsilon * (graph.laplacian @ x_tilde)
-    _, ddt, apply_power = _temporal_pieces(graph, y.shape[1], config)
-    return residual + config.upsilon * apply_power(x_tilde @ ddt)
+        return residual + config.upsilon * (graph.laplacian_csr @ x_tilde)
+    problem = ProblemOperator(graph, mask, config)
+    return residual + config.upsilon * problem.smoothness_gradient(x_tilde)
 
 
 def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
@@ -166,6 +229,14 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
     reset to steepest descent every N*M iterations or on loss of descent.
     Stops when ||d||_F <= delta or at max_iter.
 
+    Each iteration makes one Hessian action, h = H d. The gradient follows
+    the recurrence g <- g + mu h, and every 50 iterations it is replaced by
+    the true residual H X - Y so that rounding cannot accumulate in it. The
+    loss comes without another action from the identity
+    f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2, which holds because supp(Y) lies
+    inside J (the observations are J o Y). A solve of k iterations thus
+    makes k + 1 + floor(k / 50) Hessian actions.
+
     Parameters
     ----------
     reference : array, optional
@@ -178,28 +249,20 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
         raise ParameterError("use solve_gr_static for the per-snapshot baseline")
     y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
-    op, ddt, apply_power = _temporal_pieces(graph, y.shape[1], config)
-    upsilon = config.upsilon
+    problem = ProblemOperator(graph, mask, config)
+    half_observed_sq = 0.5 * float(np.sum(observed * observed))
 
-    def grad(x):
-        return mask * x - observed + upsilon * apply_power(x @ ddt)
-
-    def hessian_action(v):
-        return mask * v + upsilon * apply_power(v @ ddt)
-
-    def loss(x):
-        residual = mask * x - observed
-        diff = x @ op.matrix
-        return 0.5 * float(np.sum(residual * residual)) + \
-            0.5 * upsilon * float(np.sum(diff * apply_power(diff)))
+    def loss(x, g):
+        return 0.5 * float(np.sum(x * (g - observed))) + half_observed_sq
 
     start = time.perf_counter()
     x = observed.copy()
-    trace = [loss(x)]
+    g = problem.hessian_action(x)
+    g -= observed
+    trace = [loss(x, g)]
     errors = None if reference is None else [float(np.linalg.norm(x - reference))]
     iterates = [x.copy()] if record_iterates else None
 
-    g = grad(x)
     g_sq = float(np.sum(g * g))
     if not np.isfinite(g_sq):
         raise NumericError("non-finite gradient at iteration 0")
@@ -212,7 +275,7 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
         if float(np.linalg.norm(direction)) <= config.delta:
             termination = "converged"
             break
-        h = hessian_action(direction)
+        h = problem.hessian_action(direction)
         denominator = float(np.sum(direction * h))
         if not np.isfinite(denominator):
             raise NumericError(f"non-finite curvature at iteration {t}")
@@ -220,26 +283,30 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
             termination = "converged"
             break
         mu = -float(np.sum(direction * g)) / denominator
-        x = x + mu * direction
+        x += mu * direction
         iterations = t + 1
-        trace.append(loss(x))
+        if iterations % _RESIDUAL_REFRESH == 0:
+            g = problem.hessian_action(x)
+            g -= observed
+        else:
+            g += mu * h
+        trace.append(loss(x, g))
         if errors is not None:
             errors.append(float(np.linalg.norm(x - reference)))
         if iterates is not None:
             iterates.append(x.copy())
 
-        g_new = grad(x)
-        g_new_sq = float(np.sum(g_new * g_new))
+        g_new_sq = float(np.sum(g * g))
         if not np.isfinite(g_new_sq):
             raise NumericError(f"non-finite gradient at iteration {iterations}")
         if iterations % restart_every == 0 or g_sq == 0.0:
-            direction = -g_new
+            direction = -g
         else:
             gamma = g_new_sq / g_sq
-            direction = -g_new + gamma * direction
-            if float(np.sum(direction * g_new)) >= 0.0:
-                direction = -g_new  # lost descent, restart from steepest descent
-        g, g_sq = g_new, g_new_sq
+            direction = -g + gamma * direction
+            if float(np.sum(direction * g)) >= 0.0:
+                direction = -g  # lost descent, restart from steepest descent
+        g_sq = g_new_sq
 
     return SolveResult(
         x_hat=x,
@@ -270,34 +337,29 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     if not np.any(mask > 0):
         raise InputError("mask selects no entries")
     observed = mask * y
-    op, ddt, apply_power = _temporal_pieces(graph, y.shape[1], config)
+    problem = ProblemOperator(graph, mask, config)
 
     if step is None:
         lam_graph = float(max(graph.spectrum().eigenvalues[-1], 0.0))
-        lam_temporal = float(np.linalg.eigvalsh(ddt)[-1])
-        curvature = (lam_graph + config.epsilon) ** config.beta * lam_temporal
+        curvature = (lam_graph + config.epsilon) ** config.beta * problem.temporal_max_eigenvalue()
         step = 1.0 / curvature if curvature > 0 else 1.0
     elif step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")
 
-    def smooth_loss(x):
-        diff = x @ op.matrix
-        return 0.5 * float(np.sum(diff * apply_power(diff)))
-
     start = time.perf_counter()
     sampled = mask > 0
     x = observed.copy()
-    trace = [smooth_loss(x)]
+    trace = [0.5 * problem.smoothness(x)]
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
     termination = "max_iter"
     for t in range(config.max_iter):
-        smooth_gradient = apply_power(x @ ddt)
+        smooth_gradient = problem.smoothness_gradient(x)
         if not np.all(np.isfinite(smooth_gradient)):
             raise NumericError(f"non-finite gradient at iteration {t}")
         x_next = np.where(sampled, observed, x - step * smooth_gradient)
         iterations = t + 1
-        trace.append(smooth_loss(x_next))
+        trace.append(0.5 * problem.smoothness(x_next))
         if iterates is not None:
             iterates.append(x_next.copy())
         update_norm = float(np.linalg.norm(x_next - x))

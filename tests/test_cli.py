@@ -206,6 +206,13 @@ class TestAnalyze:
         beta0 = pen[pen[:, 0] == 0.0][0]
         assert np.all(beta0[1:] == 1.0)
 
+    def test_forecasting_without_horizon_is_usage_error(self, synth_dir, tmp_path, capsys):
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--regime", "forecasting",
+                     "--out", str(tmp_path / "an")])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+
     def test_guard_exceeded_exit_1(self, tmp_path):
         rng = np.random.default_rng(1)
         coords_path = tmp_path / "c.csv"
@@ -277,6 +284,31 @@ class TestBenchmark:
         echo = read_kv(out / "config.txt")
         assert echo["plan.densities"] == "0.4,0.7"
         assert echo["plan.methods"] == "tgsr,sobolev"
+
+    def test_raw_results_report_termination(self, synth_dir, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        self.write_plan(plan_path, repetitions=1)
+        with open(plan_path, "a") as fh:
+            fh.write("tgsr.max_iter=2\n")
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)]) == 0
+        lines = (out / "raw_results.csv").read_text().strip().split("\n")
+        assert lines[0].endswith(",mape_excluded,termination")
+        terminations = {tuple(line.split(",")[i] for i in (0, -1)) for line in lines[1:]}
+        assert terminations == {("tgsr", "max_iter"), ("sobolev", "converged")}
+
+    def test_plan_leaves_unset_keys_to_solver_defaults(self, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5\nmethods=tgsr,fine\nupsilon=0.5\n"
+                             "fine.objective=sobolev\nfine.delta=1e-9\n")
+        plan, _, _ = tvgsr.cli._parse_plan(plan_path)
+        assert plan.methods == {
+            "tgsr": tvgsr.SolverConfig(upsilon=0.5, objective="tgsr"),
+            "fine": tvgsr.SolverConfig(upsilon=0.5, delta=1e-9, objective="sobolev"),
+        }
 
     def test_bad_plan_exit_1(self, synth_dir, tmp_path):
         plan_path = tmp_path / "plan.txt"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -171,6 +172,38 @@ class TestRunExperiment:
         for row_s, row_p in zip(seq.rows, par.rows):
             assert row_s.rmse == row_p.rmse
             assert row_s.iterations == row_p.iterations
+
+
+    def test_workers_get_the_graph_once(self, small_setup, tmp_path, monkeypatch):
+        dataset, graph = small_setup
+        fresh = tvgsr.Graph(graph.adjacency)  # no cached Laplacian to carry along
+        builds = tmp_path / "builds.txt"
+        original = tvgsr.graphs.laplacian
+
+        def counting(g):
+            with open(builds, "a") as fh:  # forked workers append here too
+                fh.write(f"{os.getpid()}\n")
+            return original(g)
+
+        monkeypatch.setattr(tvgsr.graphs, "laplacian", counting)
+        plan = two_method_plan(levels=(0.5,), repetitions=4)
+        par = tvgsr.run_experiment(plan, dataset, fresh, jobs=2)
+        assert 1 <= len(builds.read_text().split()) <= 2
+        seq = tvgsr.run_experiment(plan, dataset, fresh, jobs=1)
+
+        def written(result, tag):
+            tables = []
+            for write in (tvgsr.evaluation.write_raw_results,
+                          tvgsr.evaluation.write_aggregate_results):
+                path = tmp_path / f"{tag}-{write.__name__}.csv"
+                write(path, result)
+                lines = path.read_text().split("\n")
+                drop = lines[0].split(",").index("wall_time_s")
+                tables.append([[c for i, c in enumerate(line.split(",")) if i != drop]
+                               for line in lines])
+            return tables
+
+        assert written(par, "par") == written(seq, "seq")
 
 
 class TestConvergenceComparison:

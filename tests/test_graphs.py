@@ -112,6 +112,13 @@ class TestLaplacian:
     def test_positive_semidefinite(self, geo_graph):
         assert tvgsr.spectrum(geo_graph.laplacian).eigenvalues.min() >= -1e-10
 
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_csr_form_built_lazily_and_equal(self, geo_graph, kind):
+        graph = tvgsr.Graph(geo_graph.adjacency, laplacian_kind=kind)
+        assert graph._laplacian_csr is None
+        assert np.array_equal(graph.laplacian_csr.toarray(), graph.laplacian)
+        assert graph.laplacian_csr is graph.laplacian_csr
+
 
 class TestSpectrum:
     def test_two_node_eigenvalues(self):

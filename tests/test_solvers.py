@@ -391,3 +391,89 @@ class TestDenseOracle:
         mask = np.ones_like(y)
         with pytest.raises(ParameterError):
             tvgsr.dense_oracle_solve(y, mask, graph, SolverConfig())
+
+
+def graph_with_isolated_node(laplacian_kind):
+    """Weighted 5-node cycle plus a sixth node with no edges."""
+    rng = np.random.default_rng(30)
+    weights = np.zeros((6, 6))
+    for i in range(5):
+        j = (i + 1) % 5
+        weights[i, j] = weights[j, i] = rng.uniform(0.5, 2.0)
+    return tvgsr.Graph(weights, laplacian_kind=laplacian_kind)
+
+
+def long_cg_problem():
+    """A problem on which FR-CG runs past two gradient refreshes."""
+    rng = np.random.default_rng(33)
+    graph = connected_geometric_graph(rng, 30, 3)
+    mask = tvgsr.random_entry_mask(30, 20, 0.3, 34).mask
+    y = mask * rng.normal(size=(30, 20))
+    config = SolverConfig(upsilon=0.05, epsilon=0.01, objective="sobolev", delta=1e-10)
+    return y, mask, graph, config
+
+
+class TestProblemOperator:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_hessian_action_matches_dense_hessian(self, kind, step):
+        rng = np.random.default_rng(31)
+        graphs = (graph_with_isolated_node(kind),
+                  connected_geometric_graph(rng, 7, 2) if kind == "combinatorial"
+                  else tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(7, 2)), 3,
+                                             laplacian_kind=kind))
+        for graph in graphs:
+            n, m = graph.n_nodes, 6
+            mask = tvgsr.random_entry_mask(n, m, 0.5, 32).mask
+            v = rng.normal(size=(n, m))
+            op = tvgsr.difference_operator(m, step)
+            for beta in (0.5, 1.0, 2.0, 3.0):
+                for epsilon in (0.0, 0.1):
+                    config = SolverConfig(upsilon=0.7, epsilon=epsilon, beta=beta,
+                                          objective="sobolev", temporal_step=step)
+                    action = tvgsr.solvers.ProblemOperator(graph, mask, config).hessian_action(v)
+                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta).full()
+                    expected = (dense @ v.ravel(order="F")).reshape((n, m), order="F")
+                    scale = np.abs(dense).max() * np.abs(v).max()
+                    assert np.abs(action - expected).max() <= 1e-12 * scale
+
+    def test_isolated_node_gets_epsilon(self):
+        graph = graph_with_isolated_node("combinatorial")
+        mask = np.zeros((6, 4))
+        v = np.zeros((6, 4))
+        v[5] = [0.0, 1.0, 0.0, 0.0]  # D D^T maps this row to (-1, 2, -1, 0)
+        config = SolverConfig(upsilon=1.0, epsilon=0.5, beta=2.0, objective="sobolev")
+        action = tvgsr.solvers.ProblemOperator(graph, mask, config).hessian_action(v)
+        assert np.allclose(action[5], 0.25 * np.array([-1.0, 2.0, -1.0, 0.0]), rtol=1e-15)
+        assert np.all(action[:5] == 0.0)
+
+    def test_one_hessian_action_per_iteration(self, monkeypatch):
+        y, mask, graph, config = long_cg_problem()
+        calls = []
+        original = tvgsr.solvers.ProblemOperator.hessian_action
+
+        def counting(self, v):
+            calls.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "hessian_action", counting)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        assert result.termination == "converged"
+        assert result.iterations >= 100
+        assert len(calls) == result.iterations + 1 + result.iterations // 50
+
+    def test_free_loss_matches_objective(self):
+        y, mask, graph, config = long_cg_problem()
+        result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
+        assert result.iterations >= 100
+        for loss, x in zip(result.loss_trace, result.iterates):
+            exact = tvgsr.objective(x, y, mask, graph, config)
+            assert abs(loss - exact) <= 1e-10 * abs(exact)
+
+    def test_refresh_keeps_solution_at_oracle(self):
+        y, mask, graph, config = long_cg_problem()
+        oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        rel = np.linalg.norm(result.x_hat - oracle.x_hat) / np.linalg.norm(oracle.x_hat)
+        assert not oracle.singular
+        assert rel < 1e-8
