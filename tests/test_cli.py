@@ -185,26 +185,61 @@ class TestReconstruct:
 
 
 class TestAnalyze:
-    def test_three_tables_and_trivial_rows(self, synth_dir, tmp_path):
+    def test_three_tables_and_trivial_rows(self, synth_dir, tmp_path, monkeypatch):
+        n_nodes, n_snapshots, epsilon_grid = 30, 6, [0.0, 0.1, 0.5]
+        _, coords = textio.read_coordinates(synth_dir / "coords.csv")
+        graph = tvgsr.build_knn_graph(coords, 3)
+        mask = tvgsr.random_entry_mask(n_nodes, n_snapshots, 0.5, 4).mask
+        eigensolves = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix, *args, **kwargs):
+            if np.shape(matrix)[0] == n_nodes * n_snapshots:
+                eigensolves.append(1)
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for upsilon in (1.0, 0.3):
+            out = tmp_path / f"an{upsilon}"
+            eigensolves.clear()
+            assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                         "--snapshots", str(n_snapshots), "--regime", "random_entry",
+                         "--density", "0.5", "--seed", "4", "--upsilon", str(upsilon),
+                         "--beta", "1.0", "--epsilon-grid", ",".join(map(str, epsilon_grid)),
+                         "--beta-grid", "0.0,1.0,2.0", "--out", str(out)]) == 0
+            assert len(eigensolves) == 2 * len(epsilon_grid)  # two per Weyl report
+
+            sweep_lines = (out / "condition_sweep.csv").read_text().strip().split("\n")
+            assert sweep_lines[0] == "epsilon,kappa_sobolev,kappa_laplacian"
+            first = sweep_lines[1].split(",")
+            assert first[0] == "0" and first[1] == first[2]  # identical Hessians at eps = 0
+
+            # the kappa columns are read from the Weyl extremes, which carry a 1/upsilon scale
+            got = textio.read_matrix(out / "condition_sweep.csv")
+            want = np.array([[p.epsilon, p.kappa_sobolev, p.kappa_laplacian] for p in
+                             tvgsr.condition_sweep(graph, tvgsr.difference_operator(n_snapshots),
+                                                   upsilon, 1.0, epsilon_grid, mask)])
+            if upsilon == 1.0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+            weyl = np.array([row.split(",") for row in
+                             (out / "weyl_report.csv").read_text().strip().split("\n")[1:]])
+            assert set(weyl[:, -1]) == {"True"} and set(weyl[:, -2]) == {"True"}
+
+            pen = textio.read_matrix(out / "eigenvalue_penalization.csv")
+            beta0 = pen[pen[:, 0] == 0.0][0]
+            assert np.all(beta0[1:] == 1.0)
+
+    def test_zero_density_is_not_replaced_by_default(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "an"
-        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
-                     "--snapshots", "6", "--regime", "random_entry",
-                     "--density", "0.5", "--seed", "4", "--upsilon", "1.0",
-                     "--beta", "1.0", "--epsilon-grid", "0.0,0.1,0.5",
-                     "--beta-grid", "0.0,1.0,2.0", "--out", str(out)]) == 0
-
-        sweep_lines = (out / "condition_sweep.csv").read_text().strip().split("\n")
-        assert sweep_lines[0] == "epsilon,kappa_sobolev,kappa_laplacian"
-        first = sweep_lines[1].split(",")
-        assert first[0] == "0" and first[1] == first[2]  # identical Hessians at eps = 0
-
-        weyl = np.array([row.split(",") for row in
-                         (out / "weyl_report.csv").read_text().strip().split("\n")[1:]])
-        assert set(weyl[:, -1]) == {"True"} and set(weyl[:, -2]) == {"True"}
-
-        pen = textio.read_matrix(out / "eigenvalue_penalization.csv")
-        beta0 = pen[pen[:, 0] == 0.0][0]
-        assert np.all(beta0[1:] == 1.0)
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--regime", "random_entry", "--density", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "mask selects no entries" in capsys.readouterr().err
+        assert not (out / "condition_sweep.csv").exists()
 
     def test_forecasting_without_horizon_is_usage_error(self, synth_dir, tmp_path, capsys):
         code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",

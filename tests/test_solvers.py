@@ -359,6 +359,10 @@ class TestDenseOracle:
         config = SolverConfig(upsilon=1.5, epsilon=0.2, beta=2.0, objective="sobolev")
         oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
         assert np.linalg.norm(tvgsr.gradient(oracle.x_hat, y, mask, graph, config)) < 1e-8
+        matrix = tvgsr.hessian(mask, graph, tvgsr.difference_operator(5, 1), config.upsilon,
+                               config.epsilon, config.beta).full()
+        direct = np.linalg.solve(matrix, (mask * y).ravel(order="F")).reshape((7, 5), order="F")
+        assert np.abs(oracle.x_hat - direct).max() <= 1e-10 * np.abs(direct).max()
 
     def test_uniqueness_conditions_give_nonsingular_system(self):
         # random 5 x 4 instances with a uniqueness-conditions mask, plain Laplacian objective
