@@ -85,8 +85,9 @@ def _prepare_out_dir(path):
 
 
 def _echo_config(out_dir, command, settings):
+    """Write ``config.txt``; unset (None) settings are left out so --config can read it back."""
     echo = {"command": command}
-    echo.update(settings)
+    echo.update((key, value) for key, value in settings.items() if value is not None)
     textio.write_keyvalues(os.path.join(out_dir, "config.txt"), echo)
 
 

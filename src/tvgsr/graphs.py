@@ -4,23 +4,29 @@ Graphs are built from node coordinates (latitude, longitude treated as planar
 Euclidean): each node selects its k nearest neighbors, the edge set is the
 symmetrized union of those selections, and edge weights follow a Gaussian
 kernel exp(-d^2 / sigma^2) whose bandwidth sigma is the mean length of the
-(deduplicated) edge set.
+(deduplicated) edge set. Neighbor candidates come from a k-d tree, so the
+build forms no N x N distance matrix; the selection itself uses exact
+Euclidean distances with ties going to the lower node index.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
+from scipy.spatial import cKDTree
 
 from .exceptions import InputError, ParameterError
 
 LAPLACIAN_KINDS = ("combinatorial", "normalized")
 
 _SYMMETRY_RTOL = 1e-10
+_RADIUS_SLACK = 1e-9  # relative widening of the k-d tree radius against rounding
 
 
 def as_coordinates(coords) -> np.ndarray:
@@ -123,6 +129,19 @@ class Graph:
             self._spectrum = spectrum(self.laplacian)
         return self._spectrum
 
+    def max_eigenvalue(self) -> float:
+        """Largest Laplacian eigenvalue, from a sparse Lanczos solve on the CSR form.
+
+        The start vector is fixed and not constant (the constant vector spans
+        the null space of the combinatorial Laplacian), so repeated calls
+        return the same value.
+        """
+        if self.n_nodes == 1:
+            return 0.0  # a single node has no edges, so L = [0]
+        start = np.random.default_rng(0).standard_normal(self.n_nodes)
+        return float(eigsh(self.laplacian_csr, k=1, which="LA", tol=0, v0=start,
+                           return_eigenvectors=False)[0])
+
     def __repr__(self):
         return (
             f"Graph(n_nodes={self.n_nodes}, kind={self.laplacian_kind!r}, "
@@ -135,9 +154,11 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
 
     Each node selects its k nearest Euclidean neighbors; an edge is kept if
     either endpoint selects the other (union symmetrization). Distance ties
-    are broken by lower node index so builds are reproducible. The kernel
-    bandwidth sigma is the mean Euclidean length over the deduplicated edge
-    set; when every edge has zero length all weights are 1.
+    are broken by lower node index so builds are reproducible. Candidates
+    come from a k-d tree and are ranked by exact Euclidean distance, so no
+    N x N distance matrix is formed. The kernel bandwidth sigma is the mean
+    Euclidean length over the deduplicated edge set; when every edge has
+    zero length all weights are 1.
 
     A disconnected result is allowed but reported with a warning and exposed
     via ``Graph.is_connected``.
@@ -147,27 +168,40 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
     if not isinstance(k, (int, np.integer)) or k <= 0 or k >= n:
         raise ParameterError(f"k must satisfy 0 < k < N, got k={k} with N={n}")
 
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    # Every node within the (k+1)-th tree distance (self included) is a
+    # candidate; the slack keeps tree rounding from dropping a tied neighbor.
+    tree = cKDTree(coords)
+    radii = tree.query(coords, k=k + 1)[0][:, -1] * (1.0 + _RADIUS_SLACK)
+    candidates = tree.query_ball_point(coords, radii)
+    counts = np.fromiter(map(len, candidates), dtype=np.intp, count=n)
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.fromiter(itertools.chain.from_iterable(candidates), dtype=np.intp,
+                       count=rows.size)
+    keep = rows != cols
+    rows, cols = rows[keep], cols[keep]
+    dist = _distances(coords, rows, cols)
 
-    edges = set()
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        order = order[order != i]
-        for j in order[:k]:
-            edges.add((min(i, int(j)), max(i, int(j))))
+    # Per row, order by (distance, index) and keep the first k.
+    order = np.lexsort((cols, dist, rows))
+    rows, cols = rows[order], cols[order]
+    row_start = np.searchsorted(rows, np.arange(n))
+    chosen = np.arange(rows.size) - row_start[rows] < k
+    rows, cols = rows[chosen], cols[chosen]
 
-    edge_idx = np.array(sorted(edges))
-    lengths = dist[edge_idx[:, 0], edge_idx[:, 1]]
+    # Deduplicate (min, max) pairs through the key min*N + max, which sorts
+    # the edges lexicographically.
+    edge_key = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    lo, hi = np.divmod(edge_key, n)
+    lengths = _distances(coords, lo, hi)
     sigma = float(lengths.mean())
 
     weights = np.zeros((n, n))
     if sigma == 0.0:
-        w = np.ones(len(edge_idx))  # all selected edges have zero length
+        w = np.ones(lo.size)  # all selected edges have zero length
     else:
         w = np.exp(-(lengths**2) / sigma**2)
-    weights[edge_idx[:, 0], edge_idx[:, 1]] = w
-    weights[edge_idx[:, 1], edge_idx[:, 0]] = w
+    weights[lo, hi] = w
+    weights[hi, lo] = w
 
     graph = Graph(weights, laplacian_kind=laplacian_kind, coords=coords)
     graph.sigma = sigma
@@ -178,6 +212,12 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
             stacklevel=2,
         )
     return graph
+
+
+def _distances(coords, rows, cols) -> np.ndarray:
+    """Euclidean distances between coords[rows] and coords[cols]."""
+    diff = coords[rows] - coords[cols]
+    return np.sqrt(np.sum(diff * diff, axis=1))
 
 
 def laplacian(graph: Graph) -> np.ndarray:

@@ -24,7 +24,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import identity
+from scipy.sparse import diags, identity
+from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
@@ -312,7 +313,8 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     the sampled positions, which is the exact-arithmetic meaning of
     Y + V - J o V when supp(Y) lies inside the mask. The default step is
     1 / ((lambda_max(L) + epsilon)^beta * lambda_max(D D^T)), the inverse of
-    the smoothness Hessian's largest eigenvalue, which guarantees descent.
+    the smoothness Hessian's largest eigenvalue, which guarantees descent;
+    lambda_max(L) comes from the sparse :meth:`Graph.max_eigenvalue`.
     Stops when ||X^{t+1} - X^t||_F <= delta or at max_iter.
     """
     if config.objective == "gr_static":
@@ -324,7 +326,7 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     problem = ProblemOperator(graph, mask, config)
 
     if step is None:
-        lam_graph = float(max(graph.spectrum().eigenvalues[-1], 0.0))
+        lam_graph = max(graph.max_eigenvalue(), 0.0)
         curvature = (lam_graph + config.epsilon) ** config.beta * problem.temporal_max_eigenvalue()
         step = 1.0 / curvature if curvature > 0 else 1.0
     elif step <= 0:
@@ -365,15 +367,20 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
 def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     """Per-snapshot graph-regularized baseline (no temporal coupling).
 
-    Each column solves (diag(j_m) + upsilon * L) x = j_m o y_m directly.
-    Columns without any sample cannot be reconstructed by a purely spatial
-    method; they are returned as zero vectors and listed in
-    ``unsampled_columns``.
+    Each column solves (diag(j_m) + upsilon * L) x = j_m o y_m with one
+    sparse LU factorization of that column's system, built from the CSR
+    Laplacian. Columns without any sample cannot be reconstructed by a
+    purely spatial method; they are returned as zero vectors and listed in
+    ``unsampled_columns``. A column whose system factors as exactly singular
+    (for instance a graph component with no sample in that column) takes the
+    minimum-norm least-squares solution of its system in dense form; that
+    degenerate case is the only one that forms an N x N matrix.
     """
     y, mask = _check_problem(y, mask, graph)
     observed = mask * y
-    lap = graph.laplacian
+    lap = graph.laplacian_csr
     start = time.perf_counter()
+    smoothing = config.upsilon * lap
     x_hat = np.zeros_like(observed)
     skipped = []
     for column in range(observed.shape[1]):
@@ -381,12 +388,15 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         if not np.any(j > 0):
             skipped.append(column)
             continue
-        system = np.diag(j) + config.upsilon * lap
+        system = (diags(j) + smoothing).tocsc()
         rhs = j * observed[:, column]
         try:
-            x_hat[:, column] = np.linalg.solve(system, rhs)
-        except np.linalg.LinAlgError:
-            x_hat[:, column] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+            factor = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular
+            x_hat[:, column] = np.linalg.lstsq(system.toarray(), rhs, rcond=None)[0]
+        else:
+            x_hat[:, column] = factor.solve(rhs)
     residual = mask * x_hat - observed
     loss = 0.5 * float(np.sum(residual * residual)) + \
         0.5 * config.upsilon * float(np.sum(x_hat * (lap @ x_hat)))

@@ -402,3 +402,28 @@ class TestConfigFile:
         echo = read_kv(out / "config.txt")
         assert echo["command"] == "build-graph"
         assert echo["k"] == "1"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", ["--k", "5", "--snapshots", "4", "--epsilon-grid", "0.1"]),
+        ("reconstruct", ["--k", "3", "--signal", "SIGNAL", "--regime", "random_entry",
+                         "--density", "0.5"]),
+    ])
+    def test_rerun_from_own_config_echo(self, synth_dir, tmp_path, command, flags):
+        flags = [str(synth_dir / "signal.csv") if f == "SIGNAL" else f for f in flags]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, "--coords", str(synth_dir / "coords.csv"), *flags,
+                     "--out", str(first)]) == 0
+        assert "None" not in (first / "config.txt").read_text()
+        assert main([command, "--config", str(first / "config.txt"),
+                     "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            first_kv, second_kv = first / name, second / name
+            if name.endswith(".csv"):
+                assert first_kv.read_bytes() == second_kv.read_bytes(), name
+                continue
+            first_kv, second_kv = read_kv(first_kv), read_kv(second_kv)
+            for key in ("out", "wall_time_s"):  # the only settings that differ by design
+                first_kv.pop(key, None), second_kv.pop(key, None)
+            assert first_kv == second_kv, name

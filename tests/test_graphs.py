@@ -1,8 +1,74 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tvgsr
 from tvgsr import InputError, ParameterError
+
+
+def dense_knn_rule(coords, k):
+    """The k-NN rule on a full distance matrix, kept as the reference.
+
+    Stable argsort per row (ties to the lower index), self excluded, first k,
+    union symmetrization over a set of (min, max) pairs.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    edges = set()
+    for i in range(n):
+        order = np.argsort(dist[i], kind="stable")
+        order = order[order != i]
+        for j in order[:k]:
+            edges.add((min(i, int(j)), max(i, int(j))))
+    edge_idx = np.array(sorted(edges))
+    lengths = dist[edge_idx[:, 0], edge_idx[:, 1]]
+    sigma = float(lengths.mean())
+    w = np.ones(len(edge_idx)) if sigma == 0.0 else np.exp(-(lengths**2) / sigma**2)
+    weights = np.zeros((n, n))
+    weights[edge_idx[:, 0], edge_idx[:, 1]] = w
+    weights[edge_idx[:, 1], edge_idx[:, 0]] = w
+    return weights, sigma
+
+
+def _lattice(rows, cols, spacing=1.0, offset=0.0):
+    grid = np.stack(np.meshgrid(np.arange(cols), np.arange(rows)), axis=-1).reshape(-1, 2)
+    return grid * spacing + offset
+
+
+_KNN_CASES = [
+    # lattices: every interior node has four neighbors at one distance
+    *[(_lattice(6, 7), k) for k in range(1, 42)],
+    (_lattice(5, 5, spacing=0.1, offset=1e5), 4),
+    (_lattice(4, 9, spacing=1e-7), 6),
+    # duplicated points, some with more copies than k
+    (np.repeat(np.random.default_rng(1).uniform(0, 5, size=(10, 2)), 3, axis=0), 5),
+    (np.repeat(np.random.default_rng(2).uniform(0, 5, size=(6, 2)), 4, axis=0), 2),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 1),
+    (np.array([[1.0, 2.0], [1.0, 2.0]]), 1),
+    # integer coordinates on a small box: many ties at many distances
+    *[(np.round(np.random.default_rng(3).uniform(0, 4, size=(60, 2))), k)
+      for k in (1, 3, 8, 30, 59)],
+    *[(np.random.default_rng(4).uniform(0, 100, size=(n, 2)), k)
+      for n, k in ((2, 1), (40, 1), (40, 39), (300, 10))],
+]
+
+
+class TestKnnAgainstDenseRule:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("case", range(len(_KNN_CASES)))
+    def test_adjacency_and_sigma_bit_identical(self, case, kind):
+        coords, k = _KNN_CASES[case]
+        weights, sigma = dense_knn_rule(coords, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            graph = tvgsr.build_knn_graph(coords, k, laplacian_kind=kind)
+        assert np.array_equal(graph.adjacency, weights)
+        assert graph.sigma == sigma
+        assert np.array_equal(graph.laplacian,
+                              tvgsr.Graph(weights, laplacian_kind=kind).laplacian)
 
 
 class TestBuildKnnGraph:
@@ -111,6 +177,18 @@ class TestLaplacian:
 
     def test_positive_semidefinite(self, geo_graph):
         assert tvgsr.spectrum(geo_graph.laplacian).eigenvalues.min() >= -1e-10
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_max_eigenvalue_matches_dense(self, kind):
+        rng = np.random.default_rng(5)
+        graph = tvgsr.build_knn_graph(rng.uniform(0, 50, size=(40, 2)), 4, laplacian_kind=kind)
+        expected = np.linalg.eigvalsh(graph.laplacian)[-1]
+        assert graph.max_eigenvalue() == pytest.approx(expected, rel=1e-13)
+        assert graph.max_eigenvalue() == graph.max_eigenvalue()
+
+    def test_max_eigenvalue_small_graphs(self, two_node_graph):
+        assert two_node_graph.max_eigenvalue() == pytest.approx(2.0, rel=1e-14)
+        assert tvgsr.Graph(np.zeros((1, 1))).max_eigenvalue() == 0.0
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
     def test_csr_form_built_lazily_and_equal(self, geo_graph, kind):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,22 @@ class TestSolveCg:
             tvgsr.solve_cg(y, np.ones_like(y), geo_graph, SolverConfig(objective="gr_static"))
 
 
+def dense_gr_static_columns(y, mask, graph, upsilon):
+    """Per-column dense solves, with the least-squares answer where LU is singular."""
+    x_hat = np.zeros_like(y)
+    for column in range(y.shape[1]):
+        j = mask[:, column]
+        if not np.any(j > 0):
+            continue
+        system = np.diag(j) + upsilon * graph.laplacian
+        rhs = j * y[:, column]
+        try:
+            x_hat[:, column] = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            x_hat[:, column] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    return x_hat
+
+
 class TestSolveGrStatic:
     def test_fully_sampled_small_upsilon(self, geo_graph):
         rng = np.random.default_rng(16)
@@ -339,6 +357,62 @@ class TestSolveGrStatic:
         j = mask[:, 0]
         oracle = np.linalg.solve(np.diag(j) + upsilon * geo_graph.laplacian, j * y[:, 0])
         assert np.abs(result.x_hat[:, 0] - oracle).max() < 1e-8
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("upsilon", [0.0, 0.05, 3.0])
+    def test_every_column_matches_dense_solve(self, kind, upsilon):
+        rng = np.random.default_rng(30)
+        coords = rng.uniform(0.0, 10.0, size=(40, 2))
+        graph = tvgsr.build_knn_graph(coords, 7, laplacian_kind=kind)
+        mask = tvgsr.random_entry_mask(40, 6, 0.5, 31).mask.copy()
+        mask[:, 2] = 1.0  # a fully sampled column is nonsingular even at upsilon = 0
+        y = mask * rng.normal(size=(40, 6))
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=upsilon, objective="gr_static"))
+        expected = dense_gr_static_columns(y, mask, graph, upsilon)
+        for column in range(6):
+            scale = np.linalg.norm(expected[:, column])
+            error = np.linalg.norm(result.x_hat[:, column] - expected[:, column])
+            assert error <= 1e-12 * scale
+        objective = tvgsr.objective(result.x_hat, y, mask, graph,
+                                    SolverConfig(upsilon=upsilon, objective="gr_static"))
+        assert result.loss_trace[0] == pytest.approx(objective, rel=1e-12)
+
+    def test_unsampled_component_takes_least_squares_answer(self):
+        # a weighted path over nodes 0-5 and a single edge 6-7
+        rng = np.random.default_rng(32)
+        weights = np.zeros((8, 8))
+        for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (6, 7)]:
+            weights[a, b] = weights[b, a] = rng.uniform(0.2, 1.0)
+        graph = tvgsr.Graph(weights)
+        assert graph.n_components == 2
+        y = rng.normal(size=(8, 3))
+        mask = np.ones_like(y)
+        mask[6:, 1] = 0.0  # second component unsampled in column 1
+        mask[0, 1] = 0.0
+        y = mask * y
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=0.3, objective="gr_static"))
+        system = np.diag(mask[:, 1]) + 0.3 * graph.laplacian
+        least_squares = np.linalg.lstsq(system, mask[:, 1] * y[:, 1], rcond=None)[0]
+        assert np.array_equal(result.x_hat[:, 1], least_squares)
+        assert np.all(result.x_hat[6:, 1] == 0.0)
+
+    def test_solve_allocates_less_than_a_dense_matrix(self):
+        rng = np.random.default_rng(33)
+        n = 1000
+        graph = tvgsr.build_knn_graph(rng.uniform(0.0, 100.0, size=(n, 2)), 10)
+        graph.laplacian_csr
+        mask = tvgsr.random_entry_mask(n, 4, 0.5, 34).mask
+        y = mask * rng.normal(size=(n, 4))
+        config = SolverConfig(upsilon=0.1, objective="gr_static")
+        tracemalloc.start()
+        try:
+            tvgsr.solve_gr_static(y, mask, graph, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestDenseOracle:
