@@ -7,7 +7,12 @@ or through a shifted Laplacian power (graph Sobolev norm). It also ships the
 conditioning analysis that explains why the shifted penalty speeds up
 conjugate-gradient convergence, a synthetic data generator, sampling-regime
 utilities, error metrics, a Monte-Carlo benchmark harness, and a CLI.
+
+The package logs to the ``tvgsr`` logger, which has a ``NullHandler`` and so
+prints nothing unless the application configures logging.
 """
+
+import logging
 
 from .data import (
     Dataset,
@@ -62,6 +67,7 @@ from .sampling import (
 )
 from .solvers import (
     SolveResult,
+    SolveStats,
     SolverConfig,
     gradient,
     objective,
@@ -97,6 +103,8 @@ from .temporal import (
 
 __version__ = "0.1.0"
 
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 __all__ = [
     "AggregateRow",
     "ConvergenceComparison",
@@ -114,6 +122,7 @@ __all__ = [
     "ResultRow",
     "SamplingMask",
     "SolveResult",
+    "SolveStats",
     "SolverConfig",
     "Spectrum",
     "SweepPoint",

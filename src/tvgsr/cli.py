@@ -42,6 +42,8 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 
+TRACE_HEADER = ("iteration", "grad_norm", "dir_norm", "mu", "gamma", "restart")
+
 
 class _UsageError(Exception):
     pass
@@ -280,6 +282,9 @@ def cmd_reconstruct(args) -> int:
     textio.write_loss_trace(os.path.join(out, "loss_trace.csv"), result.loss_trace)
     if generated:
         textio.write_mask(os.path.join(out, "mask.csv"), mask)
+    if result.stats is not None:
+        textio.write_table(os.path.join(out, "trace.csv"), TRACE_HEADER,
+                           result.stats.rows())
 
     eval_index = mask == 0
     row_rmse, row_mae, row_mape, excluded = _score(result.x_hat, signal, eval_index)
@@ -293,6 +298,10 @@ def cmd_reconstruct(args) -> int:
         "wall_time_s": result.wall_time,
         "evaluated_entries": int(eval_index.sum()),
     }
+    if result.stats is not None:
+        metrics["stop_reason"] = result.stats.stop_reason
+        metrics["restarts"] = len(result.stats.restarts)
+        metrics["hessian_actions"] = result.stats.hessian_actions
     if result.unsampled_columns:
         metrics["unsampled_columns"] = ",".join(str(c) for c in result.unsampled_columns)
     if oracle_check:

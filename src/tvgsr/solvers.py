@@ -13,15 +13,24 @@ whose exact line search uses the Hessian action J o V + upsilon * K V D D^T
 on the search direction. The noiseless problem is solved by projected
 gradient descent on the affine set J o X = Y.
 
+:class:`ProblemOperator` applies that action and the smoothness gradient,
+into the caller's array when given ``out=`` (bit-identical to the
+allocating call). The CG loop reuses buffers allocated once and reports
+why it stopped and how it got there in a :class:`SolveStats`. Messages go
+to the ``tvgsr`` logger, which is silent unless logging is configured.
+
 Solvers are deterministic given identical inputs; independent solves may run
-concurrently over shared immutable graphs and operators.
+concurrently over shared immutable graphs. A ProblemOperator holds scratch
+buffers, so each solve builds its own.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import diags, identity
@@ -36,6 +45,9 @@ OBJECTIVES = ("tgsr", "sobolev", "gr_static")
 
 _TINY_DENOMINATOR = 1e-300
 _RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
+_RECORD_CHUNK = 4096  # telemetry rows allocated at a time
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,38 @@ class SolverConfig:
             )
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """Telemetry of one FR-CG solve; entry t of each array describes iteration t + 1.
+
+    ``grad_norm`` is ||g|| after the iteration's step, ``dir_norm`` the
+    ||d|| of the direction it stepped along, ``mu`` its step and ``gamma``
+    the Fletcher-Reeves ratio that formed the next direction (0 where the
+    direction was reset). ``restarts`` lists (iteration, reason) for each
+    reset, with reason ``periodic`` or ``lost_descent``. ``stop_reason``
+    is ``direction_norm``, ``zero_curvature`` or ``max_iter``. ``setup_s``
+    covers the input checks and the operator and buffer set-up, and
+    ``iterate_s`` the initial gradient and the iterations.
+    """
+
+    grad_norm: np.ndarray
+    dir_norm: np.ndarray
+    mu: np.ndarray
+    gamma: np.ndarray
+    restarts: tuple
+    hessian_actions: int
+    stop_reason: str
+    setup_s: float
+    iterate_s: float
+
+    def rows(self) -> list:
+        """(iteration, grad_norm, dir_norm, mu, gamma, restart reason or "") per iteration."""
+        reasons = dict(self.restarts)
+        return [(t + 1, *values, reasons.get(t + 1, ""))
+                for t, values in enumerate(zip(self.grad_norm, self.dir_norm, self.mu,
+                                               self.gamma))]
+
+
 @dataclass
 class SolveResult:
     """Outcome of a solve: reconstruction, iteration count, and traces."""
@@ -90,6 +134,7 @@ class SolveResult:
     error_trace: np.ndarray | None = None  # ||X^t - reference||_F when requested
     iterates: list | None = None
     unsampled_columns: tuple = ()
+    stats: SolveStats | None = None  # FR-CG telemetry; solve_cg only
 
 
 def _check_problem(y, mask, graph, min_snapshots=1):
@@ -111,6 +156,11 @@ class ProblemOperator:
     of L + epsilon*I, with epsilon written on every diagonal entry so that
     isolated nodes get it too; fractional beta multiplies by the dense
     :func:`sobolev_power`. D and D D^T are column stencils of step s.
+
+    The operator owns scratch buffers for the stencil and the mask product,
+    so one instance serves one solve at a time. With ``out=`` an action
+    writes into the caller's N x M array; the only N x M array it then
+    allocates is the one the sparse product ``K @ V`` returns.
     """
 
     def __init__(self, graph: Graph, mask, config: SolverConfig):
@@ -130,35 +180,64 @@ class ProblemOperator:
             self._repeats = 1
 
     def penalty(self, v) -> np.ndarray:
-        """(L + epsilon*I)^beta V."""
+        """(L + epsilon*I)^beta V, as a new array."""
         for _ in range(self._repeats):
             v = self._penalty @ v
         return v
 
-    def difference(self, x) -> np.ndarray:
-        """X D: column j is x_{j+s} - x_j."""
-        return x[:, self.step:] - x[:, :-self.step]
-
     def smoothness(self, x) -> float:
-        """tr((X D)^T (L + epsilon*I)^beta (X D))."""
-        diff = self.difference(x)
+        """tr((X D)^T (L + epsilon*I)^beta (X D)); column j of X D is x_{j+s} - x_j."""
+        diff = x[:, self.step:] - x[:, :-self.step]
         return float(np.sum(diff * self.penalty(diff)))
 
-    def smoothness_gradient(self, x) -> np.ndarray:
-        """(L + epsilon*I)^beta X D D^T, with Z = X D scattered back by D^T."""
-        s = self.step
-        diff = self.difference(x)
-        scattered = np.zeros_like(x)
-        scattered[:, :-s] -= diff
-        scattered[:, s:] += diff
-        return self.penalty(scattered)
+    @cached_property
+    def _scratch(self):
+        """Difference, scatter and mask-product buffers, allocated on first use.
 
-    def hessian_action(self, v) -> np.ndarray:
-        """J o V + upsilon * (L + epsilon*I)^beta V D D^T."""
-        action = self.smoothness_gradient(v)
-        action *= self.upsilon
-        action += self.mask * v
-        return action
+        Callers that only need :meth:`smoothness`, such as :func:`objective`,
+        never allocate them.
+        """
+        return tuple(np.empty(self.mask.shape) for _ in range(3))
+
+    def _scatter(self, x) -> np.ndarray:
+        """X D D^T in the scatter buffer: Z = X D, then column j gets z_{j-s} - z_j.
+
+        Both passes run over the raveled rows. The difference buffer is
+        N x M with its last s columns zero, so the entries that would
+        straddle two rows read as z = 0, as at the ends of each chain.
+        """
+        s = self.step
+        diff_buffer, scatter_buffer, _ = self._scratch
+        flat, diff, scattered = x.ravel(), diff_buffer.ravel(), scatter_buffer.ravel()
+        np.subtract(flat[s:], flat[:-s], out=diff[:-s])
+        diff_buffer[:, -s:] = 0.0
+        np.subtract(diff[:-s], diff[s:], out=scattered[s:])
+        np.subtract(0.0, diff[:s], out=scattered[:s])
+        return scatter_buffer
+
+    def smoothness_gradient(self, x, out=None) -> np.ndarray:
+        """(L + epsilon*I)^beta X D D^T, written into ``out`` when given."""
+        product = self.penalty(self._scatter(x))
+        if out is None:
+            return product
+        np.copyto(out, product)
+        return out
+
+    def hessian_action(self, v, out=None) -> np.ndarray:
+        """J o V + upsilon * (L + epsilon*I)^beta V D D^T, written into ``out`` when given.
+
+        ``out`` may be ``v`` itself. The result is bit-identical with and
+        without ``out``.
+        """
+        masked = np.multiply(self.mask, v, out=self._scratch[2])
+        product = self.penalty(self._scatter(v))
+        if out is None:
+            out = product
+            out *= self.upsilon
+        else:
+            np.multiply(product, self.upsilon, out=out)
+        out += masked
+        return out
 
     def temporal_max_eigenvalue(self) -> float:
         """Largest eigenvalue of D D^T.
@@ -209,10 +288,14 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
 
     Starts from X = J o Y. Each iteration takes an exact line-search step
     mu = -<d, g> / <d, H d> along the Fletcher-Reeves direction
-    d = -g + (||g||^2 / ||g_prev||^2) d_prev, where H d is the Hessian
-    action J o d + upsilon * (L + epsilon*I)^beta d D D^T. The direction is
-    reset to steepest descent every N*M iterations or on loss of descent.
-    Stops when ||d||_F <= delta or at max_iter.
+    d = -g + gamma d_prev, gamma = ||g||^2 / ||g_prev||^2, where H d is the
+    Hessian action J o d + upsilon * (L + epsilon*I)^beta d D D^T. The
+    direction is reset to steepest descent every N*M iterations
+    (``periodic``) or when it is no longer a descent direction
+    (``lost_descent``, which also covers a zero previous gradient).
+    It stops when ||d||_F <= delta (``direction_norm``), when <d, H d> is
+    below 1e-300 in magnitude (``zero_curvature``) or at max_iter
+    (``max_iter``); ``termination`` reads ``converged`` for the first two.
 
     Each iteration makes one Hessian action, h = H d. The gradient follows
     the recurrence g <- g + mu h, and every 50 iterations it is replaced by
@@ -220,7 +303,16 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
     loss comes without another action from the identity
     f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2, which holds because supp(Y) lies
     inside J (the observations are J o Y). A solve of k iterations thus
-    makes k + 1 + floor(k / 50) Hessian actions.
+    makes k + 1 + floor(k / 50) Hessian actions, one more if it stops on
+    zero curvature.
+
+    The iterate, gradient, direction and action live in buffers allocated
+    once, the actions write into them through ``out=``, and every inner
+    product is one ``np.dot`` on raveled views, so an iteration allocates
+    no N x M array of its own. ``stats`` holds the per-iteration
+    telemetry (see :class:`SolveStats`). A node that is never sampled
+    makes the Hessian singular along e_i kron 1; the solve then logs a
+    warning on the ``tvgsr`` logger and returns one of the minimizers.
 
     Parameters
     ----------
@@ -232,76 +324,121 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
     """
     if config.objective == "gr_static":
         raise ParameterError("use solve_gr_static for the per-snapshot baseline")
+    entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
+    _warn_unsampled_nodes(mask)
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
     problem = ProblemOperator(graph, mask, config)
-    half_observed_sq = 0.5 * float(np.sum(observed * observed))
+    x = observed.copy()
+    g, d, h, work = (np.empty_like(x) for _ in range(4))
+    xf, gf, df, hf, wf, of = (a.ravel() for a in (x, g, d, h, work, observed))
+    half_observed_sq = 0.5 * float(np.dot(of, of))
+    # row t: loss after t iterations, then grad_norm, dir_norm, mu, gamma of iteration t
+    record = np.empty((min(config.max_iter, _RECORD_CHUNK) + 1, 5))
+    restarts = []
 
-    def loss(x, g):
-        return 0.5 * float(np.sum(x * (g - observed))) + half_observed_sq
+    def loss():
+        np.subtract(gf, of, out=wf)
+        return 0.5 * float(np.dot(xf, wf)) + half_observed_sq
 
     start = time.perf_counter()
-    x = observed.copy()
-    g = problem.hessian_action(x)
+    problem.hessian_action(x, out=g)
     g -= observed
-    trace = [loss(x, g)]
+    actions = 1
+    record[0, 0] = loss()
     errors = None if reference is None else [float(np.linalg.norm(x - reference))]
     iterates = [x.copy()] if record_iterates else None
 
-    g_sq = float(np.sum(g * g))
+    g_sq = float(np.dot(gf, gf))
     if not np.isfinite(g_sq):
         raise NumericError("non-finite gradient at iteration 0")
-    direction = -g
+    np.negative(g, out=d)
+    slope = -g_sq  # <d, g>
     restart_every = x.size
     iterations = 0
-    termination = "max_iter"
+    stop_reason = "max_iter"
 
     for t in range(config.max_iter):
-        if float(np.linalg.norm(direction)) <= config.delta:
-            termination = "converged"
+        d_norm = math.sqrt(float(np.dot(df, df)))
+        if d_norm <= config.delta:
+            stop_reason = "direction_norm"
             break
-        h = problem.hessian_action(direction)
-        denominator = float(np.sum(direction * h))
+        problem.hessian_action(d, out=h)
+        actions += 1
+        denominator = float(np.dot(df, hf))
         if not np.isfinite(denominator):
             raise NumericError(f"non-finite curvature at iteration {t}")
         if abs(denominator) < _TINY_DENOMINATOR:
-            termination = "converged"
+            stop_reason = "zero_curvature"
             break
-        mu = -float(np.sum(direction * g)) / denominator
-        x += mu * direction
+        mu = -slope / denominator
+        x += np.multiply(d, mu, out=work)
         iterations = t + 1
         if iterations % _RESIDUAL_REFRESH == 0:
-            g = problem.hessian_action(x)
+            problem.hessian_action(x, out=g)
+            actions += 1
             g -= observed
         else:
-            g += mu * h
-        trace.append(loss(x, g))
+            g += np.multiply(h, mu, out=work)
+        if iterations == len(record):
+            record = np.concatenate([record, np.empty_like(record)])
+        record[iterations, 0] = loss()
         if errors is not None:
             errors.append(float(np.linalg.norm(x - reference)))
         if iterates is not None:
             iterates.append(x.copy())
 
-        g_new_sq = float(np.sum(g * g))
+        g_new_sq = float(np.dot(gf, gf))
         if not np.isfinite(g_new_sq):
             raise NumericError(f"non-finite gradient at iteration {iterations}")
-        if iterations % restart_every == 0 or g_sq == 0.0:
-            direction = -g
+        restart = None
+        if iterations % restart_every == 0:
+            restart = "periodic"
+        elif g_sq == 0.0:
+            restart = "lost_descent"
         else:
             gamma = g_new_sq / g_sq
-            direction = -g + gamma * direction
-            if float(np.sum(direction * g)) >= 0.0:
-                direction = -g  # lost descent, restart from steepest descent
+            d *= gamma
+            d -= g
+            slope = float(np.dot(df, gf))
+            if slope >= 0.0:
+                restart = "lost_descent"
+        if restart is not None:
+            np.negative(g, out=d)
+            gamma = 0.0
+            slope = -g_new_sq
+            restarts.append((iterations, restart))
+        record[iterations, 1:] = (math.sqrt(g_new_sq), d_norm, mu, gamma)
         g_sq = g_new_sq
 
+    end = time.perf_counter()
+    rows = record[1:iterations + 1]
+    stats = SolveStats(
+        grad_norm=rows[:, 1].copy(), dir_norm=rows[:, 2].copy(), mu=rows[:, 3].copy(),
+        gamma=rows[:, 4].copy(), restarts=tuple(restarts), hessian_actions=actions,
+        stop_reason=stop_reason, setup_s=start - entry, iterate_s=end - start)
+    _log.debug("solve_cg: %s after %d iterations, %d restarts, %d Hessian actions",
+               stop_reason, iterations, len(restarts), actions)
     return SolveResult(
         x_hat=x,
         iterations=iterations,
-        loss_trace=np.asarray(trace),
-        termination=termination,
-        wall_time=time.perf_counter() - start,
+        loss_trace=record[:iterations + 1, 0].copy(),
+        termination="max_iter" if stop_reason == "max_iter" else "converged",
+        wall_time=end - start,
         error_trace=None if errors is None else np.asarray(errors),
         iterates=iterates,
+        stats=stats,
     )
+
+
+def _warn_unsampled_nodes(mask):
+    """Log a warning when some node is never sampled: H is then singular along e_i kron 1."""
+    sampled = mask.any(axis=1)
+    if not sampled.all():
+        missing = np.flatnonzero(~sampled)
+        _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
+                     "along e_i kron 1 at each, so the reconstruction is not unique",
+                     missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))
 
 
 def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
@@ -316,6 +453,10 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     the smoothness Hessian's largest eigenvalue, which guarantees descent;
     lambda_max(L) comes from the sparse :meth:`Graph.max_eigenvalue`.
     Stops when ||X^{t+1} - X^t||_F <= delta or at max_iter.
+
+    Each iteration applies the penalty once, for the gradient
+    G = (L + epsilon*I)^beta X D D^T, written into a reused buffer; the
+    loss of X is read from the same gradient as 1/2 <X, G>.
     """
     if config.objective == "gr_static":
         raise ParameterError("the noiseless solver handles temporal objectives only")
@@ -335,24 +476,35 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     start = time.perf_counter()
     sampled = mask > 0
     x = observed.copy()
-    trace = [0.5 * problem.smoothness(x)]
+    x_next, smooth_gradient, work = (np.empty_like(x) for _ in range(3))
+    finite = np.empty(x.shape, dtype=bool)
+    gradient_flat, work_flat = smooth_gradient.ravel(), work.ravel()
+
+    def half_smoothness(x):  # 1/2 <X, K X D D^T> from the gradient just computed
+        return 0.5 * float(np.dot(x.ravel(), gradient_flat))
+
+    trace = []
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
     termination = "max_iter"
     for t in range(config.max_iter):
-        smooth_gradient = problem.smoothness_gradient(x)
-        if not np.all(np.isfinite(smooth_gradient)):
+        problem.smoothness_gradient(x, out=smooth_gradient)
+        if not np.isfinite(smooth_gradient, out=finite).all():
             raise NumericError(f"non-finite gradient at iteration {t}")
-        x_next = np.where(sampled, observed, x - step * smooth_gradient)
+        trace.append(half_smoothness(x))
+        np.subtract(x, np.multiply(smooth_gradient, step, out=x_next), out=x_next)
+        np.copyto(x_next, observed, where=sampled)
         iterations = t + 1
-        trace.append(0.5 * problem.smoothness(x_next))
         if iterates is not None:
             iterates.append(x_next.copy())
-        update_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
+        np.subtract(x_next, x, out=work)
+        update_norm = math.sqrt(float(np.dot(work_flat, work_flat)))
+        x, x_next = x_next, x
         if update_norm <= config.delta:
             termination = "converged"
             break
+    problem.smoothness_gradient(x, out=smooth_gradient)
+    trace.append(half_smoothness(x))
 
     return SolveResult(
         x_hat=x,

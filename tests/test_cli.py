@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +187,49 @@ class TestReconstruct:
                      "--out", str(out)]) == 0
         metrics = read_kv(out / "metrics.txt")
         assert metrics["iterations"] == "0"
+        assert "stop_reason" not in metrics
+        assert not (out / "trace.csv").exists()
+
+    def test_trace_and_telemetry_metrics(self, synth_dir, tmp_path):
+        out = tmp_path / "r"
+        assert main(["reconstruct", "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--regime", "random_entry", "--density", "0.5", "--seed", "4",
+                     "--objective", "sobolev", "--upsilon", "0.05", "--delta", "1e-10",
+                     "--out", str(out)]) == 0
+        metrics = read_kv(out / "metrics.txt")
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iteration,grad_norm,dir_norm,mu,gamma,restart"
+        rows = [line.split(",") for line in lines[1:]]
+        k = int(metrics["iterations"])
+        assert k >= 50
+        assert [int(row[0]) for row in rows] == list(range(1, k + 1))
+        assert metrics["stop_reason"] == "direction_norm"
+        assert int(metrics["hessian_actions"]) == k + 1 + k // 50
+        restarts = [row for row in rows if row[5]]
+        assert int(metrics["restarts"]) == len(restarts)
+        assert all(row[5] in ("periodic", "lost_descent") and float(row[4]) == 0.0
+                   for row in restarts)
+        assert all(float(row[2]) > 1e-10 for row in rows)
+        for name in ("wall_time_s", "setup_s", "iterate_s"):
+            assert name not in (out / "trace.csv").read_text()
+        assert "setup_s" not in metrics and "iterate_s" not in metrics
+
+    def test_unsampled_node_leaves_stderr_empty(self, synth_dir, tmp_path):
+        mask = tvgsr.random_entry_mask(30, 6, 0.5, 9).mask.copy()
+        mask[7] = 0.0
+        mask_path = tmp_path / "mask.csv"
+        textio.write_mask(mask_path, mask)
+        src = str(Path(tvgsr.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tvgsr.cli", "reconstruct",
+             "--coords", str(synth_dir / "coords.csv"), "--signal", str(synth_dir / "signal.csv"),
+             "--k", "3", "--mask", str(mask_path), "--epsilon", "0.1",
+             "--out", str(tmp_path / "r")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert (done.stdout, done.stderr) == ("", "")
+        assert read_kv(tmp_path / "r" / "metrics.txt")["termination"] == "converged"
 
 
 class TestAnalyze:

@@ -1,7 +1,9 @@
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import tvgsr
 from tvgsr import InputError, NumericError, ParameterError, SolverConfig
@@ -188,6 +190,42 @@ class TestSolveNoiseless:
                                        SolverConfig(epsilon=0.1, objective="sobolev",
                                                     max_iter=300))
         assert np.all(np.diff(result.loss_trace) <= 1e-9)
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("beta, epsilon", [(1.0, 0.0), (2.0, 0.2), (0.5, 0.1)])
+    def test_iterates_match_the_allocating_loop(self, step, beta, epsilon, monkeypatch):
+        rng = np.random.default_rng(40)
+        graph = connected_geometric_graph(rng, 12, 3)
+        mask = tvgsr.random_entry_mask(12, 9, 0.4, 41).mask
+        y = mask * rng.normal(size=(12, 9))
+        config = SolverConfig(epsilon=epsilon, beta=beta, objective="sobolev",
+                              temporal_step=step, max_iter=400, delta=1e-7)
+        problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
+        step_size = 1.0 / ((graph.max_eigenvalue() + epsilon) ** beta
+                           * problem.temporal_max_eigenvalue())
+        x, expected = mask * y, [mask * y]
+        for _ in range(config.max_iter):
+            x_next = np.where(mask > 0, mask * y, x - step_size * problem.smoothness_gradient(x))
+            expected.append(x_next)
+            done = np.linalg.norm(x_next - x) <= config.delta
+            x = x_next
+            if done:
+                break
+        applications = []
+        original = tvgsr.solvers.ProblemOperator.penalty
+
+        def counting(self, v):
+            applications.append(1)
+            return original(self, v)
+
+        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "penalty", counting)
+        result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
+        assert result.iterations == len(expected) - 1
+        assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
+        assert np.array_equal(result.x_hat, expected[-1])
+        assert len(applications) == result.iterations + 1
+        losses = [0.5 * problem.smoothness(iterate) for iterate in expected]
+        assert np.allclose(result.loss_trace, losses, rtol=1e-12, atol=1e-14 * losses[0])
 
     def test_empty_mask_rejected(self, geo_graph):
         y = np.zeros((geo_graph.n_nodes, 3))
@@ -491,7 +529,60 @@ def long_cg_problem():
     return y, mask, graph, config
 
 
+def allocating_action(graph, mask, config, v):
+    """The Hessian action as a chain of fresh arrays: zero-filled scatter, then K, upsilon, J."""
+    s = config.temporal_step
+    if float(config.beta).is_integer():
+        shifted = graph.laplacian_csr + config.epsilon * scipy.sparse.identity(
+            graph.n_nodes, format="csr")
+        penalty = [shifted] * int(config.beta)
+    else:
+        penalty = [tvgsr.sobolev_power(graph.laplacian, config.epsilon, config.beta)]
+    diff = v[:, s:] - v[:, :-s]
+    action = np.zeros_like(v)
+    action[:, :-s] -= diff
+    action[:, s:] += diff
+    for factor in penalty:
+        action = factor @ action
+    action *= config.upsilon
+    action += mask * v
+    return action
+
+
 class TestProblemOperator:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("m", [4, 6, 9])
+    def test_action_into_out_is_bit_identical(self, kind, step, m):
+        rng = np.random.default_rng(35)
+        graphs = (graph_with_isolated_node(kind),
+                  tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(7, 2)), 3,
+                                        laplacian_kind=kind))
+        for graph in graphs:
+            n = graph.n_nodes
+            mask = tvgsr.random_entry_mask(n, m, 0.5, 36).mask
+            op = tvgsr.difference_operator(m, step)
+            for beta in (0.5, 1.0, 2.0, 3.0):
+                for epsilon in (0.0, 0.1):
+                    config = SolverConfig(upsilon=0.7, epsilon=epsilon, beta=beta,
+                                          objective="sobolev", temporal_step=step)
+                    problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
+                    v = rng.normal(size=(n, m))
+                    fresh = problem.hessian_action(v)
+                    out = np.full_like(v, np.nan)
+                    assert problem.hessian_action(v, out=out) is out
+                    assert np.array_equal(out, fresh)
+                    assert np.array_equal(out, allocating_action(graph, mask, config, v))
+                    in_place = v.copy()
+                    problem.hessian_action(in_place, out=in_place)
+                    assert np.array_equal(in_place, fresh)
+                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta).full()
+                    expected = (dense @ v.ravel(order="F")).reshape((n, m), order="F")
+                    assert np.abs(out - expected).max() <= \
+                        1e-12 * np.abs(dense).max() * np.abs(v).max()
+                    gradient = problem.smoothness_gradient(v, out=np.full_like(v, np.nan))
+                    assert np.array_equal(gradient, problem.smoothness_gradient(v))
+
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
     @pytest.mark.parametrize("step", [1, 2, 3])
     def test_hessian_action_matches_dense_hessian(self, kind, step):
@@ -530,9 +621,9 @@ class TestProblemOperator:
         calls = []
         original = tvgsr.solvers.ProblemOperator.hessian_action
 
-        def counting(self, v):
+        def counting(self, v, out=None):
             calls.append(1)
-            return original(self, v)
+            return original(self, v, out=out)
 
         monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "hessian_action", counting)
         result = tvgsr.solve_cg(y, mask, graph, config)
@@ -555,3 +646,118 @@ class TestProblemOperator:
         rel = np.linalg.norm(result.x_hat - oracle.x_hat) / np.linalg.norm(oracle.x_hat)
         assert not oracle.singular
         assert rel < 1e-8
+
+
+def stats_bytes(stats):
+    return sum(getattr(stats, name).nbytes for name in ("grad_norm", "dir_norm", "mu", "gamma"))
+
+
+class TestSolveStats:
+    def test_invariants_on_a_long_solve(self):
+        y, mask, graph, config = long_cg_problem()
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        stats, k = result.stats, result.iterations
+        assert k >= 100
+        for name in ("grad_norm", "dir_norm", "mu", "gamma"):
+            assert getattr(stats, name).shape == (k,), name
+        assert stats.hessian_actions == k + 1 + k // 50
+        assert stats.stop_reason == "direction_norm"
+        assert result.termination == "converged"
+        assert np.all(stats.dir_norm > config.delta)
+        assert np.all(stats.grad_norm >= 0.0) and np.all(stats.mu > 0.0)
+        restarted = {iteration for iteration, _ in stats.restarts}
+        assert all(stats.gamma[i - 1] == 0.0 for i in restarted)
+        assert all(reason in ("periodic", "lost_descent") for _, reason in stats.restarts)
+        assert stats.setup_s >= 0.0 and stats.iterate_s >= 0.0
+        assert result.wall_time == stats.iterate_s
+
+    def test_grad_norm_is_the_gradient_norm(self):
+        y, mask, graph, config = long_cg_problem()
+        result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
+        for t in (0, 48, 49, 99, result.iterations - 1):
+            exact = np.linalg.norm(tvgsr.gradient(result.iterates[t + 1], y, mask, graph, config))
+            assert abs(result.stats.grad_norm[t] - exact) <= 1e-8 * exact + 1e-12
+
+    def test_periodic_restarts_at_every_multiple_of_nm(self):
+        rng = np.random.default_rng(37)
+        graph = connected_geometric_graph(rng, 3, 2)
+        mask = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        y = mask * rng.normal(size=(3, 2))
+        config = SolverConfig(upsilon=0.5, epsilon=0.1, objective="sobolev", delta=1e-300,
+                              max_iter=40)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        stats, k = result.stats, result.iterations
+        assert k > 2 * y.size
+        periodic = {i for i, reason in stats.restarts if reason == "periodic"}
+        assert periodic == set(range(y.size, k + 1, y.size))
+        assert (stats.stop_reason == "max_iter") == (result.termination == "max_iter")
+        if stats.stop_reason == "max_iter":
+            assert stats.hessian_actions == k + 1 + k // 50
+        else:  # zero curvature makes one action that takes no step
+            assert stats.stop_reason == "zero_curvature"
+            assert stats.hessian_actions == k + 2 + k // 50
+
+    def test_max_iter_stop_reason(self, geo_graph):
+        mask = tvgsr.random_entry_mask(geo_graph.n_nodes, 4, 0.5, 15).mask
+        y = mask * np.random.default_rng(14).normal(size=(geo_graph.n_nodes, 4))
+        config = SolverConfig(upsilon=1.0, epsilon=0.1, objective="sobolev", max_iter=3)
+        result = tvgsr.solve_cg(y, mask, geo_graph, config)
+        assert (result.termination, result.stats.stop_reason) == ("max_iter", "max_iter")
+        assert result.stats.hessian_actions == 4
+        assert len(result.stats.mu) == 3
+
+    def test_telemetry_grows_past_its_first_chunk(self, monkeypatch):
+        y, mask, graph, config = long_cg_problem()
+        reference = tvgsr.solve_cg(y, mask, graph, config)
+        monkeypatch.setattr(tvgsr.solvers, "_RECORD_CHUNK", 8)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        assert result.iterations == reference.iterations > 16
+        assert np.array_equal(result.loss_trace, reference.loss_trace)
+        for name in ("grad_norm", "dir_norm", "mu", "gamma"):
+            assert np.array_equal(getattr(result.stats, name), getattr(reference.stats, name))
+
+    def test_iterations_allocate_no_growing_arrays(self):
+        rng = np.random.default_rng(38)
+        graph = connected_geometric_graph(rng, 60, 3)
+        graph.laplacian_csr
+        mask = tvgsr.random_entry_mask(60, 50, 0.3, 39).mask
+        y = mask * rng.normal(size=(60, 50))
+        peaks, results = [], []
+        for max_iter in (20, 400):
+            config = SolverConfig(upsilon=0.01, epsilon=0.0, objective="sobolev",
+                                  delta=1e-300, max_iter=max_iter)
+            tracemalloc.start()
+            try:
+                results.append(tvgsr.solve_cg(y, mask, graph, config))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [r.iterations for r in results] == [20, 400]
+        growth = peaks[1] - peaks[0] - (stats_bytes(results[1].stats)
+                                        - stats_bytes(results[0].stats))
+        growth -= 5 * 8 * (400 - 20)  # the preallocated telemetry rows
+        assert growth < y.nbytes
+
+
+class TestLogging:
+    def test_unsampled_node_warns(self, caplog):
+        y, mask, graph, config = long_cg_problem()
+        mask = mask.copy()
+        mask[[4, 17]] = 0.0
+        with caplog.at_level(logging.WARNING, logger="tvgsr"):
+            result = tvgsr.solve_cg(mask * y, mask, graph, config)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].name == "tvgsr.solvers"
+        assert "2 of 30 nodes are never sampled (first: 4, 17)" in warnings[0].getMessage()
+        assert result.termination == "converged"
+
+    def test_sampled_nodes_do_not_warn_and_debug_reports_the_stop(self, caplog):
+        y, mask, graph, config = long_cg_problem()
+        assert mask.any(axis=1).all()
+        with caplog.at_level(logging.DEBUG, logger="tvgsr"):
+            result = tvgsr.solve_cg(y, mask, graph, config)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        message = caplog.records[0].getMessage()
+        assert f"direction_norm after {result.iterations} iterations" in message
+        assert f"{len(result.stats.restarts)} restarts" in message
