@@ -87,6 +87,7 @@ from .spectral import (
     eigenvalue_penalization,
     hessian,
     weyl_bounds,
+    weyl_sweep,
 )
 from .temporal import (
     TemporalOperator,
@@ -174,6 +175,7 @@ __all__ = [
     "temporal_difference",
     "tune_parameters",
     "weyl_bounds",
+    "weyl_sweep",
     "write_aggregate_results",
     "write_raw_results",
 ]

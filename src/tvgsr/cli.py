@@ -33,7 +33,8 @@ from .spectral import (
     condition_sweep,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.condition_sweep
     dense_oracle_solve,
     eigenvalue_penalization,
-    weyl_bounds,
+    weyl_bounds,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.weyl_bounds
+    weyl_sweep,
 )
 from .temporal import difference_operator
 
@@ -362,25 +363,20 @@ def cmd_analyze(args) -> int:
 
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
-    if not epsilon_grid:
-        raise ParameterError("epsilon grid must be nonempty")
     op = difference_operator(mask.shape[1], settings["step"])
 
     out = _prepare_out_dir(settings["out"])
     # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
-    reports = [weyl_bounds(graph, op, settings["upsilon"], epsilon, settings["beta"], mask)
-               for epsilon in epsilon_grid]
-    kappa_laplacian = reports[0].laplacian.kappa
+    reports = weyl_sweep(graph, op, settings["upsilon"], settings["beta"], epsilon_grid, mask)
     textio.write_table(os.path.join(out, "condition_sweep.csv"),
                        ("epsilon", "kappa_sobolev", "kappa_laplacian"),
-                       [(epsilon, report.sobolev.kappa, kappa_laplacian)
-                        for epsilon, report in zip(epsilon_grid, reports)])
+                       [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in reports])
 
     weyl_header = ("objective", "epsilon", "lambda_max", "lambda_min",
                    "max_bracket_low", "max_bracket_high", "min_bracket_low",
                    "min_bracket_high", "premise_holds", "max_within", "min_within")
     rows = [("laplacian", 0.0, reports[0].laplacian)] + \
-        [("sobolev", epsilon, report.sobolev) for epsilon, report in zip(epsilon_grid, reports)]
+        [("sobolev", r.epsilon, r.sobolev) for r in reports]
     weyl_rows = [(name, epsilon, b.lambda_max, b.lambda_min, b.max_bracket[0], b.max_bracket[1],
                   b.min_bracket[0], b.min_bracket[1], b.premise_holds, b.max_within,
                   b.min_within) for name, epsilon, b in rows]

@@ -2,17 +2,18 @@
 
 The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
-using column-major vectorization. :func:`hessian` is the only place it is
-formed, under a hard size guard (N*M <= 4000); the solvers never form it.
-Built on it are condition numbers compared between the shifted-power
-(Sobolev) objective and the plain Laplacian objective, checks of the extreme
-eigenvalues against the additive (Weyl) brackets obtained from the spectra
-of the two summands, and the dense eigendecomposition oracle that solves
-the stationarity system for tests.
+using column-major vectorization. Only this module forms it, under a hard
+size guard (N*M <= 4000): :func:`hessian` returns its two blocks, and the
+eigensolves build it in one NM x NM buffer. Built on it are condition
+numbers of the shifted-power (Sobolev) and plain Laplacian objectives and
+checks of their extreme eigenvalues against the additive (Weyl) brackets,
+both eigensolving each distinct Hessian of a sweep once, and the dense
+eigendecomposition oracle that solves the stationarity system for tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,35 +51,36 @@ class HessianSpec:
         return self.data_block + self.smoothness_block
 
 
-def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> HessianSpec:
-    """Assemble the dense vectorized Hessian blocks (N*M <= 4000 guard)."""
+def _smoothness(mask, graph: Graph, op, upsilon, epsilon, beta) -> tuple:
+    """Validate a dense Hessian request; return the mask array and the smoothness block."""
     mask = as_mask_array(mask)
     if mask.shape[0] != graph.n_nodes:
         raise InputError(f"mask has {mask.shape[0]} rows but graph has {graph.n_nodes} nodes")
-    size = mask.size
-    if size > DENSE_GUARD:
-        raise ParameterError(f"dense Hessian limited to N*M <= {DENSE_GUARD}, got {size}")
+    if mask.size > DENSE_GUARD:
+        raise ParameterError(f"dense Hessian limited to N*M <= {DENSE_GUARD}, got {mask.size}")
     if upsilon < 0:
         raise ParameterError(f"upsilon must be >= 0, got {upsilon}")
     d = _operator_matrix(op)
     if d.shape[0] != mask.shape[1]:
         raise InputError(f"operator expects {d.shape[0]} snapshots, mask has {mask.shape[1]}")
-    penalty = sobolev_power(graph.laplacian, epsilon, beta)
-    smoothness = np.kron(d @ d.T, penalty)
+    smoothness = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
     smoothness *= upsilon
-    return HessianSpec(
-        data_block=np.diag(_vec(mask)),
-        smoothness_block=smoothness,
-        upsilon=float(upsilon),
-        epsilon=float(epsilon),
-        beta=float(beta),
-    )
+    return mask, smoothness
 
 
-def _extremes(matrix) -> tuple:
-    """(lambda_min, lambda_max) of a symmetric matrix."""
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return float(eigenvalues[0]), float(eigenvalues[-1])
+def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> HessianSpec:
+    """Assemble the dense vectorized Hessian blocks (N*M <= 4000 guard)."""
+    mask, smoothness = _smoothness(mask, graph, op, upsilon, epsilon, beta)
+    return HessianSpec(data_block=np.diag(_vec(mask)), smoothness_block=smoothness,
+                       upsilon=float(upsilon), epsilon=float(epsilon), beta=float(beta))
+
+
+def _assemble(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
+    """:func:`hessian`'s ``full()``, bit for bit, built in one NM x NM buffer."""
+    mask, matrix = _smoothness(mask, graph, op, upsilon, epsilon, beta)
+    matrix += 0.0  # -0.0 to +0.0, as full()'s sum does: LAPACK's output depends on zero signs
+    matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
+    return matrix
 
 
 def _kappa(lam_min, lam_max) -> float:
@@ -100,7 +102,8 @@ def condition_number(matrix) -> float:
     scale = max(1.0, float(np.abs(matrix).max()))
     if float(np.abs(matrix - matrix.T).max()) > 1e-10 * scale:
         raise InputError("matrix is not symmetric")
-    return _kappa(*_extremes(matrix))
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    return _kappa(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,12 @@ class WeylReport:
         return self.laplacian.all_within and self.sobolev.all_within
 
 
-def _bracket_check(lam_min, lam_max, block_max, upsilon, premise_holds):
+def _bracket_check(lam_min, lam_max, penalty_max, lam_temporal, upsilon):
+    """Bracket check of the extremes of (1/upsilon) Q + (D D^T) kron K."""
+    block_max = penalty_max * lam_temporal
     max_bracket = (block_max, block_max + 1.0 / upsilon)
     min_bracket = (0.0, min(1.0 / upsilon, block_max))
+    lam_min, lam_max = lam_min / upsilon, lam_max / upsilon
     tol_max = _BRACKET_RTOL * max(1.0, abs(max_bracket[1]))
     tol_min = _BRACKET_RTOL * max(1.0, abs(min_bracket[1]))
     return EigenvalueBounds(
@@ -152,15 +158,26 @@ def _bracket_check(lam_min, lam_max, block_max, upsilon, premise_holds):
         lambda_min=lam_min,
         max_bracket=max_bracket,
         min_bracket=min_bracket,
-        premise_holds=premise_holds,
+        premise_holds=penalty_max >= 1.0 and lam_temporal >= 1.0,
         max_within=max_bracket[0] - tol_max <= lam_max <= max_bracket[1] + tol_max,
         min_within=min_bracket[0] - tol_min <= lam_min <= min_bracket[1] + tol_min,
     )
 
 
-def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
+def _hessian_extremes(mask, graph: Graph, op, upsilon):
+    """Memoized (epsilon, beta) -> Hessian extremes; the Laplacian Hessian is (0.0, 1.0)."""
+    @functools.cache
+    def extremes(epsilon, beta):
+        eigenvalues = np.linalg.eigvalsh(_assemble(mask, graph, op, upsilon, epsilon, beta))
+        return float(eigenvalues[0]), float(eigenvalues[-1])
+    return extremes
+
+
+def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Check the extreme Hessian eigenvalues against their analytic brackets.
 
+    Returns one :class:`WeylReport` per grid epsilon. Each distinct Hessian
+    is eigensolved once, so E epsilons cost at most E+1 NM x NM eigensolves.
     Both Hessians are examined in the scale-invariant form
     (1/upsilon) Q + (D D^T) kron K, whose extremes are those of
     :func:`hessian` divided by upsilon. The brackets read
@@ -170,32 +187,31 @@ def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
     are stated under the premise k_max, d_max >= 1; premise status is
     reported alongside pass/fail and violations are never silently ignored.
     """
-    mask = as_mask_array(mask)
-    if not np.any(mask > 0):
+    epsilon_grid = [float(e) for e in epsilon_grid]
+    if not epsilon_grid:
+        raise ParameterError("epsilon grid must be nonempty")
+    if not np.any(as_mask_array(mask) > 0):
         raise InputError("mask selects no entries (J must be nonzero)")
     if upsilon <= 0:
         raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
-    lap_min, lap_max = _extremes(hessian(mask, graph, op, upsilon, 0.0, 1.0).full())
-    sob_min, sob_max = _extremes(hessian(mask, graph, op, upsilon, epsilon, beta).full())
+    extremes = _hessian_extremes(mask, graph, op, upsilon)
+    lap_min, lap_max = extremes(0.0, 1.0)  # first, so a bad request raises hessian's errors
     d = _operator_matrix(op)
     lam_temporal = float(np.linalg.eigvalsh(d @ d.T)[-1])
     lam_graph = max(float(graph.spectrum().eigenvalues[-1]), 0.0)
-    penalty_max = (lam_graph + epsilon) ** beta
-    return WeylReport(
-        laplacian=_bracket_check(
-            lap_min / upsilon, lap_max / upsilon, lam_graph * lam_temporal, upsilon,
-            premise_holds=lam_graph >= 1.0 and lam_temporal >= 1.0,
-        ),
-        sobolev=_bracket_check(
-            sob_min / upsilon, sob_max / upsilon, penalty_max * lam_temporal, upsilon,
-            premise_holds=penalty_max >= 1.0 and lam_temporal >= 1.0,
-        ),
-        lambda_graph_max=lam_graph,
-        lambda_temporal_max=lam_temporal,
-        upsilon=float(upsilon),
-        epsilon=float(epsilon),
-        beta=float(beta),
-    )
+    laplacian = _bracket_check(lap_min, lap_max, lam_graph, lam_temporal, upsilon)
+    reports = []
+    for epsilon in epsilon_grid:
+        sobolev = _bracket_check(*extremes(epsilon, beta), (lam_graph + epsilon) ** beta,
+                                 lam_temporal, upsilon)
+        reports.append(WeylReport(laplacian, sobolev, lam_graph, lam_temporal,
+                                  float(upsilon), epsilon, float(beta)))
+    return reports
+
+
+def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
+    """:func:`weyl_sweep` at one epsilon: two eigensolves, or one at (0, 1)."""
+    return weyl_sweep(graph, op, upsilon, beta, [epsilon], mask)[0]
 
 
 class SweepPoint(NamedTuple):
@@ -207,19 +223,16 @@ class SweepPoint(NamedTuple):
 def condition_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Condition numbers of both Hessians over a grid of epsilon values.
 
-    The Laplacian-objective value is epsilon-independent and computed once;
-    each row pairs it with the shifted-power value at one epsilon.
+    Each row pairs the Laplacian value with the shifted-power value at one
+    epsilon; each distinct Hessian is eigensolved once.
     """
     epsilon_grid = [float(e) for e in epsilon_grid]
     if not epsilon_grid:
         raise ParameterError("epsilon grid must be nonempty")
-
-    def kappa(epsilon, power):
-        return _kappa(*_extremes(hessian(mask, graph, op, upsilon, epsilon, power).full()))
-
-    kappa_laplacian = kappa(0.0, 1.0)
-    return [SweepPoint(epsilon=epsilon, kappa_sobolev=kappa(epsilon, beta),
-                       kappa_laplacian=kappa_laplacian) for epsilon in epsilon_grid]
+    extremes = _hessian_extremes(mask, graph, op, upsilon)
+    kappa_laplacian = _kappa(*extremes(0.0, 1.0))
+    return [SweepPoint(epsilon, _kappa(*extremes(epsilon, beta)), kappa_laplacian)
+            for epsilon in epsilon_grid]
 
 
 def eigenvalue_penalization(spec, beta_list) -> np.ndarray:
@@ -266,14 +279,13 @@ def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
     n, m = y.shape
     op = difference_operator(m, config.temporal_step)
     eigenvalues, eigenvectors = np.linalg.eigh(
-        hessian(mask, graph, op, config.upsilon, config.epsilon, config.beta).full())
-    rhs = _vec(mask * y)
+        _assemble(mask, graph, op, config.upsilon, config.epsilon, config.beta))
 
     largest = float(eigenvalues[-1])
     cutoff = _SINGULAR_RATIO * largest if largest > 0 else np.inf
     keep = eigenvalues > cutoff
     singular = bool(not np.all(keep))
-    coefficients = eigenvectors.T @ rhs
+    coefficients = eigenvectors.T @ _vec(mask * y)
     scaled = np.zeros_like(coefficients)
     scaled[keep] = coefficients[keep] / eigenvalues[keep]
     z = eigenvectors @ scaled

@@ -36,11 +36,12 @@ def _is_numeric_row(tokens) -> bool:
 def write_matrix(path, matrix, header=None, delimiter=DELIMITER):
     """Write a 2-D array, one row per line, optionally preceded by a header row."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    # one %-format per row gives format_float's bytes for every value
+    row_format = delimiter.replace("%", "%%").join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(delimiter.join(str(h) for h in header) + "\n")
-        for row in matrix:
-            fh.write(delimiter.join(format_float(v) for v in row) + "\n")
+        fh.writelines(row_format % tuple(row.tolist()) for row in matrix)
 
 
 def read_matrix(path, delimiter=DELIMITER) -> np.ndarray:
@@ -78,12 +79,9 @@ def write_coordinates(path, coords, node_ids=None, delimiter=DELIMITER):
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InputError(f"coordinates must be N x 2, got shape {coords.shape}")
-    if node_ids is None:
-        node_ids = [str(i) for i in range(coords.shape[0])]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["node_id", "latitude", "longitude"]) + "\n")
-        for nid, (lat, lon) in zip(node_ids, coords):
-            fh.write(delimiter.join([str(nid), format_float(lat), format_float(lon)]) + "\n")
+    node_ids = range(coords.shape[0]) if node_ids is None else node_ids
+    write_table(path, ("node_id", "latitude", "longitude"),
+                zip(map(str, node_ids), coords[:, 0], coords[:, 1]), delimiter)
 
 
 def read_coordinates(path, delimiter=DELIMITER):
@@ -131,33 +129,25 @@ def read_mask(path, delimiter=DELIMITER) -> np.ndarray:
 
 def write_loss_trace(path, trace, delimiter=DELIMITER):
     """Write a loss trace as two columns: iteration index, loss value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(["iteration", "loss"]) + "\n")
-        for i, value in enumerate(np.asarray(trace, dtype=float)):
-            fh.write(delimiter.join([str(i), format_float(value)]) + "\n")
+    write_table(path, ("iteration", "loss"), enumerate(np.asarray(trace, dtype=float)), delimiter)
+
+
+def _cell(value) -> str:
+    """Floats get the 17-digit treatment; anything else its ``str``."""
+    return format_float(value) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def write_table(path, header, rows, delimiter=DELIMITER):
     """Write a table of heterogeneous rows; floats get the 17-digit treatment."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(delimiter.join(str(h) for h in header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, float) or isinstance(cell, np.floating):
-                    cells.append(format_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(delimiter.join(cells) + "\n")
+        fh.writelines(delimiter.join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_keyvalues(path, mapping):
     """Write a flat key=value text file (manifests, config echoes, metrics)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in mapping.items():
-            if isinstance(value, float) or isinstance(value, np.floating):
-                value = format_float(value)
-            fh.write(f"{key}={value}\n")
+        fh.writelines(f"{key}={_cell(value)}\n" for key, value in mapping.items())
 
 
 def read_keyvalues(path) -> dict:

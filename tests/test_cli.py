@@ -255,7 +255,8 @@ class TestAnalyze:
                          "--density", "0.5", "--seed", "4", "--upsilon", str(upsilon),
                          "--beta", "1.0", "--epsilon-grid", ",".join(map(str, epsilon_grid)),
                          "--beta-grid", "0.0,1.0,2.0", "--out", str(out)]) == 0
-            assert len(eigensolves) == 2 * len(epsilon_grid)  # two per Weyl report
+            # the Laplacian Hessian once, plus each grid Hessian that is not the (0, 1) one
+            assert len(eigensolves) == 1 + sum((eps, 1.0) != (0.0, 1.0) for eps in epsilon_grid)
 
             sweep_lines = (out / "condition_sweep.csv").read_text().strip().split("\n")
             assert sweep_lines[0] == "epsilon,kappa_sobolev,kappa_laplacian"

@@ -1,10 +1,13 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tvgsr
 from tvgsr import InputError, ParameterError
+from tvgsr.spectral import _assemble
 from conftest import random_geometric_graph, uniqueness_mask
 
 
@@ -182,6 +185,204 @@ class TestConditionSweep:
         with pytest.raises(ParameterError):
             tvgsr.condition_sweep(path_graph3, tvgsr.difference_operator(3, 1), 1.0, 1.0,
                                   [], np.ones((3, 3)))
+
+
+def per_epsilon_extremes(graph, op, upsilon, epsilon, beta, mask):
+    """One eigensolve of ``hessian(...).full()``, as every call made before the sweep."""
+    eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta).full())
+    return float(eigenvalues[0]), float(eigenvalues[-1])
+
+
+def per_epsilon_weyl(graph, op, upsilon, epsilon, beta, mask):
+    """In-test copy of the per-epsilon Weyl report: two eigensolves per call."""
+    mask = np.asarray(mask, dtype=float)
+    if not np.any(mask > 0):
+        raise InputError("mask selects no entries (J must be nonzero)")
+    if upsilon <= 0:
+        raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
+    lap_min, lap_max = per_epsilon_extremes(graph, op, upsilon, 0.0, 1.0, mask)
+    sob_min, sob_max = per_epsilon_extremes(graph, op, upsilon, epsilon, beta, mask)
+    lam_temporal = float(np.linalg.eigvalsh(op.matrix @ op.matrix.T)[-1])
+    lam_graph = max(float(graph.spectrum().eigenvalues[-1]), 0.0)
+    penalty_max = (lam_graph + epsilon) ** beta
+
+    def check(lam_min, lam_max, block_max, premise_holds):
+        max_bracket = (block_max, block_max + 1.0 / upsilon)
+        min_bracket = (0.0, min(1.0 / upsilon, block_max))
+        tol_max = 1e-8 * max(1.0, abs(max_bracket[1]))
+        tol_min = 1e-8 * max(1.0, abs(min_bracket[1]))
+        return tvgsr.EigenvalueBounds(
+            lambda_max=lam_max, lambda_min=lam_min, max_bracket=max_bracket,
+            min_bracket=min_bracket, premise_holds=premise_holds,
+            max_within=max_bracket[0] - tol_max <= lam_max <= max_bracket[1] + tol_max,
+            min_within=min_bracket[0] - tol_min <= lam_min <= min_bracket[1] + tol_min)
+
+    return tvgsr.WeylReport(
+        laplacian=check(lap_min / upsilon, lap_max / upsilon, lam_graph * lam_temporal,
+                        lam_graph >= 1.0 and lam_temporal >= 1.0),
+        sobolev=check(sob_min / upsilon, sob_max / upsilon, penalty_max * lam_temporal,
+                      penalty_max >= 1.0 and lam_temporal >= 1.0),
+        lambda_graph_max=lam_graph, lambda_temporal_max=lam_temporal,
+        upsilon=float(upsilon), epsilon=float(epsilon), beta=float(beta))
+
+
+def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
+    """In-test copy of the condition sweep with one eigensolve per row plus the Laplacian's."""
+    def kappa(epsilon, power):
+        lam_min, lam_max = per_epsilon_extremes(graph, op, upsilon, epsilon, power, mask)
+        return math.inf if lam_max <= 0 or lam_min < 1e-12 * lam_max else lam_max / lam_min
+
+    kappa_laplacian = kappa(0.0, 1.0)
+    return [tvgsr.SweepPoint(float(e), kappa(float(e), beta), kappa_laplacian)
+            for e in epsilon_grid]
+
+
+@pytest.fixture
+def count_eigensolves(monkeypatch):
+    """Count np.linalg.eigvalsh calls on matrices of a given order."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix)[0])
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestWeylSweep:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.7, 2.0])
+    @pytest.mark.parametrize("grid", [(0.0, 0.01, 0.1, 0.5, 1.0), (0.3, 0.05), (0.1, 0.0, 0.1)])
+    def test_equals_per_epsilon_computation(self, kind, step, beta, grid):
+        rng = np.random.default_rng(20 + step)
+        coords = rng.uniform(0.0, 10.0, size=(9, 2))
+        graph = tvgsr.build_knn_graph(coords, 3, laplacian_kind=kind)
+        op = tvgsr.difference_operator(6, step)
+        mask = uniqueness_mask(rng, 9, 6, density=0.5)
+        for upsilon in (1.0, 0.3):
+            want = [per_epsilon_weyl(graph, op, upsilon, e, beta, mask) for e in grid]
+            assert tvgsr.weyl_sweep(graph, op, upsilon, beta, grid, mask) == want
+            assert [tvgsr.weyl_bounds(graph, op, upsilon, e, beta, mask) for e in grid] == want
+            assert tvgsr.condition_sweep(graph, op, upsilon, beta, grid, mask) == \
+                per_epsilon_condition_sweep(graph, op, upsilon, beta, grid, mask)
+
+    @pytest.mark.parametrize("beta, grid, distinct", [
+        (1.0, [0.0, 0.01, 0.1, 0.5, 1.0], 5),  # the (0, 1) row shares the Laplacian's
+        (1.0, [0.1, 0.5, 0.1], 3),
+        (2.0, [0.0, 0.1], 3),                   # (0, 2) is not the Laplacian Hessian
+    ])
+    def test_each_distinct_hessian_eigensolved_once(self, count_eigensolves, beta, grid,
+                                                    distinct):
+        rng = np.random.default_rng(30)
+        graph = random_geometric_graph(rng, 8, 3)
+        op = tvgsr.difference_operator(5, 1)
+        mask = uniqueness_mask(rng, 8, 5)
+        reports = tvgsr.weyl_sweep(graph, op, 0.7, beta, grid, mask)
+        assert count_eigensolves.count(40) == distinct
+        assert [r.epsilon for r in reports] == grid
+        count_eigensolves.clear()
+        tvgsr.condition_sweep(graph, op, 0.7, beta, grid, mask)
+        assert count_eigensolves.count(40) == distinct
+
+    def test_laplacian_row_reuses_its_eigensolve(self):
+        rng = np.random.default_rng(31)
+        graph = random_geometric_graph(rng, 7, 2)
+        mask = uniqueness_mask(rng, 7, 4)
+        report = tvgsr.weyl_bounds(graph, tvgsr.difference_operator(4, 1), 0.4, 0.0, 1.0, mask)
+        assert report.sobolev == report.laplacian
+
+    def test_rejections_match_per_epsilon_computation(self):
+        rng = np.random.default_rng(32)
+        big = random_geometric_graph(rng, 70, 3)
+        small = random_geometric_graph(rng, 6, 2)
+        requests = [
+            (big, tvgsr.difference_operator(60, 1), 1.0, np.ones((70, 60))),  # guard
+            (small, tvgsr.difference_operator(4, 1), 1.0, np.zeros((6, 4))),  # empty mask
+            (small, tvgsr.difference_operator(4, 1), 0.0, np.ones((6, 4))),
+            (small, tvgsr.difference_operator(4, 1), -1.0, np.ones((6, 4))),
+        ]
+        for graph, op, upsilon, mask in requests:
+            with pytest.raises((InputError, ParameterError)) as want:
+                per_epsilon_weyl(graph, op, upsilon, 0.1, 1.0, mask)
+            for call in (lambda: tvgsr.weyl_sweep(graph, op, upsilon, 1.0, [0.1], mask),
+                         lambda: tvgsr.weyl_bounds(graph, op, upsilon, 0.1, 1.0, mask)):
+                with pytest.raises(want.type, match=re.escape(str(want.value))):
+                    call()
+
+    def test_both_assembly_routes_raise_the_same_errors(self):
+        rng = np.random.default_rng(33)
+        big = random_geometric_graph(rng, 70, 3)
+        small = random_geometric_graph(rng, 6, 2)
+        requests = [
+            (big, tvgsr.difference_operator(60, 1), 1.0, np.ones((70, 60))),  # guard
+            (small, tvgsr.difference_operator(4, 1), 1.0, np.ones((5, 4))),   # row count
+            (small, tvgsr.difference_operator(5, 1), 1.0, np.ones((6, 4))),   # operator length
+            (small, tvgsr.difference_operator(4, 1), -1.0, np.ones((6, 4))),  # upsilon < 0
+        ]
+        for graph, op, upsilon, mask in requests:
+            with pytest.raises((InputError, ParameterError)) as want:
+                tvgsr.hessian(mask, graph, op, upsilon, 0.1, 1.0)
+            for call in (lambda: _assemble(mask, graph, op, upsilon, 0.1, 1.0),
+                         lambda: tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)):
+                with pytest.raises(want.type, match=re.escape(str(want.value))):
+                    call()
+
+
+class TestOneBufferAssembly:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("upsilon, epsilon, beta", [
+        (1.0, 0.0, 1.0), (0.3, 0.1, 1.0), (2.0, 0.0, 2.0), (0.7, 0.2, 1.7), (0.0, 0.1, 1.0)])
+    def test_bytes_equal_hessian_full(self, kind, upsilon, epsilon, beta):
+        # the graph has an isolated node, so the penalty has an all-zero row
+        w = np.zeros((6, 6))
+        w[0, 1] = w[1, 2] = w[2, 3] = w[3, 4] = w[1, 4] = 0.8
+        graph = tvgsr.Graph(w + w.T, laplacian_kind=kind)
+        for step in (1, 2):
+            op = tvgsr.difference_operator(5, step)
+            mask = tvgsr.random_entry_mask(6, 5, 0.5, step).mask
+            full = tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta).full()
+            assert _assemble(mask, graph, op, upsilon, epsilon, beta).tobytes() == full.tobytes()
+
+    def test_holds_one_nm_by_nm_array(self):
+        rng = np.random.default_rng(34)
+        graph = random_geometric_graph(rng, 30, 3)
+        op = tvgsr.difference_operator(40, 1)
+        mask = tvgsr.random_entry_mask(30, 40, 0.5, 1).mask
+        one_matrix = (30 * 40) ** 2 * 8
+        tracemalloc.start()
+        try:
+            _assemble(mask, graph, op, 0.5, 0.1, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert one_matrix <= peak < 1.5 * one_matrix
+
+    def test_oracle_unchanged(self):
+        # in-test copy of the oracle on hessian(...).full(); equal to the last bit
+        rng = np.random.default_rng(35)
+        for trial in range(12):
+            n, m = int(rng.integers(4, 9)), int(rng.integers(4, 8))
+            graph = random_geometric_graph(rng, n, 2)
+            mask = tvgsr.random_entry_mask(n, m, 0.6, trial).mask
+            y = rng.normal(size=(n, m))
+            config = tvgsr.SolverConfig(upsilon=float(rng.uniform(0.1, 2.0)),
+                                        epsilon=float(rng.choice([0.0, 0.1, 0.5])),
+                                        beta=float(rng.choice([0.5, 1.0, 2.0])),
+                                        temporal_step=1 + trial % 2, objective="sobolev")
+            op = tvgsr.difference_operator(m, config.temporal_step)
+            eigenvalues, eigenvectors = np.linalg.eigh(tvgsr.hessian(
+                mask, graph, op, config.upsilon, config.epsilon, config.beta).full())
+            keep = eigenvalues > 1e-12 * eigenvalues[-1]
+            coefficients = eigenvectors.T @ (mask * y).ravel(order="F")
+            scaled = np.zeros_like(coefficients)
+            scaled[keep] = coefficients[keep] / eigenvalues[keep]
+            want = (eigenvectors @ scaled).reshape((n, m), order="F")
+            got = tvgsr.dense_oracle_solve(y, mask, graph, config)
+            assert np.array_equal(got.x_hat, want)
+            assert got.singular == (not np.all(keep))
 
 
 class TestEigenvaluePenalization:

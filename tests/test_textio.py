@@ -39,6 +39,27 @@ class TestMatrixRoundTrip:
         with pytest.raises(ParseError):
             textio.read_matrix(path)
 
+    @pytest.mark.parametrize("shape", [(7, 9), (1, 9), (9, 1)])
+    @pytest.mark.parametrize("with_header, delimiter", [(False, ","), (True, ","), (True, "%")])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, shape, with_header, delimiter):
+        rng = np.random.default_rng(1)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
+        rest = rng.normal(size=63) * 10.0 ** rng.integers(-20, 20, size=63)
+        size = shape[0] * shape[1]
+        matrix = rng.permutation(np.concatenate([special, rest])[:size]).reshape(shape)
+        header = [f"c{j}" for j in range(shape[1])] if with_header else None
+        want = "".join(delimiter.join(textio.format_float(v) for v in row) + "\n"
+                       for row in matrix)
+        if with_header:
+            want = delimiter.join(header) + "\n" + want
+        path = tmp_path / "m.csv"
+        textio.write_matrix(path, matrix, header=header, delimiter=delimiter)
+        assert path.read_bytes() == want.encode("utf-8")
+        textio.write_mask(path, matrix > 0, delimiter=delimiter)
+        assert path.read_text() == "".join(
+            delimiter.join(textio.format_float(v) for v in row) + "\n"
+            for row in (matrix > 0).astype(float))
+
 
 class TestCoordinates:
     def test_round_trip_with_ids(self, tmp_path):
