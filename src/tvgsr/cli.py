@@ -1,10 +1,13 @@
 """Command-line front door: build-graph, synth, sample, reconstruct, analyze, benchmark.
 
-Every run is fully determined by a flat key=value config file plus explicit
-flag overrides (flags win), and each command echoes its resolved settings
-into ``config.txt`` inside the output directory so runs can be reproduced
-exactly. Exit codes: 0 success, 1 usage/config error, 2 I/O or parse error,
-3 numeric failure.
+Each command declares its settings once, in :data:`COMMANDS`: a table of
+``name -> (cast, default[, choices][, help])``. The table generates the
+argparse flags (``--`` plus the name with ``_`` as ``-``), and :func:`main`
+resolves every setting from the flag, else the ``--config`` key=value file,
+else the default, before it calls the command's handler with them. Each
+command echoes its resolved settings into ``config.txt`` inside the output
+directory, in table order, so runs can be reproduced exactly. Exit codes:
+0 success, 1 usage/config error, 2 I/O or parse error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ from .data import Dataset, cumulative_to_daily, load_dataset, synth_dataset
 from .evaluation import (
     ExperimentPlan,
     make_regime_mask,
+    reconstruct,
     run_experiment,
     write_aggregate_results,
     write_raw_results,
-    _score,
 )
 from .exceptions import InputError, NumericError, ParameterError, ParseError
 from .graphs import Graph, build_knn_graph
 from .sampling import REGIMES, check_uniqueness
-from .solvers import OBJECTIVES, SolverConfig, solve_cg, solve_gr_static
+from .solvers import (
+    OBJECTIVES,
+    SolverConfig,
+    solve_cg,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.solve_cg
+    solve_gr_static,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.solve_gr_static
+)
 from .spectral import (
     condition_sweep,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.condition_sweep
     dense_oracle_solve,
@@ -62,15 +70,14 @@ def _parse_float_list(text):
         raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
-def _load_config_map(path):
-    if path is None:
-        return {}
-    return textio.read_keyvalues(path)
+def _truthy(raw) -> bool:
+    """Cast of an on/off setting; its flag stores True and the config file may say so too."""
+    return str(raw).lower() in ("1", "true", "yes")
 
 
-def _resolve(args, config_map, name, cast=str, default=None):
+def _resolve(args, config_map, name, cast, default):
     """Flag value if given, else config-file value, else the default."""
-    value = getattr(args, name, None)
+    value = getattr(args, name)
     if value is not None:
         return value
     if name in config_map:
@@ -102,30 +109,10 @@ def _build_graph_from_flags(settings):
     return build_knn_graph(coords, settings["k"], laplacian_kind=settings["laplacian"])
 
 
-def _solver_config(settings) -> SolverConfig:
-    return SolverConfig(
-        upsilon=settings["upsilon"],
-        epsilon=settings["epsilon"],
-        beta=settings["beta"],
-        delta=settings["delta"],
-        max_iter=settings["max_iter"],
-        objective=settings["objective"],
-        temporal_step=settings["step"],
-    )
-
-
-def cmd_build_graph(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "coords": _resolve(args, config_map, "coords"),
-        "k": _resolve(args, config_map, "k", int, 10),
-        "laplacian": _resolve(args, config_map, "laplacian", str, "combinatorial"),
-        "out": _resolve(args, config_map, "out"),
-    }
+def cmd_build_graph(settings) -> int:
     if not settings["coords"] or not settings["out"]:
         raise _UsageError("build-graph requires --coords and --out")
-    _, coords = textio.read_coordinates(settings["coords"])
-    graph = build_knn_graph(coords, settings["k"], laplacian_kind=settings["laplacian"])
+    graph = _build_graph_from_flags(settings)
     out = _prepare_out_dir(settings["out"])
     textio.write_matrix(os.path.join(out, "adjacency.csv"), graph.adjacency)
     textio.write_keyvalues(os.path.join(out, "manifest.txt"), {
@@ -141,18 +128,7 @@ def cmd_build_graph(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "n": _resolve(args, config_map, "n", int, 100),
-        "side": _resolve(args, config_map, "side", float, 100.0),
-        "k": _resolve(args, config_map, "k", int, 5),
-        "snapshots": _resolve(args, config_map, "snapshots", int, 30),
-        "alpha": _resolve(args, config_map, "alpha", float, 1.0),
-        "seed": _resolve(args, config_map, "seed", int, 0),
-        "laplacian": _resolve(args, config_map, "laplacian", str, "combinatorial"),
-        "out": _resolve(args, config_map, "out"),
-    }
+def cmd_synth(settings) -> int:
     if not settings["out"]:
         raise _UsageError("synth requires --out")
     dataset, graph = synth_dataset(
@@ -197,18 +173,7 @@ def _mask_from_flags(settings, n_nodes, n_snapshots):
     return mask.mask, True
 
 
-def cmd_sample(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "signal": _resolve(args, config_map, "signal"),
-        "n_nodes": _resolve(args, config_map, "n_nodes", int),
-        "snapshots": _resolve(args, config_map, "snapshots", int),
-        "regime": _resolve(args, config_map, "regime", str, "random_entry"),
-        "density": _resolve(args, config_map, "density", float),
-        "horizon": _resolve(args, config_map, "horizon", int),
-        "seed": _resolve(args, config_map, "seed", int, 0),
-        "out": _resolve(args, config_map, "out"),
-    }
+def cmd_sample(settings) -> int:
     if not settings["out"]:
         raise _UsageError("sample requires --out")
     if settings["signal"]:
@@ -218,7 +183,6 @@ def cmd_sample(args) -> int:
         n_nodes, n_snapshots = settings["n_nodes"], settings["snapshots"]
     else:
         raise _UsageError("sample needs --signal or both --n-nodes and --snapshots")
-    settings["mask"] = None
     mask, _ = _mask_from_flags(settings, n_nodes, n_snapshots)
     out = _prepare_out_dir(settings["out"])
     textio.write_mask(os.path.join(out, "mask.csv"), mask)
@@ -229,35 +193,11 @@ def cmd_sample(args) -> int:
         "uniqueness_condition1": check.condition1,
         "uniqueness_condition2": check.condition2,
     })
-    settings.pop("mask")
     _echo_config(out, "sample", settings)
     return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "coords": _resolve(args, config_map, "coords"),
-        "signal": _resolve(args, config_map, "signal"),
-        "adjacency": _resolve(args, config_map, "adjacency"),
-        "k": _resolve(args, config_map, "k", int, 10),
-        "laplacian": _resolve(args, config_map, "laplacian", str, "combinatorial"),
-        "mask": _resolve(args, config_map, "mask"),
-        "regime": _resolve(args, config_map, "regime"),
-        "density": _resolve(args, config_map, "density", float),
-        "horizon": _resolve(args, config_map, "horizon", int),
-        "seed": _resolve(args, config_map, "seed", int, 0),
-        "objective": _resolve(args, config_map, "objective", str, "sobolev"),
-        "upsilon": _resolve(args, config_map, "upsilon", float, 1.0),
-        "epsilon": _resolve(args, config_map, "epsilon", float, 0.1),
-        "beta": _resolve(args, config_map, "beta", float, 1.0),
-        "delta": _resolve(args, config_map, "delta", float, 1e-6),
-        "max_iter": _resolve(args, config_map, "max_iter", int, 20000),
-        "step": _resolve(args, config_map, "step", int, 1),
-        "out": _resolve(args, config_map, "out"),
-    }
-    oracle_check = bool(getattr(args, "oracle_check", False)) or \
-        str(config_map.get("oracle_check", "")).lower() in ("1", "true", "yes")
+def cmd_reconstruct(settings) -> int:
     if not settings["signal"] or not settings["out"]:
         raise _UsageError("reconstruct requires --signal and --out")
     if not settings["coords"] and not settings["adjacency"]:
@@ -270,13 +210,16 @@ def cmd_reconstruct(args) -> int:
             f"graph has {graph.n_nodes} nodes but signal has {signal.shape[0]} rows"
         )
     mask, generated = _mask_from_flags(settings, *signal.shape)
-    observed = mask * signal
-    config = _solver_config(settings)
-
-    if config.objective == "gr_static":
-        result = solve_gr_static(observed, mask, graph, config)
-    else:
-        result = solve_cg(observed, mask, graph, config)
+    config = SolverConfig(
+        upsilon=settings["upsilon"],
+        epsilon=settings["epsilon"],
+        beta=settings["beta"],
+        delta=settings["delta"],
+        max_iter=settings["max_iter"],
+        objective=settings["objective"],
+        temporal_step=settings["step"],
+    )
+    result = reconstruct(signal, mask, graph, config)
 
     out = _prepare_out_dir(settings["out"])
     textio.write_matrix(os.path.join(out, "x_hat.csv"), result.x_hat)
@@ -287,17 +230,15 @@ def cmd_reconstruct(args) -> int:
         textio.write_table(os.path.join(out, "trace.csv"), TRACE_HEADER,
                            result.stats.rows())
 
-    eval_index = mask == 0
-    row_rmse, row_mae, row_mape, excluded = _score(result.x_hat, signal, eval_index)
     metrics = {
-        "rmse": row_rmse,
-        "mae": row_mae,
-        "mape": row_mape,
-        "mape_excluded": excluded,
+        "rmse": result.rmse,
+        "mae": result.mae,
+        "mape": result.mape,
+        "mape_excluded": result.mape_excluded,
         "iterations": result.iterations,
         "termination": result.termination,
         "wall_time_s": result.wall_time,
-        "evaluated_entries": int(eval_index.sum()),
+        "evaluated_entries": result.evaluated_entries,
     }
     if result.stats is not None:
         metrics["stop_reason"] = result.stats.stop_reason
@@ -305,38 +246,17 @@ def cmd_reconstruct(args) -> int:
         metrics["hessian_actions"] = result.stats.hessian_actions
     if result.unsampled_columns:
         metrics["unsampled_columns"] = ",".join(str(c) for c in result.unsampled_columns)
-    if oracle_check:
-        oracle = dense_oracle_solve(observed, mask, graph, config)
+    if settings["oracle_check"]:
+        oracle = dense_oracle_solve(mask * signal, mask, graph, config)
         scale = max(float(np.linalg.norm(oracle.x_hat)), 1e-300)
         metrics["oracle_rel_diff"] = float(np.linalg.norm(result.x_hat - oracle.x_hat)) / scale
         metrics["oracle_singular"] = oracle.singular
     textio.write_keyvalues(os.path.join(out, "metrics.txt"), metrics)
-    settings["oracle_check"] = oracle_check
     _echo_config(out, "reconstruct", settings)
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "coords": _resolve(args, config_map, "coords"),
-        "adjacency": _resolve(args, config_map, "adjacency"),
-        "k": _resolve(args, config_map, "k", int, 10),
-        "laplacian": _resolve(args, config_map, "laplacian", str, "combinatorial"),
-        "mask": _resolve(args, config_map, "mask"),
-        "regime": _resolve(args, config_map, "regime"),
-        "density": _resolve(args, config_map, "density", float),
-        "horizon": _resolve(args, config_map, "horizon", int),
-        "seed": _resolve(args, config_map, "seed", int, 0),
-        "snapshots": _resolve(args, config_map, "snapshots", int),
-        "upsilon": _resolve(args, config_map, "upsilon", float, 1.0),
-        "beta": _resolve(args, config_map, "beta", float, 1.0),
-        "epsilon_grid": _resolve(args, config_map, "epsilon_grid", str,
-                                 "0.0,0.01,0.05,0.1,0.5,1.0"),
-        "beta_grid": _resolve(args, config_map, "beta_grid", str, "0.5,1.0,2.0"),
-        "step": _resolve(args, config_map, "step", int, 1),
-        "out": _resolve(args, config_map, "out"),
-    }
+def cmd_analyze(settings) -> int:
     if not settings["out"]:
         raise _UsageError("analyze requires --out")
     if not settings["coords"] and not settings["adjacency"]:
@@ -357,9 +277,8 @@ def cmd_analyze(args) -> int:
             level = 0.5 if settings["density"] is None else settings["density"]
         if level is None:
             raise _UsageError("forecasting needs --horizon")
-        mask_obj = make_regime_mask(regime, graph.n_nodes, settings["snapshots"],
-                                    level, settings["seed"])
-        mask = mask_obj.mask
+        mask = make_regime_mask(regime, graph.n_nodes, settings["snapshots"],
+                                level, settings["seed"]).mask
 
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
@@ -394,16 +313,31 @@ _PLAN_METHOD_KEYS = {"upsilon": float, "epsilon": float, "beta": float, "delta":
                      "max_iter": int, "temporal_step": int}
 
 
+def _horizon(tok) -> int:
+    value = float(tok)
+    if not value.is_integer():
+        raise ValueError(f"horizons must be integers, got {tok}")
+    return int(value)
+
+
 def _parse_plan(path):
     kv = textio.read_keyvalues(path)
+
+    def read(key, cast, default=None):
+        """``cast`` of the plan's ``key``; a value it rejects names the plan and the key."""
+        if key not in kv:
+            return default
+        try:
+            return cast(kv[key])
+        except ValueError as exc:
+            raise ParameterError(f"{path}: {key}={kv[key]!r}: {exc}") from exc
+
     regime = kv.get("regime", "random_entry")
-    levels_raw = kv.get("levels") or kv.get("densities") or kv.get("horizons")
-    if not levels_raw:
+    levels_key = next((key for key in ("levels", "densities", "horizons") if kv.get(key)), None)
+    if levels_key is None:
         raise ParameterError(f"{path}: plan needs a levels=/densities=/horizons= entry")
-    if regime == "forecasting":
-        levels = tuple(int(float(tok)) for tok in levels_raw.split(","))
-    else:
-        levels = tuple(float(tok) for tok in levels_raw.split(","))
+    level = _horizon if regime == "forecasting" else float
+    levels = read(levels_key, lambda raw: tuple(level(tok) for tok in raw.split(",")))
     method_names = [tok.strip() for tok in kv.get("methods", "").split(",") if tok.strip()]
     if not method_names:
         raise ParameterError(f"{path}: plan needs a methods= entry")
@@ -417,16 +351,16 @@ def _parse_plan(path):
             )
         settings = {}  # keys the plan leaves out take SolverConfig's defaults
         for key, cast in _PLAN_METHOD_KEYS.items():
-            value = kv.get(prefix + key, kv.get(key))
+            value = read(prefix + key if prefix + key in kv else key, cast)
             if value is not None:
-                settings[key] = cast(value)
+                settings[key] = value
         methods[name] = SolverConfig(objective=objective, **settings)
     plan = ExperimentPlan(
         regime=regime,
         levels=levels,
-        repetitions=int(kv.get("repetitions", 10)),
+        repetitions=read("repetitions", int, 10),
         methods=methods,
-        base_seed=int(kv.get("base_seed", 0)),
+        base_seed=read("base_seed", int, 0),
     )
     transform = kv.get("signal_transform", "none")
     if transform not in ("none", "daily"):
@@ -434,17 +368,7 @@ def _parse_plan(path):
     return plan, transform, kv
 
 
-def cmd_benchmark(args) -> int:
-    config_map = _load_config_map(args.config)
-    settings = {
-        "plan": _resolve(args, config_map, "plan"),
-        "coords": _resolve(args, config_map, "coords"),
-        "signal": _resolve(args, config_map, "signal"),
-        "k": _resolve(args, config_map, "k", int, 10),
-        "laplacian": _resolve(args, config_map, "laplacian", str, "combinatorial"),
-        "jobs": _resolve(args, config_map, "jobs", int, 1),
-        "out": _resolve(args, config_map, "out"),
-    }
+def cmd_benchmark(settings) -> int:
     if not settings["plan"] or not settings["coords"] or not settings["signal"]:
         raise _UsageError("benchmark requires --plan, --coords, and --signal")
     if not settings["out"]:
@@ -468,96 +392,104 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+_OUT = (str, None, None, "output directory")
+_GRAPH = {  # after --coords (and --adjacency) in the commands that build a graph
+    "k": (int, 10, None, "neighbors per node (default 10)"),
+    "laplacian": (str, "combinatorial", ("combinatorial", "normalized")),
+}
+_MASK = {  # a mask file, or a regime with its density or horizon and seed
+    "mask": (str, None, None, "mask file; alternative to --regime"),
+    "regime": (str, None, REGIMES),
+    "density": (float, None),
+    "horizon": (int, None),
+    "seed": (int, 0),
+}
+
+# command -> (handler, help, {setting: (cast, default[, choices][, help])}); a setting's
+# flag is "--" plus its name with "_" as "-", and config.txt echoes the settings in this order
+COMMANDS = {
+    "build-graph": (cmd_build_graph, "build a k-NN graph from coordinates", {
+        "coords": (str, None, None, "coordinate file (node_id,latitude,longitude)"),
+        **_GRAPH,
+        "out": _OUT,
+    }),
+    "synth": (cmd_synth, "generate the synthetic dataset", {
+        "n": (int, 100, None, "number of nodes (default 100)"),
+        "side": (float, 100.0, None, "square side length (default 100)"),
+        "k": (int, 5, None, "neighbors per node (default 5)"),
+        "snapshots": (int, 30, None, "number of snapshots (default 30)"),
+        "alpha": (float, 1.0, None, "innovation norm (default 1.0)"),
+        "seed": (int, 0),
+        "laplacian": _GRAPH["laplacian"],
+        "out": _OUT,
+    }),
+    "sample": (cmd_sample, "generate a sampling mask", {
+        "signal": (str, None, None, "signal file to take the shape from"),
+        "n_nodes": (int, None),
+        "snapshots": (int, None),
+        "regime": (str, "random_entry", REGIMES),
+        "density": (float, None),
+        "horizon": (int, None),
+        "seed": (int, 0),
+        "out": _OUT,
+    }),
+    "reconstruct": (cmd_reconstruct, "reconstruct a masked signal", {
+        "coords": (str, None),
+        "signal": (str, None),
+        "adjacency": (str, None, None, "adjacency file (alternative to --coords)"),
+        **_GRAPH,
+        **_MASK,
+        "objective": (str, "sobolev", OBJECTIVES),
+        "upsilon": (float, 1.0),
+        "epsilon": (float, 0.1),
+        "beta": (float, 1.0),
+        "delta": (float, 1e-6),
+        "max_iter": (int, 20000),
+        "step": (int, 1, None, "temporal difference step (1, 2, or 3)"),
+        "out": _OUT,
+        "oracle_check": (_truthy, False, None,
+                         "cross-check against the dense stationarity oracle"),
+    }),
+    "analyze": (cmd_analyze, "condition numbers, eigenvalue brackets, penalization", {
+        "coords": (str, None),
+        "adjacency": (str, None),
+        **_GRAPH,
+        **_MASK,
+        "snapshots": (int, None),
+        "upsilon": (float, 1.0),
+        "beta": (float, 1.0),
+        "epsilon_grid": (str, "0.0,0.01,0.05,0.1,0.5,1.0"),
+        "beta_grid": (str, "0.5,1.0,2.0"),
+        "step": (int, 1),
+        "out": _OUT,
+    }),
+    "benchmark": (cmd_benchmark, "run a Monte-Carlo experiment plan", {
+        "plan": (str, None, None, "plan file (key=value)"),
+        "coords": (str, None),
+        "signal": (str, None),
+        **_GRAPH,
+        "jobs": (int, 1, None, "parallel Monte-Carlo workers (default 1)"),
+        "out": _OUT,
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end that :data:`COMMANDS` declares; every flag defaults to None."""
     parser = _Parser(prog="tvgsr",
                      description="Time-varying graph signal reconstruction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, summary, table) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key=value file with defaults for any flag")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("build-graph", help="build a k-NN graph from coordinates")
-    add_common(p)
-    p.add_argument("--coords", help="coordinate file (node_id,latitude,longitude)")
-    p.add_argument("--k", type=int, help="neighbors per node (default 10)")
-    p.add_argument("--laplacian", choices=("combinatorial", "normalized"))
-    p.set_defaults(func=cmd_build_graph)
-
-    p = sub.add_parser("synth", help="generate the synthetic dataset")
-    add_common(p)
-    p.add_argument("--n", type=int, help="number of nodes (default 100)")
-    p.add_argument("--side", type=float, help="square side length (default 100)")
-    p.add_argument("--k", type=int, help="neighbors per node (default 5)")
-    p.add_argument("--snapshots", type=int, help="number of snapshots (default 30)")
-    p.add_argument("--alpha", type=float, help="innovation norm (default 1.0)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--laplacian", choices=("combinatorial", "normalized"))
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("sample", help="generate a sampling mask")
-    add_common(p)
-    p.add_argument("--signal", help="signal file to take the shape from")
-    p.add_argument("--n-nodes", dest="n_nodes", type=int)
-    p.add_argument("--snapshots", type=int)
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--density", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("reconstruct", help="reconstruct a masked signal")
-    add_common(p)
-    p.add_argument("--coords")
-    p.add_argument("--adjacency", help="adjacency file (alternative to --coords)")
-    p.add_argument("--signal")
-    p.add_argument("--k", type=int)
-    p.add_argument("--laplacian", choices=("combinatorial", "normalized"))
-    p.add_argument("--mask", help="mask file; alternative to --regime")
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--density", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--objective", choices=OBJECTIVES)
-    p.add_argument("--upsilon", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--step", type=int, help="temporal difference step (1, 2, or 3)")
-    p.add_argument("--oracle-check", dest="oracle_check", action="store_true",
-                   help="cross-check against the dense stationarity oracle")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("analyze", help="condition numbers, eigenvalue brackets, penalization")
-    add_common(p)
-    p.add_argument("--coords")
-    p.add_argument("--adjacency")
-    p.add_argument("--k", type=int)
-    p.add_argument("--laplacian", choices=("combinatorial", "normalized"))
-    p.add_argument("--mask")
-    p.add_argument("--regime", choices=REGIMES)
-    p.add_argument("--density", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--snapshots", type=int)
-    p.add_argument("--upsilon", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--epsilon-grid", dest="epsilon_grid")
-    p.add_argument("--beta-grid", dest="beta_grid")
-    p.add_argument("--step", type=int)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("benchmark", help="run a Monte-Carlo experiment plan")
-    add_common(p)
-    p.add_argument("--plan", help="plan file (key=value)")
-    p.add_argument("--coords")
-    p.add_argument("--signal")
-    p.add_argument("--k", type=int)
-    p.add_argument("--laplacian", choices=("combinatorial", "normalized"))
-    p.add_argument("--jobs", type=int, help="parallel Monte-Carlo workers (default 1)")
-    p.set_defaults(func=cmd_benchmark)
-
+        for name, (cast, _, *extra) in table.items():
+            choices, text = (*extra, None, None)[:2]
+            flag = "--" + name.replace("_", "-")
+            if cast is _truthy:
+                p.add_argument(flag, dest=name, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, dest=name, type=None if cast is str else cast,
+                               choices=choices, help=text)
     return parser
 
 
@@ -565,7 +497,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        handler, _, table = COMMANDS[args.command]
+        config_map = {} if args.config is None else textio.read_keyvalues(args.config)
+        return handler({name: _resolve(args, config_map, name, *spec[:2])
+                        for name, spec in table.items()})
     except _UsageError as exc:
         print(f"tvgsr: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

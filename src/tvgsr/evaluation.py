@@ -20,7 +20,7 @@ from . import textio
 from .data import Dataset
 from .exceptions import InputError, NumericError, ParameterError
 from .sampling import REGIMES, forecasting_mask, random_entry_mask, snapshot_mask
-from .solvers import SolverConfig, solve_cg, solve_gr_static
+from .solvers import SolveResult, SolverConfig, solve_cg, solve_gr_static
 
 DEFAULT_UPSILON_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
@@ -163,47 +163,58 @@ def make_regime_mask(regime, n_nodes, n_snapshots, level, seed):
     raise ParameterError(f"unknown regime {regime!r}")
 
 
-def _solve_method(observed, mask_array, graph, config):
+def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
+    """Observe ``signal`` through the 0/1 array ``mask``, solve, and score the hidden entries.
+
+    The observations are ``mask * signal``; ``gr_static`` runs the
+    per-snapshot :func:`solve_gr_static` and the temporal objectives the
+    FR-CG :func:`solve_cg`. The returned :class:`SolveResult` carries
+    ``rmse``, ``mae``, ``mape``, ``mape_excluded`` (hidden entries with zero
+    truth, left out of ``mape``) and ``evaluated_entries``, all taken on
+    ``mask == 0``; they are 0 when nothing is hidden.
+    """
+    observed = mask * signal
     if config.objective == "gr_static":
-        return solve_gr_static(observed, mask_array, graph, config)
-    return solve_cg(observed, mask_array, graph, config)
+        result = solve_gr_static(observed, mask, graph, config)
+    else:
+        result = solve_cg(observed, mask, graph, config)
+    hidden = mask == 0
+    result.evaluated_entries = int(hidden.sum())
+    result.rmse, result.mae, result.mape, result.mape_excluded = 0.0, 0.0, 0.0, 0
+    if result.evaluated_entries:
+        estimate, truth = result.x_hat[hidden], signal[hidden]
+        result.rmse, result.mae = rmse(estimate, truth), mae(estimate, truth)
+        result.mape, result.mape_excluded = mape(estimate, truth, with_count=True)
+    return result
 
 
-def _score(x_hat, truth, eval_index):
-    """Metrics on the non-sampled entries; all zero when nothing is hidden."""
-    if not np.any(eval_index):
-        return 0.0, 0.0, 0.0, 0
-    estimate = x_hat[eval_index]
-    reference = truth[eval_index]
-    value, excluded = mape(estimate, reference, with_count=True)
-    return rmse(estimate, reference), mae(estimate, reference), value, excluded
+def _cell_mask(regime, shape, level, repetition, base_seed):
+    """Mask array of one Monte-Carlo cell, drawn from its :func:`mask_seed`, and its sha256."""
+    seed = mask_seed(base_seed, regime, level, repetition)
+    mask = make_regime_mask(regime, *shape, level, seed).mask
+    return mask, hashlib.sha256(mask.tobytes()).hexdigest()
 
 
 def _evaluate_cell(plan, dataset, graph, level, repetition):
-    seed = mask_seed(plan.base_seed, plan.regime, level, repetition)
-    mask = make_regime_mask(plan.regime, dataset.n_nodes, dataset.n_snapshots, level, seed)
-    mask_array = mask.mask
-    observed = mask_array * dataset.signal
-    eval_index = mask_array == 0
-    digest = hashlib.sha256(mask_array.tobytes()).hexdigest()
+    mask, digest = _cell_mask(plan.regime, dataset.signal.shape, level, repetition,
+                              plan.base_seed)
     per_method = {}
     for name, config in plan.methods.items():
         try:
-            result = _solve_method(observed, mask_array, graph, config)
+            result = reconstruct(dataset.signal, mask, graph, config)
         except NumericError as exc:
             raise NumericError(
                 f"method {name!r} at level {level} repetition {repetition}: {exc}"
             ) from exc
-        row_rmse, row_mae, row_mape, excluded = _score(result.x_hat, dataset.signal, eval_index)
         per_method[name] = ResultRow(
             method=name,
             regime=plan.regime,
             level=float(level),
             repetition=repetition,
-            rmse=row_rmse,
-            mae=row_mae,
-            mape=row_mape,
-            mape_excluded=excluded,
+            rmse=result.rmse,
+            mae=result.mae,
+            mape=result.mape,
+            mape_excluded=result.mape_excluded,
             iterations=result.iterations,
             wall_time_s=result.wall_time,
             termination=result.termination,
@@ -243,29 +254,18 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
     else:
         outcomes = [_evaluate_cell(plan, dataset, graph, *cell) for cell in cells]
 
-    cell_rows = {}
-    mask_digests = {}
-    for key, digest, per_method in outcomes:
-        mask_digests[key] = digest
-        cell_rows[key] = per_method
-
+    mask_digests = {key: digest for key, digest, _ in outcomes}
+    cell_rows = {key: per_method for key, _, per_method in outcomes}
     rows = []
     aggregates = []
     for name in plan.methods:
         for level in plan.levels:
             level_rows = [cell_rows[(level, rep)][name] for rep in range(plan.repetitions)]
             rows.extend(level_rows)
-            aggregates.append(AggregateRow(
-                method=name,
-                regime=plan.regime,
-                level=float(level),
-                repetitions=plan.repetitions,
-                rmse=float(np.mean([r.rmse for r in level_rows])),
-                mae=float(np.mean([r.mae for r in level_rows])),
-                mape=float(np.mean([r.mape for r in level_rows])),
-                iterations=float(np.mean([r.iterations for r in level_rows])),
-                wall_time_s=float(np.mean([r.wall_time_s for r in level_rows])),
-            ))
+            means = {field: float(np.mean([getattr(r, field) for r in level_rows]))
+                     for field in ("rmse", "mae", "mape", "iterations", "wall_time_s")}
+            aggregates.append(AggregateRow(method=name, regime=plan.regime, level=float(level),
+                                           repetitions=plan.repetitions, **means))
     return ExperimentResult(plan=plan, rows=rows, aggregates=aggregates,
                             mask_digests=mask_digests)
 
@@ -297,22 +297,22 @@ def convergence_comparison(dataset: Dataset, graph, density, configs: dict,
     """Compare solver convergence across methods on identical masks.
 
     Requires both a plain-Laplacian ("tgsr") and a shifted-power ("sobolev")
-    configuration so the comparison is meaningful.
+    configuration so the comparison is meaningful, and at least one repetition.
+    Repetition r uses the mask of the cell (density, r), as :func:`run_experiment` does.
     """
     objectives = {config.objective for config in configs.values()}
     if not {"tgsr", "sobolev"} <= objectives:
         raise ParameterError("configs must include both a tgsr and a sobolev objective")
+    if repetitions < 1:
+        raise ParameterError(f"repetitions must be >= 1, got {repetitions}")
     iterations = {name: [] for name in configs}
     traces = {name: [] for name in configs}
     digests = []
     for repetition in range(repetitions):
-        seed = mask_seed(base_seed, regime, density, repetition)
-        mask = make_regime_mask(regime, dataset.n_nodes, dataset.n_snapshots, density, seed)
-        mask_array = mask.mask
-        observed = mask_array * dataset.signal
-        digests.append(hashlib.sha256(mask_array.tobytes()).hexdigest())
+        mask, digest = _cell_mask(regime, dataset.signal.shape, density, repetition, base_seed)
+        digests.append(digest)
         for name, config in configs.items():
-            result = _solve_method(observed, mask_array, graph, config)
+            result = reconstruct(dataset.signal, mask, graph, config)
             iterations[name].append(result.iterations)
             traces[name].append(result.loss_trace)
     mean_iterations = {name: float(np.mean(counts)) for name, counts in iterations.items()}
@@ -335,24 +335,22 @@ def tune_parameters(dataset: Dataset, graph, config: SolverConfig, density, seed
     The held-out mask comes from ``seed`` and should not reuse evaluation
     seeds. ``criterion`` is "rmse" (non-sampled entries) or "iterations".
     For non-sobolev objectives the epsilon grid collapses to the config's
-    own epsilon. Ties keep the first grid point, so tuning is deterministic.
+    own epsilon; an empty grid that is searched raises ParameterError. Ties
+    keep the first grid point, so tuning is deterministic.
     """
     if criterion not in ("rmse", "iterations"):
         raise ParameterError(f"criterion must be 'rmse' or 'iterations', got {criterion!r}")
-    mask = make_regime_mask(regime, dataset.n_nodes, dataset.n_snapshots, density, seed)
-    mask_array = mask.mask
-    observed = mask_array * dataset.signal
-    eval_index = mask_array == 0
     epsilon_values = tuple(epsilon_grid) if config.objective == "sobolev" else (config.epsilon,)
+    if len(upsilon_grid) == 0 or not epsilon_values:
+        raise ParameterError("tuning needs a non-empty upsilon grid and, for sobolev, "
+                             "a non-empty epsilon grid")
+    mask = make_regime_mask(regime, dataset.n_nodes, dataset.n_snapshots, density, seed).mask
     best = None
     for upsilon in upsilon_grid:
         for epsilon in epsilon_values:
             candidate = replace(config, upsilon=float(upsilon), epsilon=float(epsilon))
-            result = _solve_method(observed, mask_array, graph, candidate)
-            if criterion == "rmse":
-                score, _, _, _ = _score(result.x_hat, dataset.signal, eval_index)
-            else:
-                score = float(result.iterations)
+            result = reconstruct(dataset.signal, mask, graph, candidate)
+            score = result.rmse if criterion == "rmse" else float(result.iterations)
             if best is None or score < best.score:
                 best = TuneResult(upsilon=float(upsilon), epsilon=float(candidate.epsilon),
                                   score=float(score))

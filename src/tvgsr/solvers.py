@@ -135,6 +135,12 @@ class SolveResult:
     iterates: list | None = None
     unsampled_columns: tuple = ()
     stats: SolveStats | None = None  # FR-CG telemetry; solve_cg only
+    # scores on the hidden entries, set by evaluation.reconstruct
+    rmse: float | None = None
+    mae: float | None = None
+    mape: float | None = None
+    mape_excluded: int | None = None
+    evaluated_entries: int | None = None
 
 
 def _check_problem(y, mask, graph, min_snapshots=1):
@@ -250,13 +256,18 @@ class ProblemOperator:
         return 2.0 + 2.0 * math.cos(math.pi / chain)
 
 
-def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
-    """Objective value for the configured reconstruction problem."""
+def _residual(x_tilde, y, mask, graph):
+    """Checked estimate and mask, and the residual J o X - Y, for objective and gradient."""
     x_tilde = as_signal(x_tilde)
     y, mask = _check_problem(y, mask, graph)
     if x_tilde.shape != y.shape:
         raise InputError(f"estimate shape {x_tilde.shape} does not match signal shape {y.shape}")
-    residual = mask * x_tilde - y
+    return x_tilde, mask, mask * x_tilde - y
+
+
+def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
+    """Objective value for the configured reconstruction problem."""
+    x_tilde, mask, residual = _residual(x_tilde, y, mask, graph)
     data_term = 0.5 * float(np.sum(residual * residual))
     if config.upsilon == 0.0:
         return data_term
@@ -269,11 +280,7 @@ def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
 
 def gradient(x_tilde, y, mask, graph, config: SolverConfig) -> np.ndarray:
     """Matrix gradient of :func:`objective` with respect to the estimate."""
-    x_tilde = as_signal(x_tilde)
-    y, mask = _check_problem(y, mask, graph)
-    if x_tilde.shape != y.shape:
-        raise InputError(f"estimate shape {x_tilde.shape} does not match signal shape {y.shape}")
-    residual = mask * x_tilde - y
+    x_tilde, mask, residual = _residual(x_tilde, y, mask, graph)
     if config.upsilon == 0.0:
         return residual
     if config.objective == "gr_static":
@@ -549,13 +556,10 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
             x_hat[:, column] = np.linalg.lstsq(system.toarray(), rhs, rcond=None)[0]
         else:
             x_hat[:, column] = factor.solve(rhs)
-    residual = mask * x_hat - observed
-    loss = 0.5 * float(np.sum(residual * residual)) + \
-        0.5 * config.upsilon * float(np.sum(x_hat * (lap @ x_hat)))
     return SolveResult(
         x_hat=x_hat,
         iterations=0,
-        loss_trace=np.asarray([loss]),
+        loss_trace=np.asarray([objective(x_hat, observed, mask, graph, config)]),
         termination="converged",
         wall_time=time.perf_counter() - start,
         unsampled_columns=tuple(skipped),

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -476,3 +477,157 @@ class TestConfigFile:
             for key in ("out", "wall_time_s"):  # the only settings that differ by design
                 first_kv.pop(key, None), second_kv.pop(key, None)
             assert first_kv == second_kv, name
+
+
+def parser_options():
+    """{command: {option string: (type, choices)}} of the argparse front end."""
+    parser = tvgsr.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {option: (action.type, action.choices)
+                      for action in subparser._actions for option in action.option_strings
+                      if option not in ("-h", "--help")}
+            for command, subparser in sub.choices.items()}
+
+
+GRAPH_KINDS = ("combinatorial", "normalized")
+REGIMES = ("random_entry", "snapshot", "forecasting")
+OBJECTIVES = ("tgsr", "sobolev", "gr_static")
+TEXT = (None, None)  # a string flag: no type conversion, no choices
+
+
+class TestSettingsTable:
+    OPTIONS = {
+        "build-graph": {"--config": TEXT, "--coords": TEXT, "--k": (int, None),
+                        "--laplacian": (None, GRAPH_KINDS), "--out": TEXT},
+        "synth": {"--config": TEXT, "--n": (int, None), "--side": (float, None),
+                  "--k": (int, None), "--snapshots": (int, None), "--alpha": (float, None),
+                  "--seed": (int, None), "--laplacian": (None, GRAPH_KINDS), "--out": TEXT},
+        "sample": {"--config": TEXT, "--signal": TEXT, "--n-nodes": (int, None),
+                   "--snapshots": (int, None), "--regime": (None, REGIMES),
+                   "--density": (float, None), "--horizon": (int, None),
+                   "--seed": (int, None), "--out": TEXT},
+        "reconstruct": {"--config": TEXT, "--coords": TEXT, "--signal": TEXT,
+                        "--adjacency": TEXT, "--k": (int, None),
+                        "--laplacian": (None, GRAPH_KINDS), "--mask": TEXT,
+                        "--regime": (None, REGIMES), "--density": (float, None),
+                        "--horizon": (int, None), "--seed": (int, None),
+                        "--objective": (None, OBJECTIVES), "--upsilon": (float, None),
+                        "--epsilon": (float, None), "--beta": (float, None),
+                        "--delta": (float, None), "--max-iter": (int, None),
+                        "--step": (int, None), "--out": TEXT, "--oracle-check": TEXT},
+        "analyze": {"--config": TEXT, "--coords": TEXT, "--adjacency": TEXT,
+                    "--k": (int, None), "--laplacian": (None, GRAPH_KINDS), "--mask": TEXT,
+                    "--regime": (None, REGIMES), "--density": (float, None),
+                    "--horizon": (int, None), "--seed": (int, None),
+                    "--snapshots": (int, None), "--upsilon": (float, None),
+                    "--beta": (float, None), "--epsilon-grid": TEXT, "--beta-grid": TEXT,
+                    "--step": (int, None), "--out": TEXT},
+        "benchmark": {"--config": TEXT, "--plan": TEXT, "--coords": TEXT, "--signal": TEXT,
+                      "--k": (int, None), "--laplacian": (None, GRAPH_KINDS),
+                      "--jobs": (int, None), "--out": TEXT},
+    }
+
+    def test_each_command_keeps_its_flags_types_and_choices(self):
+        options = parser_options()
+        assert list(options) == list(self.OPTIONS)
+        for command, want in self.OPTIONS.items():
+            got = {option: (kind, None if choices is None else tuple(choices))
+                   for option, (kind, choices) in options[command].items()}
+            assert got == want, command
+
+    def test_every_flag_defaults_to_none_so_the_config_file_can_fill_it(self):
+        parser = tvgsr.cli.build_parser()
+        for command in self.OPTIONS:
+            args = parser.parse_args([command])
+            assert {key: value for key, value in vars(args).items()
+                    if key != "command"} == dict.fromkeys(tvgsr.cli.COMMANDS[command][2],
+                                                          None) | {"config": None}
+
+    def test_config_echo_key_order(self, synth_dir, tmp_path):
+        coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
+        mask = tmp_path / "mask"
+        plan = tmp_path / "plan.txt"
+        plan.write_text("densities=0.5\nrepetitions=1\nmethods=tgsr\n")
+        runs = {
+            "build-graph": (["--coords", coords, "--k", "3"],
+                            ["coords", "k", "laplacian", "out"]),
+            "synth": (["--n", "12", "--k", "3", "--snapshots", "4"],
+                      ["n", "side", "k", "snapshots", "alpha", "seed", "laplacian", "out"]),
+            "sample": (["--signal", signal, "--density", "0.5"],
+                       ["signal", "n_nodes", "snapshots", "regime", "density", "seed", "out",
+                        "uniqueness_condition1", "uniqueness_condition2"]),
+            "reconstruct": (["--coords", coords, "--signal", signal, "--k", "3",
+                             "--regime", "random_entry", "--density", "0.5"],
+                            ["coords", "signal", "k", "laplacian", "regime", "density", "seed",
+                             "objective", "upsilon", "epsilon", "beta", "delta", "max_iter",
+                             "step", "out", "oracle_check"]),
+            "analyze": (["--coords", coords, "--k", "3", "--snapshots", "4"],
+                        ["coords", "k", "laplacian", "regime", "seed", "snapshots", "upsilon",
+                         "beta", "epsilon_grid", "beta_grid", "step", "out"]),
+            "benchmark": (["--plan", str(plan), "--coords", coords, "--signal", signal,
+                           "--k", "3"],
+                          ["plan", "coords", "signal", "k", "laplacian", "jobs", "out",
+                           "signal_transform", "plan.densities", "plan.methods",
+                           "plan.repetitions"]),
+        }
+        for command, (flags, keys) in runs.items():
+            out = mask if command == "sample" else tmp_path / command
+            assert main([command, *flags, "--out", str(out)]) == 0, command
+            lines = (out / "config.txt").read_text().splitlines()
+            assert [line.split("=", 1)[0] for line in lines] == ["command", *keys], command
+
+    def test_oracle_check_from_the_config_file(self, toy_files, tmp_path):
+        coords_path, signal_path = toy_files
+        for value, expect in (("True", True), ("yes", True), ("False", False)):
+            config = tmp_path / f"conf-{value}.txt"
+            config.write_text(f"coords={coords_path}\nsignal={signal_path}\nk=1\n"
+                              "regime=random_entry\ndensity=0.7\nseed=1\nepsilon=0.1\n"
+                              f"oracle_check={value}\n")
+            out = tmp_path / f"r-{value}"
+            assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == 0
+            assert ("oracle_rel_diff" in read_kv(out / "metrics.txt")) is expect
+            assert read_kv(out / "config.txt")["oracle_check"] == str(expect)
+
+    def test_reconstruct_solves_once_through_evaluation(self, synth_dir, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        original = tvgsr.evaluation.solve_cg
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tvgsr.evaluation, "solve_cg", counting)
+        assert main(["reconstruct", "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--regime", "random_entry", "--density", "0.5",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == 1
+
+
+class TestPlanValues:
+    @pytest.mark.parametrize("lines, key", [
+        ("regime=forecasting\nhorizons=1.5\n", "horizons"),
+        ("densities=0.5,abc\n", "densities"),
+        ("densities=0.5\nrepetitions=two\n", "repetitions"),
+        ("densities=0.5\nupsilon=x\n", "upsilon"),
+    ])
+    def test_bad_value_is_a_config_error(self, synth_dir, tmp_path, capsys, lines, key):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(lines + "methods=tgsr\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("tvgsr: ") and "Traceback" not in err
+        assert f"{plan_path}: {key}=" in err
+        assert not out.exists()
+
+    def test_integral_horizons_still_parse(self, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("regime=forecasting\nhorizons=1,2.0\nmethods=tgsr\n")
+        plan, _, _ = tvgsr.cli._parse_plan(plan_path)
+        assert plan.levels == (1, 2) and all(type(h) is int for h in plan.levels)

@@ -266,3 +266,109 @@ class TestTuneParameters:
                                        0.5, seed=79, upsilon_grid=(0.5,),
                                        epsilon_grid=(0.05, 0.5), criterion="iterations")
         assert float(result.score).is_integer()
+
+    def test_empty_grids_raise(self, small_setup):
+        dataset, graph = small_setup
+        for config, grids in ((SolverConfig(objective="sobolev"), ((), (0.1,))),
+                              (SolverConfig(objective="sobolev"), ((0.5,), ())),
+                              (SolverConfig(objective="tgsr"), ((), (0.1,)))):
+            with pytest.raises(ParameterError, match="non-empty"):
+                tvgsr.tune_parameters(dataset, graph, config, 0.5, seed=80,
+                                      upsilon_grid=grids[0], epsilon_grid=grids[1])
+
+    def test_tgsr_ignores_an_empty_epsilon_grid(self, small_setup):
+        dataset, graph = small_setup
+        result = tvgsr.tune_parameters(dataset, graph, SolverConfig(objective="tgsr"), 0.5,
+                                       seed=81, upsilon_grid=(0.5,), epsilon_grid=())
+        assert (result.upsilon, result.epsilon) == (0.5, 0.0)
+
+
+class TestConvergenceRepetitions:
+    def test_zero_repetitions_raise(self, small_setup):
+        dataset, graph = small_setup
+        configs = {"tgsr": SolverConfig(upsilon=0.5, objective="tgsr"),
+                   "sobolev": SolverConfig(upsilon=0.5, epsilon=0.1, objective="sobolev")}
+        with pytest.raises(ParameterError, match="repetitions must be >= 1, got 0"):
+            tvgsr.convergence_comparison(dataset, graph, 0.5, configs, repetitions=0)
+
+
+def old_reconstruct(signal, mask, graph, config):
+    """The mask -> solve -> score steps each caller used to repeat, as they were written."""
+    observed = mask * signal
+    if config.objective == "gr_static":
+        result = tvgsr.solve_gr_static(observed, mask, graph, config)
+    else:
+        result = tvgsr.solve_cg(observed, mask, graph, config)
+    eval_index = mask == 0
+    if not np.any(eval_index):
+        scores = (0.0, 0.0, 0.0, 0)
+    else:
+        estimate, reference = result.x_hat[eval_index], signal[eval_index]
+        value, excluded = tvgsr.mape(estimate, reference, with_count=True)
+        scores = (tvgsr.rmse(estimate, reference), tvgsr.mae(estimate, reference), value,
+                  excluded)
+    return result, scores + (int(eval_index.sum()),)
+
+
+class TestReconstruct:
+    CONFIGS = (SolverConfig(upsilon=0.5, epsilon=0.1, objective="sobolev"),
+               SolverConfig(upsilon=0.5, epsilon=0.2, beta=2.0, temporal_step=2,
+                            objective="sobolev"),
+               SolverConfig(upsilon=0.5, objective="tgsr"),
+               SolverConfig(upsilon=0.1, objective="gr_static"))
+
+    def check(self, signal, mask, graph, config):
+        got = tvgsr.evaluation.reconstruct(signal, mask, graph, config)
+        want, scores = old_reconstruct(signal, mask, graph, config)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert np.array_equal(got.loss_trace, want.loss_trace)
+        assert (got.iterations, got.termination) == (want.iterations, want.termination)
+        assert (got.rmse, got.mae, got.mape, got.mape_excluded, got.evaluated_entries) == scores
+        for value, want_value in zip((got.rmse, got.mae, got.mape), scores):
+            assert type(value) is type(want_value) is float
+        return got
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_the_per_caller_steps(self, small_setup, config):
+        dataset, graph = small_setup
+        for seed in (1, 2):
+            mask = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5,
+                                           seed).mask
+            got = self.check(dataset.signal, mask, graph, config)
+            assert got.evaluated_entries == int((mask == 0).sum()) > 0
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_nothing_hidden_scores_zero(self, small_setup, config):
+        dataset, graph = small_setup
+        got = self.check(dataset.signal, np.ones(dataset.signal.shape), graph, config)
+        assert (got.rmse, got.mae, got.mape, got.mape_excluded, got.evaluated_entries) == \
+            (0.0, 0.0, 0.0, 0, 0)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_zero_truth_among_hidden_is_excluded_from_mape(self, small_setup, config):
+        dataset, graph = small_setup
+        mask = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5, 3).mask
+        signal = dataset.signal.copy()
+        hidden = np.argwhere(mask == 0)[:4]
+        signal[tuple(hidden.T)] = 0.0
+        got = self.check(signal, mask, graph, config)
+        assert got.mape_excluded == 4
+
+    def test_solvers_are_looked_up_at_call_time(self, small_setup, monkeypatch):
+        dataset, graph = small_setup
+        calls = []
+
+        def counting(name):
+            original = getattr(tvgsr.evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_cg", "solve_gr_static"):
+            monkeypatch.setattr(tvgsr.evaluation, name, counting(name))
+        mask = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5, 4).mask
+        for config in self.CONFIGS:
+            tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
+        assert calls == ["solve_cg", "solve_cg", "solve_cg", "solve_gr_static"]

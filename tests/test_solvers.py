@@ -416,6 +416,24 @@ class TestSolveGrStatic:
                                     SolverConfig(upsilon=upsilon, objective="gr_static"))
         assert result.loss_trace[0] == pytest.approx(objective, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("upsilon", [0.0, 0.05, 3.0])
+    def test_loss_is_the_objective_as_written_out(self, kind, density, upsilon):
+        for seed in range(3):
+            rng = np.random.default_rng(40 + seed)
+            graph = random_geometric_graph(rng, 15, k=3)
+            graph = tvgsr.Graph(graph.adjacency, laplacian_kind=kind)
+            mask = tvgsr.random_entry_mask(15, 5, density, seed).mask
+            y = mask * rng.normal(size=(15, 5))
+            result = tvgsr.solve_gr_static(y, mask, graph,
+                                           SolverConfig(upsilon=upsilon, objective="gr_static"))
+            x_hat, lap = result.x_hat, graph.laplacian_csr
+            residual = mask * x_hat - y
+            loss = 0.5 * float(np.sum(residual * residual)) + \
+                0.5 * upsilon * float(np.sum(x_hat * (lap @ x_hat)))
+            assert result.loss_trace.tolist() == [loss]
+
     def test_unsampled_component_takes_least_squares_answer(self):
         # a weighted path over nodes 0-5 and a single edge 6-7
         rng = np.random.default_rng(32)
@@ -761,3 +779,21 @@ class TestLogging:
         message = caplog.records[0].getMessage()
         assert f"direction_norm after {result.iterations} iterations" in message
         assert f"{len(result.stats.restarts)} restarts" in message
+
+
+class TestObjectiveInputChecks:
+    @pytest.mark.parametrize("objective", ["sobolev", "gr_static"])
+    def test_objective_and_gradient_reject_the_same_inputs(self, geo_graph, objective):
+        n = geo_graph.n_nodes
+        config = SolverConfig(upsilon=0.5, epsilon=0.1, objective=objective)
+        y, mask = np.ones((n, 4)), np.ones((n, 4))
+        bad = [(np.ones((n, 3)), y, mask), (y, y, np.ones((n, 3))),
+               (np.ones((n + 1, 4)), np.ones((n + 1, 4)), np.ones((n + 1, 4))),
+               (y, y, np.full((n, 4), 0.5))]
+        for x, y_bad, mask_bad in bad:
+            messages = []
+            for function in (tvgsr.objective, tvgsr.gradient):
+                with pytest.raises(InputError) as info:
+                    function(x, y_bad, mask_bad, geo_graph, config)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
