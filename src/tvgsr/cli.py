@@ -4,7 +4,9 @@ Each command declares its settings once, in :data:`COMMANDS`: a table of
 ``name -> (cast, default[, choices][, help])``. The table generates the
 argparse flags (``--`` plus the name with ``_`` as ``-``), and :func:`main`
 resolves every setting from the flag, else the ``--config`` key=value file,
-else the default, before it calls the command's handler with them. Each
+else the default, before it calls the command's handler with them. A config
+key that is not a setting, nor one that ``config.txt`` echoes besides the
+settings, is a config error. Each
 command echoes its resolved settings into ``config.txt`` inside the output
 directory, in table order, so runs can be reproduced exactly. Exit codes:
 0 success, 1 usage/config error, 2 I/O or parse error, 3 numeric failure.
@@ -261,6 +263,8 @@ def cmd_analyze(settings) -> int:
         raise _UsageError("analyze requires --out")
     if not settings["coords"] and not settings["adjacency"]:
         raise _UsageError("analyze requires --coords or --adjacency")
+    if settings["mask"] and settings["snapshots"] is not None:
+        raise _UsageError("--snapshots sizes a generated mask; a --mask file fixes its own")
     graph = _build_graph_from_flags(settings)
     if settings["mask"]:
         mask = textio.read_mask(settings["mask"])
@@ -311,6 +315,8 @@ def cmd_analyze(settings) -> int:
 
 _PLAN_METHOD_KEYS = {"upsilon": float, "epsilon": float, "beta": float, "delta": float,
                      "max_iter": int, "temporal_step": int}
+_PLAN_KEYS = ("regime", "levels", "densities", "horizons", "methods", "repetitions", "base_seed",
+              "signal_transform", *_PLAN_METHOD_KEYS)  # besides "<method>.<key>"
 
 
 def _horizon(tok) -> int:
@@ -341,6 +347,11 @@ def _parse_plan(path):
     method_names = [tok.strip() for tok in kv.get("methods", "").split(",") if tok.strip()]
     if not method_names:
         raise ParameterError(f"{path}: plan needs a methods= entry")
+    known = {*_PLAN_KEYS, *(f"{name}.{key}" for name in method_names
+                           for key in ("objective", *_PLAN_METHOD_KEYS))}
+    unknown = [key for key in kv if key not in known]
+    if unknown:
+        raise ParameterError(f"{path}: unknown plan key {', '.join(map(repr, unknown))}")
     methods = {}
     for name in method_names:
         prefix = f"{name}."
@@ -474,6 +485,11 @@ COMMANDS = {
 }
 
 
+# config.txt keys that are not settings: --config accepts and ignores them
+_ECHO_KEYS = ("command", "signal_transform")
+_ECHO_PREFIXES = ("uniqueness_condition", "plan.")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse front end that :data:`COMMANDS` declares; every flag defaults to None."""
     parser = _Parser(prog="tvgsr",
@@ -499,6 +515,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         handler, _, table = COMMANDS[args.command]
         config_map = {} if args.config is None else textio.read_keyvalues(args.config)
+        unknown = [key for key in config_map if key not in table and key not in _ECHO_KEYS
+                   and not key.startswith(_ECHO_PREFIXES)]
+        if unknown:
+            raise ParameterError(
+                f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
         return handler({name: _resolve(args, config_map, name, *spec[:2])
                         for name, spec in table.items()})
     except _UsageError as exc:

@@ -7,6 +7,11 @@ kernel exp(-d^2 / sigma^2) whose bandwidth sigma is the mean length of the
 (deduplicated) edge set. Neighbor candidates come from a k-d tree, so the
 build forms no N x N distance matrix; the selection itself uses exact
 Euclidean distances with ties going to the lower node index.
+
+A :class:`Graph` stores one validated CSR adjacency. Its degrees and its CSR
+Laplacian are built from that adjacency; the dense N x N adjacency and
+Laplacian are read-only arrays built on each access, for the dense analysis
+and oracle paths, and a pickled graph carries no N x N array.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
@@ -27,6 +32,7 @@ LAPLACIAN_KINDS = ("combinatorial", "normalized")
 
 _SYMMETRY_RTOL = 1e-10
 _RADIUS_SLACK = 1e-9  # relative widening of the k-d tree radius against rounding
+_ROW_SUM_BLOCK = 1 << 18  # entries of the dense block that degrees are summed in
 
 
 def as_coordinates(coords) -> np.ndarray:
@@ -54,6 +60,70 @@ def _check_symmetric(matrix, what="matrix") -> np.ndarray:
     return matrix
 
 
+def _as_adjacency(adjacency) -> csr_matrix:
+    """Validate a dense or sparse adjacency and return a canonical CSR copy without zeros.
+
+    The checks and messages are :func:`_check_symmetric`'s, then nonnegative
+    weights and a zero diagonal, all run on the sparse form.
+    """
+    if issparse(adjacency):
+        matrix = csr_matrix(adjacency, dtype=float, copy=True)
+        matrix.sum_duplicates()
+    else:
+        matrix = np.asarray(adjacency, dtype=float)
+        matrix = csr_matrix(matrix) if matrix.ndim == 2 else matrix
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise InputError(f"adjacency must be square, got shape {matrix.shape}")
+    matrix.eliminate_zeros()
+    data, cols, n = matrix.data, matrix.indices, matrix.shape[0]
+    if not np.all(np.isfinite(data)):
+        raise InputError("adjacency contains non-finite entries")
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    # The transpose's entries in its CSR order; the keys are unique, so any sort will do.
+    order = np.argsort(cols.astype(np.int64) * n + rows)
+    if np.array_equal(rows[order], cols) and np.array_equal(cols[order], rows):
+        asymmetry = data - data[order]
+    else:
+        asymmetry = (matrix - matrix.T).data
+    scale = max(1.0, float(np.abs(data).max(initial=0.0)))
+    if float(np.abs(asymmetry).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
+        raise InputError("adjacency is not symmetric")
+    if np.any(data < 0):
+        raise InputError("adjacency weights must be nonnegative")
+    if np.any(rows == cols):
+        raise InputError("adjacency diagonal must be zero (no self loops)")
+    return matrix
+
+
+def _frozen(array):
+    """Write-protect an array, or the three arrays of a CSR matrix."""
+    for part in (array.data, array.indices, array.indptr) if issparse(array) else (array,):
+        part.setflags(write=False)
+    return array
+
+
+def _row_sums(matrix) -> np.ndarray:
+    """Row sums of a canonical CSR matrix, bit for bit those of its dense rows.
+
+    numpy sums a dense row pairwise, zeros included, so the rows are
+    scattered into a dense block of a few rows at a time and summed there.
+    """
+    n_rows, n_cols = matrix.shape
+    step = max(1, _ROW_SUM_BLOCK // max(n_cols, 1))
+    block = np.zeros((min(step, n_rows), n_cols))
+    sums = np.empty(n_rows)
+    indptr = matrix.indptr
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        entries = slice(indptr[start], indptr[stop])
+        local = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
+        cols = matrix.indices[entries]
+        block[local, cols] = matrix.data[entries]
+        block[:stop - start].sum(axis=1, out=sums[start:stop])
+        block[local, cols] = 0.0
+    return sums
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a symmetric matrix: eigenvalues ascending, U orthonormal."""
@@ -67,14 +137,16 @@ class Spectrum:
 
 
 class Graph:
-    """Undirected weighted graph with cached Laplacian (dense and CSR) and spectrum.
+    """Undirected weighted graph on a CSR adjacency, with cached CSR Laplacian and spectrum.
 
     Instances are immutable after construction (arrays are write-protected)
-    and safe to share across concurrent workers.
+    and safe to share across concurrent workers. The dense ``adjacency`` and
+    ``laplacian`` are built on each access; a pickled graph carries neither,
+    nor the cached spectrum.
 
     Parameters
     ----------
-    adjacency : (N, N) array
+    adjacency : (N, N) array or scipy sparse matrix
         Symmetric nonnegative weights with a zero diagonal.
     laplacian_kind : str
         "combinatorial" for L = D - W, "normalized" for D^{-1/2} L D^{-1/2}.
@@ -83,45 +155,39 @@ class Graph:
     """
 
     def __init__(self, adjacency, laplacian_kind="combinatorial", coords=None):
-        adjacency = _check_symmetric(adjacency, "adjacency")
-        if np.any(adjacency < 0):
-            raise InputError("adjacency weights must be nonnegative")
-        if float(np.abs(np.diag(adjacency)).max(initial=0.0)) > 0:
-            raise InputError("adjacency diagonal must be zero (no self loops)")
+        adjacency = _as_adjacency(adjacency)
         if laplacian_kind not in LAPLACIAN_KINDS:
             raise ParameterError(f"laplacian_kind must be one of {LAPLACIAN_KINDS}")
-        adjacency = adjacency.copy()
-        adjacency.setflags(write=False)
-        self.adjacency = adjacency
+        self.adjacency_csr = _frozen(adjacency)
         self.n_nodes = adjacency.shape[0]
-        self.degrees = adjacency.sum(axis=1)
-        self.degrees.setflags(write=False)
+        self.degrees = _frozen(_row_sums(adjacency))
         self.laplacian_kind = laplacian_kind
         self.coords = None if coords is None else as_coordinates(coords)
-        n_components, _ = connected_components(csr_matrix(adjacency > 0), directed=False)
+        n_components, _ = connected_components(adjacency, directed=False)
         self.n_components = int(n_components)
         self.is_connected = self.n_components == 1
         self.sigma = None  # kernel bandwidth, set by build_knn_graph
-        self._laplacian = None
         self._laplacian_csr = None
         self._spectrum = None
 
+    def __getstate__(self):
+        return dict(self.__dict__, _spectrum=None)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense read-only N x N adjacency, built on each access."""
+        return _frozen(self.adjacency_csr.toarray())
+
     @property
     def laplacian(self) -> np.ndarray:
-        if self._laplacian is None:
-            lap = laplacian(self)
-            lap.setflags(write=False)
-            self._laplacian = lap
-        return self._laplacian
+        """Dense read-only N x N form of :attr:`laplacian_csr`, built on each access."""
+        return _frozen(self.laplacian_csr.toarray())
 
     @property
     def laplacian_csr(self) -> csr_matrix:
-        """CSR form of :attr:`laplacian`, built on first use."""
+        """The CSR Laplacian from :func:`laplacian`, built on first use."""
         if self._laplacian_csr is None:
-            lap = csr_matrix(self.laplacian)
-            for array in (lap.data, lap.indices, lap.indptr):
-                array.setflags(write=False)
-            self._laplacian_csr = lap
+            self._laplacian_csr = _frozen(laplacian(self))
         return self._laplacian_csr
 
     def spectrum(self) -> Spectrum:
@@ -156,9 +222,10 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
     either endpoint selects the other (union symmetrization). Distance ties
     are broken by lower node index so builds are reproducible. Candidates
     come from a k-d tree and are ranked by exact Euclidean distance, so no
-    N x N distance matrix is formed. The kernel bandwidth sigma is the mean
-    Euclidean length over the deduplicated edge set; when every edge has
-    zero length all weights are 1.
+    N x N distance matrix is formed, and the edges go straight into a CSR
+    adjacency. The kernel bandwidth sigma is the mean Euclidean length over
+    the deduplicated edge set; when every edge has zero length all weights
+    are 1.
 
     A disconnected result is allowed but reported with a warning and exposed
     via ``Graph.is_connected``.
@@ -195,13 +262,14 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
     lengths = _distances(coords, lo, hi)
     sigma = float(lengths.mean())
 
-    weights = np.zeros((n, n))
     if sigma == 0.0:
         w = np.ones(lo.size)  # all selected edges have zero length
     else:
         w = np.exp(-(lengths**2) / sigma**2)
-    weights[lo, hi] = w
-    weights[hi, lo] = w
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(rows * n + cols)  # CSR order of both triangles; the keys are unique
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    weights = csr_matrix((np.concatenate([w, w])[order], cols[order], indptr), shape=(n, n))
 
     graph = Graph(weights, laplacian_kind=laplacian_kind, coords=coords)
     graph.sigma = sigma
@@ -220,19 +288,41 @@ def _distances(coords, rows, cols) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def laplacian(graph: Graph) -> np.ndarray:
-    """Return the graph Laplacian selected by ``graph.laplacian_kind``.
+def laplacian(graph: Graph) -> csr_matrix:
+    """Build the CSR Laplacian selected by ``graph.laplacian_kind`` from the CSR adjacency.
 
-    Combinatorial: L = D - W. Normalized: D^{-1/2} (D - W) D^{-1/2}, where
-    isolated nodes (zero degree) contribute zero rows and columns.
+    Combinatorial: L = D - W. Normalized: the symmetric part of
+    D^{-1/2} (D - W) D^{-1/2}, where isolated nodes (zero degree) contribute
+    zero rows and columns. Every entry is that of the dense formula, bit for
+    bit, and zeros are not stored.
     """
-    lap = np.diag(graph.degrees) - graph.adjacency
+    adjacency, degrees, n = graph.adjacency_csr, graph.degrees, graph.n_nodes
+    indptr, cols = adjacency.indptr, adjacency.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), indptr[1:] - indptr[:-1])
+    # Row i of L is row i of -W with the degree inserted in column order; W stores no
+    # diagonal entry, and an isolated node's zero degree is not stored either. The k-th
+    # stored degree follows the W entries of the rows above, the k degrees before it and
+    # the entries of its own row left of the diagonal.
+    nodes = np.flatnonzero(degrees)
+    left = np.bincount(rows[cols < rows], minlength=n)
+    at = indptr[nodes] + np.arange(nodes.size) + left[nodes]
+    size = cols.size + nodes.size
+    data, indices = np.empty(size), np.empty(size, cols.dtype)
+    data[at], indices[at] = degrees[nodes], nodes
+    rest = np.ones(size, dtype=bool)
+    rest[at] = False
+    data[rest], indices[rest] = -adjacency.data, cols
+    lap_indptr = indptr + np.searchsorted(nodes, np.arange(n + 1)).astype(indptr.dtype)
+    lap = csr_matrix((data, indices, lap_indptr), shape=(n, n))
     if graph.laplacian_kind == "combinatorial":
         return lap
     with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(graph.degrees > 0, 1.0 / np.sqrt(graph.degrees), 0.0)
-    scaled = inv_sqrt[:, None] * lap * inv_sqrt[None, :]
-    return 0.5 * (scaled + scaled.T)
+        inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
+    rows = np.repeat(np.arange(n), np.diff(lap.indptr))
+    lap.data = inv_sqrt[rows] * lap.data * inv_sqrt[lap.indices]
+    lap = 0.5 * (lap + lap.T)
+    lap.eliminate_zeros()  # halving can underflow to zero
+    return lap
 
 
 def spectrum(laplacian_matrix) -> Spectrum:

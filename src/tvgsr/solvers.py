@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import diags, identity
+from scipy.sparse import coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
@@ -46,6 +46,7 @@ OBJECTIVES = ("tgsr", "sobolev", "gr_static")
 _TINY_DENOMINATOR = 1e-300
 _RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
 _RECORD_CHUNK = 4096  # telemetry rows allocated at a time
+_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})  # gr_static's splu
 
 _log = logging.getLogger(__name__)
 
@@ -528,8 +529,11 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
 
     Each column solves (diag(j_m) + upsilon * L) x = j_m o y_m with one
     sparse LU factorization of that column's system, built from the CSR
-    Laplacian. Columns without any sample cannot be reconstructed by a
-    purely spatial method; they are returned as zero vectors and listed in
+    Laplacian. Every diagonal entry of upsilon * L is stored, isolated nodes
+    included, so all columns share one sparsity pattern: its fill-reducing
+    ordering is found once, and each column factors pre-permuted in that
+    order. Columns without any sample cannot be reconstructed by a purely
+    spatial method; they are returned as zero vectors and listed in
     ``unsampled_columns``. A column whose system factors as exactly singular
     (for instance a graph component with no sample in that column) takes the
     minimum-norm least-squares solution of its system in dense form; that
@@ -539,7 +543,19 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     observed = mask * y
     lap = graph.laplacian_csr
     start = time.perf_counter()
-    smoothing = config.upsilon * lap
+    n = graph.n_nodes
+    lap = lap.tocoo()
+    nodes = np.arange(n)
+    rows, cols = np.concatenate([lap.row, nodes]), np.concatenate([lap.col, nodes])
+    values = np.concatenate([config.upsilon * lap.data, np.zeros(n)])
+    # The ordering depends on the pattern alone; with zeros off the diagonal and a
+    # positive diagonal, the pattern's matrix always factors.
+    pattern = coo_matrix(((rows == cols).astype(float), (rows, cols)), shape=(n, n)).tocsc()
+    order = splu(pattern, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).perm_c
+    inverse = np.argsort(order)
+    # upsilon * L in that order: entry (r, c) moves to (order[r], order[c]).
+    smoothing = coo_matrix((values, (order[rows], order[cols])), shape=(n, n)).tocsc()
+    diagonal = np.flatnonzero(smoothing.indices == np.repeat(nodes, np.diff(smoothing.indptr)))
     x_hat = np.zeros_like(observed)
     skipped = []
     for column in range(observed.shape[1]):
@@ -547,15 +563,18 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         if not np.any(j > 0):
             skipped.append(column)
             continue
-        system = (diags(j) + smoothing).tocsc()
+        data = smoothing.data.copy()
+        data[diagonal] += j[inverse]
         rhs = j * observed[:, column]
         try:
-            factor = splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
+            factor = splu(csc_matrix((data, smoothing.indices, smoothing.indptr), shape=(n, n)),
+                          permc_spec="NATURAL", **_LU_OPTIONS)
         except RuntimeError:  # exactly singular
-            x_hat[:, column] = np.linalg.lstsq(system.toarray(), rhs, rcond=None)[0]
+            system = smoothing.toarray()[np.ix_(order, order)]
+            system[nodes, nodes] += j
+            x_hat[:, column] = np.linalg.lstsq(system, rhs, rcond=None)[0]
         else:
-            x_hat[:, column] = factor.solve(rhs)
+            x_hat[inverse, column] = factor.solve(rhs[inverse])
     return SolveResult(
         x_hat=x_hat,
         iterations=0,

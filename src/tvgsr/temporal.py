@@ -93,8 +93,10 @@ def local_variation(x, graph: Graph, node) -> float:
         raise InputError(f"expected a length-{graph.n_nodes} signal, got shape {x.shape}")
     if not 0 <= node < graph.n_nodes:
         raise InputError(f"node index {node} out of range [0, {graph.n_nodes})")
-    weights = graph.adjacency[node]
-    return float(np.sqrt(np.sum(weights * (x - x[node]) ** 2)))
+    adjacency = graph.adjacency_csr
+    row = slice(adjacency.indptr[node], adjacency.indptr[node + 1])
+    neighbors = adjacency.indices[row]
+    return float(np.sqrt(np.sum(adjacency.data[row] * (x[neighbors] - x[node]) ** 2)))
 
 
 def dirichlet_form(x, graph: Graph, p) -> float:
@@ -104,7 +106,10 @@ def dirichlet_form(x, graph: Graph, p) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (graph.n_nodes,):
         raise InputError(f"expected a length-{graph.n_nodes} signal, got shape {x.shape}")
-    sq = np.sum(graph.adjacency * (x[None, :] - x[:, None]) ** 2, axis=1)
+    adjacency = graph.adjacency_csr
+    rows = np.repeat(np.arange(graph.n_nodes), np.diff(adjacency.indptr))
+    terms = adjacency.data * (x[adjacency.indices] - x[rows]) ** 2
+    sq = np.bincount(rows, weights=terms, minlength=graph.n_nodes)
     return float(np.sum(sq ** (p / 2.0)) / p)
 
 

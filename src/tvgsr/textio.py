@@ -7,6 +7,7 @@ losslessly through text. The default delimiter is a comma.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -45,7 +46,26 @@ def write_matrix(path, matrix, header=None, delimiter=DELIMITER):
 
 
 def read_matrix(path, delimiter=DELIMITER) -> np.ndarray:
-    """Read a numeric matrix; a leading non-numeric row is treated as a header."""
+    """Read a numeric matrix; a leading non-numeric row is treated as a header.
+
+    Blank lines are skipped and tokens may carry surrounding whitespace.
+    numpy's parser reads a file it accepts; any other file is read token by
+    token, which names the first line and column that is not a number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    header = bool(first.strip()) and not _is_numeric_row(_split(first, delimiter))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # a file without data rows only warns
+            return np.loadtxt(path, delimiter=delimiter, comments=None, ndmin=2,
+                              skiprows=int(header), encoding="utf-8")
+    except (ValueError, UserWarning):
+        return _read_matrix_tokens(path, delimiter)
+
+
+def _read_matrix_tokens(path, delimiter) -> np.ndarray:
+    """:func:`read_matrix` one token at a time, naming the first line and column it rejects."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -298,6 +298,20 @@ class TestAnalyze:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_mask_file_with_snapshots_is_usage_error(self, synth_dir, tmp_path, capsys):
+        mask_path = tmp_path / "mask.csv"
+        textio.write_mask(mask_path, np.ones((30, 6)))
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--mask", str(mask_path), "--snapshots", "5", "--out", str(out)])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--mask", str(mask_path), "--epsilon-grid", "0.1",
+                     "--out", str(out)]) == 0
+        assert "snapshots" not in read_kv(out / "config.txt")
+
     def test_guard_exceeded_exit_1(self, tmp_path):
         rng = np.random.default_rng(1)
         coords_path = tmp_path / "c.csv"
@@ -479,6 +493,38 @@ class TestConfigFile:
             assert first_kv == second_kv, name
 
 
+    def test_unknown_config_key_is_a_config_error(self, toy_files, tmp_path, capsys):
+        coords_path, signal_path = toy_files
+        config_path = tmp_path / "conf.txt"
+        config_path.write_text(f"coords={coords_path}\nsignal={signal_path}\nepsilom=5\n")
+        out = tmp_path / "r"
+        code = main(["reconstruct", "--config", str(config_path), "--regime", "random_entry",
+                     "--density", "0.5", "--out", str(out)])
+        assert code == 1
+        assert f"{config_path}: unknown config key 'epsilom'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_only_keys_round_trip(self, synth_dir, tmp_path):
+        # sample echoes uniqueness_condition*, benchmark signal_transform and plan.*
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5\nrepetitions=1\nmethods=tgsr\n"
+                             "signal_transform=none\n")
+        runs = {
+            "sample": ["--signal", str(synth_dir / "signal.csv"), "--density", "0.5"],
+            "benchmark": ["--plan", str(plan_path), "--coords", str(synth_dir / "coords.csv"),
+                          "--signal", str(synth_dir / "signal.csv"), "--k", "3"],
+        }
+        for command, flags in runs.items():
+            first, second = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
+            assert main([command, *flags, "--out", str(first)]) == 0
+            echo = read_kv(first / "config.txt")
+            assert any(key.startswith(("uniqueness_condition", "plan.")) for key in echo)
+            assert main([command, "--config", str(first / "config.txt"),
+                         "--out", str(second)]) == 0
+            again = read_kv(second / "config.txt")
+            assert {**echo, "out": None} == {**again, "out": None}
+
+
 def parser_options():
     """{command: {option string: (type, choices)}} of the argparse front end."""
     parser = tvgsr.cli.build_parser()
@@ -624,6 +670,24 @@ class TestPlanValues:
         assert code == 1
         assert err.startswith("tvgsr: ") and "Traceback" not in err
         assert f"{plan_path}: {key}=" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        ("methods=sobolev\nsobolev.epsilom=5\n", "sobolev.epsilom"),
+        ("methods=sobolev\ntgsr.upsilon=5\n", "tgsr.upsilon"),
+        ("methods=sobolev\nrepetition=5\n", "repetition"),
+    ])
+    def test_unknown_key_is_a_config_error(self, synth_dir, tmp_path, capsys, lines, key):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5\n" + lines)
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{plan_path}: unknown plan key {key!r}" in err
         assert not out.exists()
 
     def test_integral_horizons_still_parse(self, tmp_path):

@@ -1,7 +1,14 @@
+import pickle
+import tracemalloc
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import tvgsr
 from tvgsr import InputError, ParameterError
@@ -309,3 +316,142 @@ class TestGraphValidation:
     def test_adjacency_is_immutable(self, two_node_graph):
         with pytest.raises(ValueError):
             two_node_graph.adjacency[0, 1] = 5.0
+
+    @pytest.mark.parametrize("weights, message", [
+        ([[0.0, 1.0], [2.0, 0.0]], "adjacency is not symmetric"),
+        ([[0.0, -1.0], [-1.0, 0.0]], "adjacency weights must be nonnegative"),
+        ([[1.0, 1.0], [1.0, 0.0]], "adjacency diagonal must be zero"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "adjacency contains non-finite entries"),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], "adjacency must be square"),
+    ])
+    @pytest.mark.parametrize("form", [np.array, csr_matrix, coo_matrix])
+    def test_dense_and_sparse_inputs_rejected_alike(self, weights, message, form):
+        with pytest.raises(InputError, match=message):
+            tvgsr.Graph(form(np.array(weights)))
+
+    def test_symmetry_tolerance_is_relative_on_sparse_input(self):
+        weights = np.array([[0.0, 1e6], [1e6 * (1 + 1e-12), 0.0]])  # 1e-6 apart: within 1e-4
+        tvgsr.Graph(csr_matrix(weights))
+        weights[1, 0] = 1e6 * (1 + 1e-9)
+        with pytest.raises(InputError, match="not symmetric"):
+            tvgsr.Graph(csr_matrix(weights))
+        one_sided = np.array([[0.0, 1e-12], [0.0, 0.0]])  # stored on one side only
+        assert tvgsr.Graph(csr_matrix(one_sided)).n_components == 1
+        with pytest.raises(InputError, match="not symmetric"):
+            tvgsr.Graph(csr_matrix(one_sided * 1e3))
+
+
+def dense_rule(weights, kind):
+    """The dense construction the CSR graph reproduces: degrees, Laplacian, components."""
+    degrees = weights.sum(axis=1)
+    lap = np.diag(degrees) - weights
+    if kind == "normalized":
+        with np.errstate(divide="ignore"):
+            inv_sqrt = np.where(degrees > 0, 1.0 / np.sqrt(degrees), 0.0)
+        scaled = inv_sqrt[:, None] * lap * inv_sqrt[None, :]
+        lap = 0.5 * (scaled + scaled.T)
+    n_components = connected_components(csr_matrix(weights > 0), directed=False)[0]
+    return degrees, lap, csr_matrix(lap), n_components
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@st.composite
+def adjacencies(draw):
+    """Nonnegative weights with a zero diagonal, symmetric to the 1e-10 tolerance.
+
+    Some nodes are isolated and some graphs disconnected; optionally one
+    weight is off its mirror by 1e-13 relative, and one tiny weight has no
+    mirror at all.
+    """
+    n = draw(st.integers(1, 40))
+    weight = st.one_of(st.just(0.0), st.just(0.0), st.floats(1e-3, 1e3))
+    upper = np.triu(draw(hnp.arrays(np.float64, (n, n), elements=weight)), 1)
+    weights = upper + upper.T
+    isolated = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    weights[isolated, :] = 0.0
+    weights[:, isolated] = 0.0
+    edges = np.argwhere(np.triu(weights) > 0)
+    if len(edges) and draw(st.booleans()):
+        i, j = edges[draw(st.integers(0, len(edges) - 1))]
+        weights[i, j] *= 1.0 + 1e-13
+    if n > 1 and draw(st.booleans()):  # a weight within the tolerance, its mirror unset
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if weights[j, i] == 0.0:
+            weights[i, j] = 1e-12
+    return weights
+
+
+class TestCsrGraphAgainstDenseRule:
+    @settings(max_examples=60, deadline=None)
+    @given(weights=adjacencies(), kind=st.sampled_from(["combinatorial", "normalized"]))
+    def test_dense_and_sparse_inputs_match_the_dense_rule_bit_for_bit(self, weights, kind):
+        degrees, lap, lap_csr, n_components = dense_rule(weights, kind)
+        halves = coo_matrix(weights / 2)  # duplicates that sum back to the weights exactly
+        duplicated = coo_matrix((np.concatenate([halves.data, halves.data]),
+                                 (np.concatenate([halves.row, halves.row]),
+                                  np.concatenate([halves.col, halves.col]))), shape=weights.shape)
+        for adjacency in (weights, csr_matrix(weights), duplicated):
+            graph = tvgsr.Graph(adjacency, laplacian_kind=kind)
+            assert bits(graph.adjacency) == bits(weights)
+            assert bits(graph.degrees) == bits(degrees)
+            assert bits(graph.laplacian) == bits(lap)
+            for part in ("data", "indices", "indptr"):
+                assert bits(getattr(graph.laplacian_csr, part)) == bits(getattr(lap_csr, part))
+            assert graph.n_components == n_components
+            assert graph.is_connected == (n_components == 1)
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_large_degree_sums_match_numpy_row_sums(self, kind):
+        # rows longer than the dense block and than numpy's pairwise-sum leaves
+        rng = np.random.default_rng(7)
+        graph = tvgsr.build_knn_graph(rng.uniform(0, 100, size=(3000, 2)), 12,
+                                      laplacian_kind=kind)
+        weights = graph.adjacency
+        assert bits(graph.degrees) == bits(weights.sum(axis=1))
+        assert bits(graph.laplacian) == bits(dense_rule(weights, kind)[1])
+
+
+class TestCsrStorage:
+    def test_dense_views_are_read_only_and_built_on_each_access(self, geo_graph):
+        for view in ("adjacency", "laplacian"):
+            first = getattr(geo_graph, view)
+            assert not first.flags.writeable
+            assert first is not getattr(geo_graph, view)
+            assert np.array_equal(first, getattr(geo_graph, view))
+        for array in (geo_graph.adjacency_csr.data, geo_graph.adjacency_csr.indices,
+                      geo_graph.adjacency_csr.indptr, geo_graph.degrees):
+            assert not array.flags.writeable
+
+    def test_input_is_copied(self):
+        weights = csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        graph = tvgsr.Graph(weights)
+        weights.data[:] = 5.0
+        assert graph.adjacency[0, 1] == 1.0
+
+    def test_build_and_laplacian_allocate_no_dense_matrix(self):
+        n = 5000
+        coords = np.random.default_rng(8).uniform(0.0, 100.0, size=(n, 2))
+        tracemalloc.start()
+        try:
+            graph = tvgsr.build_knn_graph(coords, 10)
+            graph.laplacian_csr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
+
+    def test_pickle_carries_no_dense_matrix(self):
+        graph = tvgsr.build_knn_graph(np.random.default_rng(9).uniform(0, 100, (1000, 2)), 10)
+        graph.laplacian_csr
+        assert len(pickle.dumps(graph)) < 1_000_000
+        small = tvgsr.build_knn_graph(np.random.default_rng(10).uniform(0, 100, (60, 2)), 4)
+        small.laplacian_csr
+        size = len(pickle.dumps(small))
+        spectrum = small.spectrum()
+        assert len(pickle.dumps(small)) == size  # the cached spectrum is not shipped
+        copy = pickle.loads(pickle.dumps(small))
+        assert np.array_equal(copy.spectrum().eigenvalues, spectrum.eigenvalues)
+        assert bits(copy.laplacian) == bits(small.laplacian)

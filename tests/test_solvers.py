@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 import tvgsr
 from tvgsr import InputError, NumericError, ParameterError, SolverConfig
@@ -348,6 +349,23 @@ class TestSolveCg:
         with pytest.raises(ParameterError):
             tvgsr.solve_cg(y, np.ones_like(y), geo_graph, SolverConfig(objective="gr_static"))
 
+    @pytest.mark.parametrize("objective, beta", [("tgsr", 1.0), ("sobolev", 2.0)])
+    def test_integer_beta_allocates_no_dense_matrix(self, objective, beta):
+        rng = np.random.default_rng(37)
+        n = 2000
+        graph = tvgsr.build_knn_graph(rng.uniform(0.0, 100.0, size=(n, 2)), 10)
+        mask = tvgsr.random_entry_mask(n, 4, 0.5, 38).mask
+        y = mask * rng.normal(size=(n, 4))
+        config = SolverConfig(upsilon=0.1, epsilon=0.2, beta=beta, objective=objective,
+                              max_iter=5)
+        tracemalloc.start()
+        try:
+            tvgsr.solve_cg(y, mask, graph, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 10
+
 
 def dense_gr_static_columns(y, mask, graph, upsilon):
     """Per-column dense solves, with the least-squares answer where LU is singular."""
@@ -453,6 +471,37 @@ class TestSolveGrStatic:
         least_squares = np.linalg.lstsq(system, mask[:, 1] * y[:, 1], rcond=None)[0]
         assert np.array_equal(result.x_hat[:, 1], least_squares)
         assert np.all(result.x_hat[6:, 1] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("upsilon", [0.0, 0.05, 3.0])
+    def test_shared_ordering_matches_per_column_factorization(self, kind, upsilon):
+        # one ordering for all columns, against each column ordered on its own
+        rng = np.random.default_rng(35)
+        graph = tvgsr.build_knn_graph(rng.uniform(0.0, 100.0, size=(60, 2)), 4)
+        weights = graph.adjacency.copy()
+        weights[[5, 17]] = 0.0
+        weights[:, [5, 17]] = 0.0  # isolated nodes: their diagonal is j alone
+        graph = tvgsr.Graph(weights, laplacian_kind=kind)
+        mask = tvgsr.random_entry_mask(60, 8, 0.5, 36).mask.copy()
+        mask[:, 3] = 1.0
+        y = mask * rng.normal(size=(60, 8))
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=upsilon, objective="gr_static"))
+        singular = 0
+        for column in range(8):
+            j = mask[:, column]
+            system = (scipy.sparse.diags(j) + upsilon * graph.laplacian_csr).tocsc()
+            rhs = j * y[:, column]
+            try:
+                expected = scipy.sparse.linalg.splu(
+                    system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True}).solve(rhs)
+            except RuntimeError:
+                singular += 1
+                expected = np.linalg.lstsq(system.toarray(), rhs, rcond=None)[0]
+            error = np.linalg.norm(result.x_hat[:, column] - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+        assert 0 < singular < 8
 
     def test_solve_allocates_less_than_a_dense_matrix(self):
         rng = np.random.default_rng(33)

@@ -61,6 +61,52 @@ class TestMatrixRoundTrip:
             for row in (matrix > 0).astype(float))
 
 
+_PARITY_CASES = {
+    "blank lines": "1,2\n\n3,4\n\n",
+    "whitespace-only lines": "1,2\n   \n\t\n3,4\n",
+    "blank first line": "\na,b\n1,2\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "padded tokens": " 1.5 ,2\n3, 1.5 \n",
+    "nan and inf": "nan,inf\n-inf,-nan\nNaN,Infinity\n",
+    "underscore": "1_0,2\n3,4\n",
+    "hash": "1,#\n",
+    "hash header": "#,x\n1,2\n",
+    "trailing delimiter": "1,2,\n3,4,\n",
+    "empty token": "1,,2\n",
+    "ragged": "1,2\n3\n",
+    "ragged header": "a,b,c\n1,2\n",
+    "header only": "a,b\n",
+    "only blank lines": "\n  \n",
+    "no final newline": "1,2\n3,4",
+    "single column": "v\n1\n2\n",
+    "late header": "1,2\na,b\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_CASES))
+def test_read_matrix_matches_token_reader(tmp_path, name):
+    """The numpy parse gives the token reader's array, or the token reader's error."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(_PARITY_CASES[name].encode("utf-8"))
+
+    def outcome(read):
+        try:
+            matrix = read(path)
+        except ParseError as exc:
+            return str(exc)
+        return matrix.dtype, matrix.shape, matrix.tobytes()
+
+    assert outcome(textio.read_matrix) == outcome(lambda p: textio._read_matrix_tokens(p, ","))
+
+
+def test_well_formed_file_skips_the_token_reader(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    matrix = np.random.default_rng(3).normal(size=(5, 4))
+    textio.write_matrix(path, matrix, header=["a", "b", "c", "d"])
+    monkeypatch.setattr(textio, "_read_matrix_tokens", None)
+    assert np.array_equal(textio.read_matrix(path), matrix)
+
+
 class TestCoordinates:
     def test_round_trip_with_ids(self, tmp_path):
         coords = np.array([[12.5, -3.25], [0.0, 90.0]])
