@@ -75,22 +75,15 @@ def _as_adjacency(adjacency) -> csr_matrix:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InputError(f"adjacency must be square, got shape {matrix.shape}")
     matrix.eliminate_zeros()
-    data, cols, n = matrix.data, matrix.indices, matrix.shape[0]
+    data = matrix.data
     if not np.all(np.isfinite(data)):
         raise InputError("adjacency contains non-finite entries")
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    # The transpose's entries in its CSR order; the keys are unique, so any sort will do.
-    order = np.argsort(cols.astype(np.int64) * n + rows)
-    if np.array_equal(rows[order], cols) and np.array_equal(cols[order], rows):
-        asymmetry = data - data[order]
-    else:
-        asymmetry = (matrix - matrix.T).data
     scale = max(1.0, float(np.abs(data).max(initial=0.0)))
-    if float(np.abs(asymmetry).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
+    if float(np.abs((matrix - matrix.T).data).max(initial=0.0)) > _SYMMETRY_RTOL * scale:
         raise InputError("adjacency is not symmetric")
     if np.any(data < 0):
         raise InputError("adjacency weights must be nonnegative")
-    if np.any(rows == cols):
+    if np.any(matrix.diagonal()):
         raise InputError("adjacency diagonal must be zero (no self loops)")
     return matrix
 
@@ -103,25 +96,15 @@ def _frozen(array):
 
 
 def _row_sums(matrix) -> np.ndarray:
-    """Row sums of a canonical CSR matrix, bit for bit those of its dense rows.
+    """Row sums of a CSR matrix, bit for bit those of its dense rows.
 
-    numpy sums a dense row pairwise, zeros included, so the rows are
-    scattered into a dense block of a few rows at a time and summed there.
+    numpy sums a dense row pairwise, zeros included, so the rows are summed
+    in dense blocks of a few rows at a time.
     """
     n_rows, n_cols = matrix.shape
     step = max(1, _ROW_SUM_BLOCK // max(n_cols, 1))
-    block = np.zeros((min(step, n_rows), n_cols))
-    sums = np.empty(n_rows)
-    indptr = matrix.indptr
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        entries = slice(indptr[start], indptr[stop])
-        local = np.repeat(np.arange(stop - start), np.diff(indptr[start:stop + 1]))
-        cols = matrix.indices[entries]
-        block[local, cols] = matrix.data[entries]
-        block[:stop - start].sum(axis=1, out=sums[start:stop])
-        block[local, cols] = 0.0
-    return sums
+    return np.concatenate([matrix[start:start + step].toarray().sum(axis=1)
+                           for start in range(0, n_rows, step)])
 
 
 @dataclass(frozen=True)
@@ -296,24 +279,8 @@ def laplacian(graph: Graph) -> csr_matrix:
     zero rows and columns. Every entry is that of the dense formula, bit for
     bit, and zeros are not stored.
     """
-    adjacency, degrees, n = graph.adjacency_csr, graph.degrees, graph.n_nodes
-    indptr, cols = adjacency.indptr, adjacency.indices
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), indptr[1:] - indptr[:-1])
-    # Row i of L is row i of -W with the degree inserted in column order; W stores no
-    # diagonal entry, and an isolated node's zero degree is not stored either. The k-th
-    # stored degree follows the W entries of the rows above, the k degrees before it and
-    # the entries of its own row left of the diagonal.
-    nodes = np.flatnonzero(degrees)
-    left = np.bincount(rows[cols < rows], minlength=n)
-    at = indptr[nodes] + np.arange(nodes.size) + left[nodes]
-    size = cols.size + nodes.size
-    data, indices = np.empty(size), np.empty(size, cols.dtype)
-    data[at], indices[at] = degrees[nodes], nodes
-    rest = np.ones(size, dtype=bool)
-    rest[at] = False
-    data[rest], indices[rest] = -adjacency.data, cols
-    lap_indptr = indptr + np.searchsorted(nodes, np.arange(n + 1)).astype(indptr.dtype)
-    lap = csr_matrix((data, indices, lap_indptr), shape=(n, n))
+    degrees, n = graph.degrees, graph.n_nodes
+    lap = csr_matrix((degrees, np.arange(n), np.arange(n + 1)), shape=(n, n)) - graph.adjacency_csr
     if graph.laplacian_kind == "combinatorial":
         return lap
     with np.errstate(divide="ignore"):
