@@ -77,7 +77,6 @@ from .solvers import (
 )
 from .spectral import (
     EigenvalueBounds,
-    HessianSpec,
     OracleSolution,
     SweepPoint,
     WeylReport,
@@ -114,7 +113,6 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "Graph",
-    "HessianSpec",
     "InputError",
     "NumericError",
     "OracleSolution",

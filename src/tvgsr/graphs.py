@@ -156,6 +156,13 @@ class Graph:
     def __getstate__(self):
         return dict(self.__dict__, _spectrum=None)
 
+    def __setstate__(self, state):
+        """Restore a pickled graph; unpickled arrays come back writable, so protect them again."""
+        self.__dict__.update(state)
+        for array in (self.adjacency_csr, self.degrees, self._laplacian_csr):
+            if array is not None:
+                _frozen(array)
+
     @property
     def adjacency(self) -> np.ndarray:
         """Dense read-only N x N adjacency, built on each access."""

@@ -39,7 +39,7 @@ from scipy.sparse.linalg import splu
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
 from .sampling import as_mask_array
-from .temporal import TEMPORAL_STEPS, as_signal
+from .temporal import TEMPORAL_STEPS, as_signal, difference_operator
 
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
 
@@ -162,7 +162,8 @@ class ProblemOperator:
     forming an N x N or M x M product. Integer beta repeats the CSR action
     of L + epsilon*I, with epsilon written on every diagonal entry so that
     isolated nodes get it too; fractional beta multiplies by the dense
-    :func:`sobolev_power`. D and D D^T are column stencils of step s.
+    :func:`sobolev_power`. D and D D^T are the column stencils of
+    :class:`~tvgsr.temporal.TemporalOperator`.
 
     The operator owns scratch buffers for the stencil and the mask product,
     so one instance serves one solve at a time. With ``out=`` an action
@@ -172,13 +173,9 @@ class ProblemOperator:
 
     def __init__(self, graph: Graph, mask, config: SolverConfig):
         n_nodes, n_snapshots = mask.shape
-        if n_snapshots <= config.temporal_step:
-            raise ParameterError(
-                f"need more snapshots than the step ({n_snapshots} <= {config.temporal_step})"
-            )
+        self.temporal = difference_operator(n_snapshots, config.temporal_step)
         self.mask = mask
         self.upsilon = config.upsilon
-        self.step = config.temporal_step
         if float(config.beta).is_integer():
             self._penalty = graph.laplacian_csr + config.epsilon * identity(n_nodes, format="csr")
             self._repeats = int(config.beta)
@@ -193,8 +190,8 @@ class ProblemOperator:
         return v
 
     def smoothness(self, x) -> float:
-        """tr((X D)^T (L + epsilon*I)^beta (X D)); column j of X D is x_{j+s} - x_j."""
-        diff = x[:, self.step:] - x[:, :-self.step]
+        """tr((X D)^T (L + epsilon*I)^beta (X D))."""
+        diff = self.temporal.apply(x)
         return float(np.sum(diff * self.penalty(diff)))
 
     @cached_property
@@ -206,25 +203,9 @@ class ProblemOperator:
         """
         return tuple(np.empty(self.mask.shape) for _ in range(3))
 
-    def _scatter(self, x) -> np.ndarray:
-        """X D D^T in the scatter buffer: Z = X D, then column j gets z_{j-s} - z_j.
-
-        Both passes run over the raveled rows. The difference buffer is
-        N x M with its last s columns zero, so the entries that would
-        straddle two rows read as z = 0, as at the ends of each chain.
-        """
-        s = self.step
-        diff_buffer, scatter_buffer, _ = self._scratch
-        flat, diff, scattered = x.ravel(), diff_buffer.ravel(), scatter_buffer.ravel()
-        np.subtract(flat[s:], flat[:-s], out=diff[:-s])
-        diff_buffer[:, -s:] = 0.0
-        np.subtract(diff[:-s], diff[s:], out=scattered[s:])
-        np.subtract(0.0, diff[:s], out=scattered[:s])
-        return scatter_buffer
-
     def smoothness_gradient(self, x, out=None) -> np.ndarray:
         """(L + epsilon*I)^beta X D D^T, written into ``out`` when given."""
-        product = self.penalty(self._scatter(x))
+        product = self.penalty(self.temporal.scatter(x, *self._scratch[:2]))
         if out is None:
             return product
         np.copyto(out, product)
@@ -237,7 +218,7 @@ class ProblemOperator:
         without ``out``.
         """
         masked = np.multiply(self.mask, v, out=self._scratch[2])
-        product = self.penalty(self._scatter(v))
+        product = self.penalty(self.temporal.scatter(v, *self._scratch[:2]))
         if out is None:
             out = product
             out *= self.upsilon
@@ -245,16 +226,6 @@ class ProblemOperator:
             np.multiply(product, self.upsilon, out=out)
         out += masked
         return out
-
-    def temporal_max_eigenvalue(self) -> float:
-        """Largest eigenvalue of D D^T.
-
-        D D^T splits into s path-graph Laplacians over the snapshots i, i+s,
-        i+2s, ...; the longest has c = ceil(M / s) nodes and the largest
-        eigenvalue 2 + 2 cos(pi / c).
-        """
-        chain = -(-self.mask.shape[1] // self.step)
-        return 2.0 + 2.0 * math.cos(math.pi / chain)
 
 
 def _residual(x_tilde, y, mask, graph):
@@ -476,7 +447,7 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
 
     if step is None:
         lam_graph = max(graph.max_eigenvalue(), 0.0)
-        curvature = (lam_graph + config.epsilon) ** config.beta * problem.temporal_max_eigenvalue()
+        curvature = (lam_graph + config.epsilon) ** config.beta * problem.temporal.max_eigenvalue()
         step = 1.0 / curvature if curvature > 0 else 1.0
     elif step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")

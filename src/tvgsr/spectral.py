@@ -3,8 +3,8 @@
 The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
 using column-major vectorization. Only this module forms it, under a hard
-size guard (N*M <= 4000): :func:`hessian` returns its two blocks, and the
-eigensolves build it in one NM x NM buffer. Built on it are condition
+size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer,
+and every eigensolve here reads that matrix. Built on it are condition
 numbers of the shifted-power (Sobolev) and plain Laplacian objectives and
 checks of their extreme eigenvalues against the additive (Weyl) brackets,
 both eigensolving each distinct Hessian of a sweep once, and the dense
@@ -21,10 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import InputError, ParameterError
-from .graphs import Graph, sobolev_power
+from .graphs import Graph, _check_symmetric, sobolev_power
 from .sampling import as_mask_array
 from .solvers import SolverConfig, _check_problem
-from .temporal import _operator_matrix, difference_operator
+from .temporal import difference_operator
 
 DENSE_GUARD = 4000  # maximum N*M for dense vectorized systems
 
@@ -37,22 +37,12 @@ def _vec(x) -> np.ndarray:
     return np.asarray(x).ravel(order="F")
 
 
-@dataclass(frozen=True)
-class HessianSpec:
-    """Vectorized Hessian blocks: diagonal data block Q and smoothness block."""
+def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
+    """The dense vectorized Hessian Q + upsilon * (D D^T) kron (L + epsilon*I)^beta.
 
-    data_block: np.ndarray        # Q = diag(vec(J))
-    smoothness_block: np.ndarray  # upsilon * (D D^T) kron (L + epsilon*I)^beta
-    upsilon: float
-    epsilon: float
-    beta: float
-
-    def full(self) -> np.ndarray:
-        return self.data_block + self.smoothness_block
-
-
-def _smoothness(mask, graph: Graph, op, upsilon, epsilon, beta) -> tuple:
-    """Validate a dense Hessian request; return the mask array and the smoothness block."""
+    Built in one NM x NM buffer under the N*M <= 4000 guard, with
+    Q = diag(vec(J)) added onto the diagonal.
+    """
     mask = as_mask_array(mask)
     if mask.shape[0] != graph.n_nodes:
         raise InputError(f"mask has {mask.shape[0]} rows but graph has {graph.n_nodes} nodes")
@@ -60,25 +50,12 @@ def _smoothness(mask, graph: Graph, op, upsilon, epsilon, beta) -> tuple:
         raise ParameterError(f"dense Hessian limited to N*M <= {DENSE_GUARD}, got {mask.size}")
     if upsilon < 0:
         raise ParameterError(f"upsilon must be >= 0, got {upsilon}")
-    d = _operator_matrix(op)
-    if d.shape[0] != mask.shape[1]:
-        raise InputError(f"operator expects {d.shape[0]} snapshots, mask has {mask.shape[1]}")
-    smoothness = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
-    smoothness *= upsilon
-    return mask, smoothness
-
-
-def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> HessianSpec:
-    """Assemble the dense vectorized Hessian blocks (N*M <= 4000 guard)."""
-    mask, smoothness = _smoothness(mask, graph, op, upsilon, epsilon, beta)
-    return HessianSpec(data_block=np.diag(_vec(mask)), smoothness_block=smoothness,
-                       upsilon=float(upsilon), epsilon=float(epsilon), beta=float(beta))
-
-
-def _assemble(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
-    """:func:`hessian`'s ``full()``, bit for bit, built in one NM x NM buffer."""
-    mask, matrix = _smoothness(mask, graph, op, upsilon, epsilon, beta)
-    matrix += 0.0  # -0.0 to +0.0, as full()'s sum does: LAPACK's output depends on zero signs
+    if op.n_snapshots != mask.shape[1]:
+        raise InputError(f"operator expects {op.n_snapshots} snapshots, mask has {mask.shape[1]}")
+    d = op.matrix
+    matrix = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
+    matrix *= upsilon
+    matrix += 0.0  # -0.0 to +0.0, as in the sum Q + smoothness: LAPACK's output depends on zero signs
     matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
     return matrix
 
@@ -94,15 +71,10 @@ def condition_number(matrix) -> float:
 
     Returns ``math.inf`` when the matrix is numerically singular
     (lambda_min < 1e-12 * lambda_max), mirroring the divergence of the
-    condition number for rank-deficient Hessians.
+    condition number for rank-deficient Hessians. A non-square, non-finite
+    or asymmetric matrix raises :class:`InputError`.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise InputError(f"matrix must be square, got shape {matrix.shape}")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > 1e-10 * scale:
-        raise InputError("matrix is not symmetric")
-    eigenvalues = np.linalg.eigvalsh(matrix)
+    eigenvalues = np.linalg.eigvalsh(_check_symmetric(matrix))
     return _kappa(float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
@@ -168,7 +140,7 @@ def _hessian_extremes(mask, graph: Graph, op, upsilon):
     """Memoized (epsilon, beta) -> Hessian extremes; the Laplacian Hessian is (0.0, 1.0)."""
     @functools.cache
     def extremes(epsilon, beta):
-        eigenvalues = np.linalg.eigvalsh(_assemble(mask, graph, op, upsilon, epsilon, beta))
+        eigenvalues = np.linalg.eigvalsh(hessian(mask, graph, op, upsilon, epsilon, beta))
         return float(eigenvalues[0]), float(eigenvalues[-1])
     return extremes
 
@@ -196,7 +168,7 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
         raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
     extremes = _hessian_extremes(mask, graph, op, upsilon)
     lap_min, lap_max = extremes(0.0, 1.0)  # first, so a bad request raises hessian's errors
-    d = _operator_matrix(op)
+    d = op.matrix
     lam_temporal = float(np.linalg.eigvalsh(d @ d.T)[-1])
     lam_graph = max(float(graph.spectrum().eigenvalues[-1]), 0.0)
     laplacian = _bracket_check(lap_min, lap_max, lam_graph, lam_temporal, upsilon)
@@ -279,7 +251,7 @@ def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
     n, m = y.shape
     op = difference_operator(m, config.temporal_step)
     eigenvalues, eigenvectors = np.linalg.eigh(
-        _assemble(mask, graph, op, config.upsilon, config.epsilon, config.beta))
+        hessian(mask, graph, op, config.upsilon, config.epsilon, config.beta))
 
     largest = float(eigenvalues[-1])
     cutoff = _SINGULAR_RATIO * largest if largest > 0 else np.inf

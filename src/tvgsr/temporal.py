@@ -8,6 +8,7 @@ one column per pair of snapshots s steps apart: column j has -1 at row j and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,56 +35,80 @@ def as_signal(x, min_snapshots=1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TemporalOperator:
-    """Difference operator: M x (M-s) matrix, one -1/+1 pair per column."""
+    """The s-step difference operator D on M snapshots, applied as a column stencil.
 
-    matrix: np.ndarray
+    Nothing stores D: :attr:`matrix` builds the dense M x (M-s) form on each
+    access, for the Kronecker products of the dense analysis.
+    """
+
+    n_snapshots: int
     step: int
 
     @property
-    def n_snapshots(self) -> int:
-        return self.matrix.shape[0]
+    def n_differences(self) -> int:
+        return self.n_snapshots - self.step
 
     @property
-    def n_differences(self) -> int:
-        return self.matrix.shape[1]
+    def matrix(self) -> np.ndarray:
+        """Dense read-only M x (M-s) D, built on each access."""
+        matrix = np.zeros((self.n_snapshots, self.n_differences))
+        columns = np.arange(self.n_differences)
+        matrix[columns, columns] = -1.0
+        matrix[columns + self.step, columns] = 1.0
+        matrix.setflags(write=False)
+        return matrix
 
+    def apply(self, x) -> np.ndarray:
+        """X D: column j is x_{j+s} - x_j."""
+        return x[:, self.step:] - x[:, :-self.step]
 
-def _operator_matrix(op) -> np.ndarray:
-    if isinstance(op, TemporalOperator):
-        return op.matrix
-    return np.asarray(op, dtype=float)
+    def scatter(self, x, diff_buffer, out) -> np.ndarray:
+        """X D D^T into ``out``: Z = X D, then column j gets z_{j-s} - z_j.
+
+        Both passes run over the raveled rows of C-ordered N x M arrays. The
+        difference buffer is N x M with its last s columns zero, so the
+        entries that would straddle two rows read as z = 0, as at the ends
+        of each chain.
+        """
+        s = self.step
+        flat, diff, scattered = x.ravel(), diff_buffer.ravel(), out.ravel()
+        np.subtract(flat[s:], flat[:-s], out=diff[:-s])
+        diff_buffer[:, -s:] = 0.0
+        np.subtract(diff[:-s], diff[s:], out=scattered[s:])
+        np.subtract(0.0, diff[:s], out=scattered[:s])
+        return out
+
+    def max_eigenvalue(self) -> float:
+        """Largest eigenvalue of D D^T.
+
+        D D^T splits into s path-graph Laplacians over the snapshots i, i+s,
+        i+2s, ...; the longest has c = ceil(M / s) nodes and the largest
+        eigenvalue 2 + 2 cos(pi / c).
+        """
+        chain = -(-self.n_snapshots // self.step)
+        return 2.0 + 2.0 * math.cos(math.pi / chain)
 
 
 def difference_operator(n_snapshots, step=1) -> TemporalOperator:
     """Build the s-step temporal difference operator for M snapshots.
 
-    Column j holds -1 at row j and +1 at row j+s; every column sums to zero.
-    Step 1 is the consecutive-difference operator; steps 2 and 3 compare
-    snapshots two and three apart.
+    Column j of D holds -1 at row j and +1 at row j+s; every column sums to
+    zero. Step 1 is the consecutive-difference operator; steps 2 and 3
+    compare snapshots two and three apart.
     """
     if step not in TEMPORAL_STEPS:
         raise ParameterError(f"step must be one of {TEMPORAL_STEPS}, got {step}")
     if n_snapshots <= step:
-        raise ParameterError(
-            f"need more snapshots than the step ({n_snapshots} <= {step})"
-        )
-    matrix = np.zeros((n_snapshots, n_snapshots - step))
-    for j in range(n_snapshots - step):
-        matrix[j, j] = -1.0
-        matrix[j + step, j] = 1.0
-    matrix.setflags(write=False)
-    return TemporalOperator(matrix=matrix, step=step)
+        raise ParameterError(f"need more snapshots than the step ({n_snapshots} <= {step})")
+    return TemporalOperator(n_snapshots=n_snapshots, step=step)
 
 
-def temporal_difference(x, op) -> np.ndarray:
+def temporal_difference(x, op: TemporalOperator) -> np.ndarray:
     """Column differences X @ D: column j equals x_{j+s} - x_j."""
     x = as_signal(x, min_snapshots=2)
-    d = _operator_matrix(op)
-    if x.shape[1] != d.shape[0]:
-        raise InputError(
-            f"signal has {x.shape[1]} snapshots but operator expects {d.shape[0]}"
-        )
-    return x @ d
+    if x.shape[1] != op.n_snapshots:
+        raise InputError(f"signal has {x.shape[1]} snapshots but operator expects {op.n_snapshots}")
+    return op.apply(x)
 
 
 def local_variation(x, graph: Graph, node) -> float:
@@ -113,24 +138,23 @@ def dirichlet_form(x, graph: Graph, p) -> float:
     return float(np.sum(sq ** (p / 2.0)) / p)
 
 
+def _quadratic(z, matrix) -> float:
+    """sum(z * (K @ z)): z^T K z for a vector, tr(Z^T K Z) for the columns of a matrix."""
+    z = np.asarray(z, dtype=float)
+    matrix = np.asarray(matrix, dtype=float)
+    if z.shape[0] != matrix.shape[0]:
+        raise InputError(f"signal has {z.shape[0]} rows, Laplacian is {matrix.shape[0]} x {matrix.shape[0]}")
+    return float(np.sum(z * (matrix @ z)))
+
+
 def laplacian_quadratic(x, laplacian_matrix) -> float:
     """Laplacian quadratic form x^T L x (zero iff x is constant on a connected graph)."""
-    x = np.asarray(x, dtype=float)
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    if x.shape[0] != lap.shape[0]:
-        raise InputError(f"signal length {x.shape[0]} does not match Laplacian size {lap.shape[0]}")
-    return float(x @ (lap @ x))
+    return _quadratic(x, laplacian_matrix)
 
 
 def s2_time_varying(x, laplacian_matrix) -> float:
     """Snapshot-summed quadratic form tr(X^T L X)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    if x.shape[0] != lap.shape[0]:
-        raise InputError(f"signal has {x.shape[0]} rows, Laplacian is {lap.shape[0]} x {lap.shape[0]}")
-    return float(np.sum(x * (lap @ x)))
+    return _quadratic(x, laplacian_matrix)
 
 
 def sobolev_norm(x, laplacian_matrix, epsilon, beta) -> float:
@@ -138,32 +162,22 @@ def sobolev_norm(x, laplacian_matrix, epsilon, beta) -> float:
 
     Reduces to the Laplacian quadratic form at epsilon = 0, beta = 1.
     """
-    x = np.asarray(x, dtype=float)
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    if x.shape[0] != lap.shape[0]:
-        raise InputError(f"signal length {x.shape[0]} does not match Laplacian size {lap.shape[0]}")
-    return float(np.sum(x * (sobolev_power(lap, epsilon, beta) @ x)))
+    return _quadratic(x, sobolev_power(laplacian_matrix, epsilon, beta))
 
 
-def sobolev_smoothness(x, op, laplacian_matrix, epsilon, beta) -> float:
+def sobolev_smoothness(x, op: TemporalOperator, laplacian_matrix, epsilon, beta) -> float:
     """Temporal-difference smoothness tr((XD)^T (L + epsilon*I)^beta (XD)).
 
     Equals the sum of squared Sobolev norms of the difference columns; with
     epsilon = 0 and beta = 1 this is the plain Laplacian temporal smoothness.
     """
-    diff = temporal_difference(x, op)
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    if diff.shape[0] != lap.shape[0]:
-        raise InputError(f"signal has {diff.shape[0]} rows, Laplacian is {lap.shape[0]} x {lap.shape[0]}")
-    return float(np.sum(diff * (sobolev_power(lap, epsilon, beta) @ diff)))
+    return _quadratic(temporal_difference(x, op), sobolev_power(laplacian_matrix, epsilon, beta))
 
 
-def alpha_smoothness_level(x, op, laplacian_matrix) -> float:
+def alpha_smoothness_level(x, op: TemporalOperator, laplacian_matrix) -> float:
     """Per-difference Laplacian smoothness tr((XD)^T L (XD)) / n_differences.
 
     A signal belongs to the alpha-structured set of smoothly evolving
     signals exactly when this level is <= alpha.
     """
-    diff = temporal_difference(x, op)
-    lap = np.asarray(laplacian_matrix, dtype=float)
-    return float(np.sum(diff * (lap @ diff)) / diff.shape[1])
+    return _quadratic(temporal_difference(x, op), laplacian_matrix) / op.n_differences

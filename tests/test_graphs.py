@@ -455,3 +455,18 @@ class TestCsrStorage:
         copy = pickle.loads(pickle.dumps(small))
         assert np.array_equal(copy.spectrum().eigenvalues, spectrum.eigenvalues)
         assert bits(copy.laplacian) == bits(small.laplacian)
+
+    def test_unpickled_arrays_stay_read_only(self, geo_graph):
+        def arrays(graph):
+            csr, lap = graph.adjacency_csr, graph._laplacian_csr
+            return (csr.data, csr.indices, csr.indptr, graph.degrees,
+                    lap.data, lap.indices, lap.indptr)
+
+        fresh = tvgsr.Graph(geo_graph.adjacency_csr)
+        assert fresh._laplacian_csr is None
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy._laplacian_csr is None and not copy.degrees.flags.writeable
+        geo_graph.laplacian_csr
+        copy = pickle.loads(pickle.dumps(geo_graph))
+        assert all(not array.flags.writeable for array in arrays(copy))
+        assert bits(copy.laplacian) == bits(geo_graph.laplacian)

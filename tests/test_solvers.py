@@ -203,7 +203,7 @@ class TestSolveNoiseless:
                               temporal_step=step, max_iter=400, delta=1e-7)
         problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
         step_size = 1.0 / ((graph.max_eigenvalue() + epsilon) ** beta
-                           * problem.temporal_max_eigenvalue())
+                           * problem.temporal.max_eigenvalue())
         x, expected = mask * y, [mask * y]
         for _ in range(config.max_iter):
             x_next = np.where(mask > 0, mask * y, x - step_size * problem.smoothness_gradient(x))
@@ -539,7 +539,7 @@ class TestDenseOracle:
         oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
         assert np.linalg.norm(tvgsr.gradient(oracle.x_hat, y, mask, graph, config)) < 1e-8
         matrix = tvgsr.hessian(mask, graph, tvgsr.difference_operator(5, 1), config.upsilon,
-                               config.epsilon, config.beta).full()
+                               config.epsilon, config.beta)
         direct = np.linalg.solve(matrix, (mask * y).ravel(order="F")).reshape((7, 5), order="F")
         assert np.abs(oracle.x_hat - direct).max() <= 1e-10 * np.abs(direct).max()
 
@@ -643,7 +643,7 @@ class TestProblemOperator:
                     in_place = v.copy()
                     problem.hessian_action(in_place, out=in_place)
                     assert np.array_equal(in_place, fresh)
-                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta).full()
+                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta)
                     expected = (dense @ v.ravel(order="F")).reshape((n, m), order="F")
                     assert np.abs(out - expected).max() <= \
                         1e-12 * np.abs(dense).max() * np.abs(v).max()
@@ -668,7 +668,7 @@ class TestProblemOperator:
                     config = SolverConfig(upsilon=0.7, epsilon=epsilon, beta=beta,
                                           objective="sobolev", temporal_step=step)
                     action = tvgsr.solvers.ProblemOperator(graph, mask, config).hessian_action(v)
-                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta).full()
+                    dense = tvgsr.spectral.hessian(mask, graph, op, 0.7, epsilon, beta)
                     expected = (dense @ v.ravel(order="F")).reshape((n, m), order="F")
                     scale = np.abs(dense).max() * np.abs(v).max()
                     assert np.abs(action - expected).max() <= 1e-12 * scale

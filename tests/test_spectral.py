@@ -7,7 +7,6 @@ import pytest
 
 import tvgsr
 from tvgsr import InputError, ParameterError
-from tvgsr.spectral import _assemble
 from conftest import random_geometric_graph, uniqueness_mask
 
 
@@ -24,16 +23,16 @@ class TestHessian:
     def test_empty_mask_is_pure_kronecker_and_singular(self, path_graph3):
         op = tvgsr.difference_operator(3, 1)
         mask = np.zeros((3, 3))
-        spec = tvgsr.hessian(mask, path_graph3, op, 1.0, 0.0, 1.0)
+        matrix = tvgsr.hessian(mask, path_graph3, op, 1.0, 0.0, 1.0)
         expected = np.kron(op.matrix @ op.matrix.T, path_graph3.laplacian)
-        assert np.array_equal(spec.full(), expected)
-        assert tvgsr.condition_number(spec.full()) == math.inf
+        assert np.array_equal(matrix, expected)
+        assert tvgsr.condition_number(matrix) == math.inf
 
     def test_full_mask_zero_upsilon_is_identity(self, path_graph3):
         op = tvgsr.difference_operator(3, 1)
-        spec = tvgsr.hessian(np.ones((3, 3)), path_graph3, op, 0.0, 0.0, 1.0)
-        assert np.array_equal(spec.full(), np.eye(9))
-        assert tvgsr.condition_number(spec.full()) == 1.0
+        matrix = tvgsr.hessian(np.ones((3, 3)), path_graph3, op, 0.0, 0.0, 1.0)
+        assert np.array_equal(matrix, np.eye(9))
+        assert tvgsr.condition_number(matrix) == 1.0
 
     def test_quadratic_form_matches_objective(self, path_graph3):
         # z^T H z equals twice the objective evaluated against Y = 0
@@ -41,21 +40,21 @@ class TestHessian:
         op = tvgsr.difference_operator(3, 1)
         mask = tvgsr.random_entry_mask(3, 3, 0.6, 1).mask
         upsilon, epsilon, beta = 0.8, 0.3, 1.0
-        spec = tvgsr.hessian(mask, path_graph3, op, upsilon, epsilon, beta)
+        matrix = tvgsr.hessian(mask, path_graph3, op, upsilon, epsilon, beta)
         x = rng.normal(size=(3, 3))
         z = x.ravel(order="F")
         config = tvgsr.SolverConfig(upsilon=upsilon, epsilon=epsilon, beta=beta,
                                     objective="sobolev")
         doubled = 2.0 * tvgsr.objective(x, np.zeros_like(x), mask, path_graph3, config)
-        assert float(z @ spec.full() @ z) == pytest.approx(doubled, abs=1e-10)
+        assert float(z @ matrix @ z) == pytest.approx(doubled, abs=1e-10)
 
     def test_blocks_are_psd(self):
         rng = np.random.default_rng(1)
         graph = random_geometric_graph(rng, 6, 2)
         op = tvgsr.difference_operator(4, 1)
         mask = tvgsr.random_entry_mask(6, 4, 0.5, 2).mask
-        spec = tvgsr.hessian(mask, graph, op, 1.2, 0.4, 2.0)
-        for block in (spec.data_block, spec.smoothness_block, spec.full()):
+        smoothness = tvgsr.hessian(np.zeros_like(mask), graph, op, 1.2, 0.4, 2.0)
+        for block in (smoothness, tvgsr.hessian(mask, graph, op, 1.2, 0.4, 2.0)):
             assert np.linalg.eigvalsh(block).min() >= -1e-9
 
     def test_tgsr_reduction_is_entrywise(self):
@@ -66,7 +65,7 @@ class TestHessian:
         sob = tvgsr.hessian(mask, graph, op, 1.0, 0.0, 1.0)
         expected = np.diag(mask.ravel(order="F")) + \
             np.kron(op.matrix @ op.matrix.T, graph.laplacian)
-        assert np.array_equal(sob.full(), expected)
+        assert np.array_equal(sob, expected)
 
     def test_size_guard(self):
         rng = np.random.default_rng(3)
@@ -89,6 +88,14 @@ class TestConditionNumber:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError):
             tvgsr.condition_number(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for index in ((0, 0), (0, 1)):
+            matrix = np.eye(3)
+            matrix[index] = bad
+            with pytest.raises(InputError, match="non-finite"):
+                tvgsr.condition_number(matrix)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
@@ -188,8 +195,8 @@ class TestConditionSweep:
 
 
 def per_epsilon_extremes(graph, op, upsilon, epsilon, beta, mask):
-    """One eigensolve of ``hessian(...).full()``, as every call made before the sweep."""
-    eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta).full())
+    """One eigensolve of ``hessian(...)``, as every call made before the sweep."""
+    eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta))
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
@@ -325,10 +332,8 @@ class TestWeylSweep:
         for graph, op, upsilon, mask in requests:
             with pytest.raises((InputError, ParameterError)) as want:
                 tvgsr.hessian(mask, graph, op, upsilon, 0.1, 1.0)
-            for call in (lambda: _assemble(mask, graph, op, upsilon, 0.1, 1.0),
-                         lambda: tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)):
-                with pytest.raises(want.type, match=re.escape(str(want.value))):
-                    call()
+            with pytest.raises(want.type, match=re.escape(str(want.value))):
+                tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)
 
 
 class TestOneBufferAssembly:
@@ -340,11 +345,14 @@ class TestOneBufferAssembly:
         w = np.zeros((6, 6))
         w[0, 1] = w[1, 2] = w[2, 3] = w[3, 4] = w[1, 4] = 0.8
         graph = tvgsr.Graph(w + w.T, laplacian_kind=kind)
-        for step in (1, 2):
+        penalty = tvgsr.sobolev_power(graph.laplacian, epsilon, beta)
+        for step in (1, 2, 3):
             op = tvgsr.difference_operator(5, step)
             mask = tvgsr.random_entry_mask(6, 5, 0.5, step).mask
-            full = tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta).full()
-            assert _assemble(mask, graph, op, upsilon, epsilon, beta).tobytes() == full.tobytes()
+            ddt = op.matrix @ op.matrix.T
+            full = np.diag(mask.ravel(order="F")) + upsilon * np.kron(ddt, penalty)
+            assert tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta).tobytes() == \
+                full.tobytes()
 
     def test_holds_one_nm_by_nm_array(self):
         rng = np.random.default_rng(34)
@@ -354,14 +362,14 @@ class TestOneBufferAssembly:
         one_matrix = (30 * 40) ** 2 * 8
         tracemalloc.start()
         try:
-            _assemble(mask, graph, op, 0.5, 0.1, 1.0)
+            tvgsr.hessian(mask, graph, op, 0.5, 0.1, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert one_matrix <= peak < 1.5 * one_matrix
 
     def test_oracle_unchanged(self):
-        # in-test copy of the oracle on hessian(...).full(); equal to the last bit
+        # in-test copy of the oracle on hessian(...); equal to the last bit
         rng = np.random.default_rng(35)
         for trial in range(12):
             n, m = int(rng.integers(4, 9)), int(rng.integers(4, 8))
@@ -374,7 +382,7 @@ class TestOneBufferAssembly:
                                         temporal_step=1 + trial % 2, objective="sobolev")
             op = tvgsr.difference_operator(m, config.temporal_step)
             eigenvalues, eigenvectors = np.linalg.eigh(tvgsr.hessian(
-                mask, graph, op, config.upsilon, config.epsilon, config.beta).full())
+                mask, graph, op, config.upsilon, config.epsilon, config.beta))
             keep = eigenvalues > 1e-12 * eigenvalues[-1]
             coefficients = eigenvectors.T @ (mask * y).ravel(order="F")
             scaled = np.zeros_like(coefficients)

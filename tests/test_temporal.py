@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,37 @@ class TestDifferenceOperator:
         with pytest.raises(ParameterError):
             tvgsr.difference_operator(10, 4)
 
+    def test_matrix_is_read_only(self):
+        op = tvgsr.difference_operator(6, 2)
+        assert not op.matrix.flags.writeable
+        assert op.matrix is not op.matrix
+
+    def test_stores_no_dense_matrix(self):
+        tracemalloc.start()
+        try:
+            op = tvgsr.difference_operator(10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert op.n_differences == 10**6 - 1
+
+    def test_max_eigenvalue_matches_dense(self):
+        for s in (1, 2, 3):
+            for m in range(s + 1, 40):
+                op = tvgsr.difference_operator(m, s)
+                dense = np.linalg.eigvalsh(op.matrix @ op.matrix.T)[-1]
+                assert op.max_eigenvalue() == pytest.approx(dense, rel=1e-12)
+
+    def test_scatter_matches_dense(self):
+        rng = np.random.default_rng(3)
+        for s in (1, 2, 3):
+            for m in (s + 1, s + 2, 9):
+                op = tvgsr.difference_operator(m, s)
+                x = rng.normal(size=(5, m))
+                out = op.scatter(x, np.full_like(x, np.nan), np.full_like(x, np.nan))
+                assert np.allclose(out, x @ op.matrix @ op.matrix.T, rtol=0, atol=1e-14)
+
 
 class TestTemporalDifference:
     def test_constant_in_time_is_zero(self):
@@ -57,6 +90,15 @@ class TestTemporalDifference:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             tvgsr.temporal_difference(np.ones((3, 4)), tvgsr.difference_operator(5, 1))
+
+    def test_stencil_equals_dense_product_bitwise(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            s = int(rng.integers(1, 4))
+            m = int(rng.integers(max(2, s + 1), 321))
+            x = rng.normal(size=(int(rng.integers(1, 8)), m))
+            op = tvgsr.difference_operator(m, s)
+            assert tvgsr.temporal_difference(x, op).tobytes() == (x @ op.matrix).tobytes()
 
 
 class TestLocalVariation:
