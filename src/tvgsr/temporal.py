@@ -92,14 +92,16 @@ class TemporalOperator:
 def difference_operator(n_snapshots, step=1) -> TemporalOperator:
     """Build the s-step temporal difference operator for M snapshots.
 
-    Column j of D holds -1 at row j and +1 at row j+s; every column sums to
-    zero. Step 1 is the consecutive-difference operator; steps 2 and 3
-    compare snapshots two and three apart.
+    Column j holds -1 at row j and +1 at row j+s; every column sums to zero.
+    Step 1 is the consecutive-difference operator; steps 2 and 3 compare
+    snapshots two and three apart.
     """
     if step not in TEMPORAL_STEPS:
         raise ParameterError(f"step must be one of {TEMPORAL_STEPS}, got {step}")
     if n_snapshots <= step:
-        raise ParameterError(f"need more snapshots than the step ({n_snapshots} <= {step})")
+        raise ParameterError(
+            f"need more snapshots than the step ({n_snapshots} <= {step})"
+        )
     return TemporalOperator(n_snapshots=n_snapshots, step=step)
 
 
@@ -107,7 +109,9 @@ def temporal_difference(x, op: TemporalOperator) -> np.ndarray:
     """Column differences X @ D: column j equals x_{j+s} - x_j."""
     x = as_signal(x, min_snapshots=2)
     if x.shape[1] != op.n_snapshots:
-        raise InputError(f"signal has {x.shape[1]} snapshots but operator expects {op.n_snapshots}")
+        raise InputError(
+            f"signal has {x.shape[1]} snapshots but operator expects {op.n_snapshots}"
+        )
     return op.apply(x)
 
 
