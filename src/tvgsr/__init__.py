@@ -13,6 +13,7 @@ prints nothing unless the application configures logging.
 """
 
 import logging
+import types
 
 from .data import (
     Dataset,
@@ -105,75 +106,6 @@ __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-__all__ = [
-    "AggregateRow",
-    "ConvergenceComparison",
-    "Dataset",
-    "EigenvalueBounds",
-    "ExperimentPlan",
-    "ExperimentResult",
-    "Graph",
-    "InputError",
-    "NumericError",
-    "OracleSolution",
-    "ParameterError",
-    "ParseError",
-    "ResultRow",
-    "SamplingMask",
-    "SolveResult",
-    "SolveStats",
-    "SolverConfig",
-    "Spectrum",
-    "SweepPoint",
-    "TemporalOperator",
-    "TuneResult",
-    "TvgsrError",
-    "UniquenessCheck",
-    "WeylReport",
-    "alpha_smoothness_level",
-    "apply_mask",
-    "build_knn_graph",
-    "check_uniqueness",
-    "condition_number",
-    "condition_sweep",
-    "convergence_comparison",
-    "cumulative_to_daily",
-    "dense_oracle_solve",
-    "difference_operator",
-    "dirichlet_form",
-    "eigenvalue_penalization",
-    "forecasting_mask",
-    "gft",
-    "gradient",
-    "hessian",
-    "inverse_gft",
-    "laplacian",
-    "laplacian_quadratic",
-    "load_dataset",
-    "local_variation",
-    "mae",
-    "mape",
-    "mask_seed",
-    "objective",
-    "random_entry_mask",
-    "rmse",
-    "run_experiment",
-    "s2_time_varying",
-    "snapshot_mask",
-    "sobolev_norm",
-    "sobolev_power",
-    "sobolev_smoothness",
-    "solve_cg",
-    "solve_gr_static",
-    "solve_noiseless",
-    "spectrum",
-    "synth_dataset",
-    "synth_graph",
-    "synth_signal",
-    "temporal_difference",
-    "tune_parameters",
-    "weyl_bounds",
-    "weyl_sweep",
-    "write_aggregate_results",
-    "write_raw_results",
-]
+# Every public name the imports above bind; the submodules themselves are not exports.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

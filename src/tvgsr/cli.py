@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -212,15 +213,8 @@ def cmd_reconstruct(settings) -> int:
             f"graph has {graph.n_nodes} nodes but signal has {signal.shape[0]} rows"
         )
     mask, generated = _mask_from_flags(settings, *signal.shape)
-    config = SolverConfig(
-        upsilon=settings["upsilon"],
-        epsilon=settings["epsilon"],
-        beta=settings["beta"],
-        delta=settings["delta"],
-        max_iter=settings["max_iter"],
-        objective=settings["objective"],
-        temporal_step=settings["step"],
-    )
+    config = SolverConfig(objective=settings["objective"], **{
+        key: settings["step" if key == "temporal_step" else key] for key in _PLAN_METHOD_KEYS})
     result = reconstruct(signal, mask, graph, config)
 
     out = _prepare_out_dir(settings["out"])
@@ -313,8 +307,9 @@ def cmd_analyze(settings) -> int:
     return EXIT_OK
 
 
-_PLAN_METHOD_KEYS = {"upsilon": float, "epsilon": float, "beta": float, "delta": float,
-                     "max_iter": int, "temporal_step": int}
+# SolverConfig's fields and their casts; objective is set per method only
+_PLAN_METHOD_KEYS = {f.name: type(f.default) for f in fields(SolverConfig)
+                     if f.name != "objective"}
 _PLAN_KEYS = ("regime", "levels", "densities", "horizons", "methods", "repetitions", "base_seed",
               "signal_transform", *_PLAN_METHOD_KEYS)  # besides "<method>.<key>"
 

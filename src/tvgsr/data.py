@@ -64,13 +64,12 @@ def synth_graph(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE,
     return coords, graph
 
 
-def synth_signal(graph: Graph, n_snapshots, alpha, energy_first=SYNTH_FIRST_SNAPSHOT_ENERGY,
-                 seed=0, return_innovations=False):
+def synth_signal(graph: Graph, n_snapshots, alpha, seed=0, return_innovations=False):
     """Generate a smoothly evolving time-varying signal on a connected graph.
 
     The first snapshot lives in the span of the 10 lowest nonzero-frequency
     eigenvectors (standard Gaussian coefficients rescaled so the squared
-    norm equals ``energy_first``). Subsequent snapshots follow
+    norm equals ``SYNTH_FIRST_SNAPSHOT_ENERGY``). Subsequent snapshots follow
     x_t = x_{t-1} + L^{-1/2} f_t with L^{-1/2} = U diag(0, lambda_2^{-1/2},
     ...) U^T and every innovation f_t rescaled to have norm exactly alpha,
     so the per-difference Laplacian smoothness level never exceeds alpha^2.
@@ -82,8 +81,6 @@ def synth_signal(graph: Graph, n_snapshots, alpha, energy_first=SYNTH_FIRST_SNAP
         raise ParameterError(f"need at least 2 snapshots, got {n_snapshots}")
     if alpha < 0:
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    if energy_first <= 0:
-        raise ParameterError(f"energy_first must be > 0, got {energy_first}")
     spec = graph.spectrum()
     eigenvalues = spec.eigenvalues
     n = graph.n_nodes
@@ -97,7 +94,7 @@ def synth_signal(graph: Graph, n_snapshots, alpha, energy_first=SYNTH_FIRST_SNAP
     first_norm = float(np.linalg.norm(first))
     if first_norm == 0.0:
         raise ParameterError("degenerate draw for the first snapshot; use another seed")
-    first = first * (np.sqrt(energy_first) / first_norm)
+    first = first * (np.sqrt(SYNTH_FIRST_SNAPSHOT_ENERGY) / first_norm)
 
     inv_sqrt = np.zeros(n)
     inv_sqrt[1:] = np.clip(eigenvalues[1:], 1e-300, None) ** -0.5

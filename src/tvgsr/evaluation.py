@@ -20,7 +20,7 @@ from . import textio
 from .data import Dataset
 from .exceptions import InputError, NumericError, ParameterError
 from .sampling import REGIMES, forecasting_mask, random_entry_mask, snapshot_mask
-from .solvers import SolveResult, SolverConfig, solve_cg, solve_gr_static
+from .solvers import SolveResult, SolverConfig, _check_problem, solve_cg, solve_gr_static
 
 DEFAULT_UPSILON_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
@@ -166,6 +166,8 @@ def make_regime_mask(regime, n_nodes, n_snapshots, level, seed):
 def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     """Observe ``signal`` through the 0/1 array ``mask``, solve, and score the hidden entries.
 
+    The signal, mask and graph are checked first, as the solvers check
+    them; ``mask`` may also be a :class:`~tvgsr.sampling.SamplingMask`.
     The observations are ``mask * signal``; ``gr_static`` runs the
     per-snapshot :func:`solve_gr_static` and the temporal objectives the
     FR-CG :func:`solve_cg`. The returned :class:`SolveResult` carries
@@ -173,6 +175,7 @@ def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     truth, left out of ``mape``) and ``evaluated_entries``, all taken on
     ``mask == 0``; they are 0 when nothing is hidden.
     """
+    signal, mask = _check_problem(signal, mask, graph)
     observed = mask * signal
     if config.objective == "gr_static":
         result = solve_gr_static(observed, mask, graph, config)
@@ -270,16 +273,16 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
                             mask_digests=mask_digests)
 
 
-def write_raw_results(path, result: ExperimentResult, delimiter=textio.DELIMITER):
+def write_raw_results(path, result: ExperimentResult):
     rows = [(r.method, r.regime, r.level, r.repetition, r.rmse, r.mae, r.mape,
              r.iterations, r.wall_time_s, r.mape_excluded, r.termination) for r in result.rows]
-    textio.write_table(path, RAW_HEADER, rows, delimiter=delimiter)
+    textio.write_table(path, RAW_HEADER, rows)
 
 
-def write_aggregate_results(path, result: ExperimentResult, delimiter=textio.DELIMITER):
+def write_aggregate_results(path, result: ExperimentResult):
     rows = [(a.method, a.regime, a.level, a.repetitions, a.rmse, a.mae, a.mape,
              a.iterations, a.wall_time_s) for a in result.aggregates]
-    textio.write_table(path, AGGREGATE_HEADER, rows, delimiter=delimiter)
+    textio.write_table(path, AGGREGATE_HEADER, rows)
 
 
 @dataclass

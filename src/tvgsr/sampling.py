@@ -45,6 +45,11 @@ def as_mask_array(mask) -> np.ndarray:
     return mask
 
 
+def unsampled_nodes(mask) -> np.ndarray:
+    """Indices of the rows of a checked 0/1 mask array that no snapshot samples."""
+    return np.flatnonzero(~mask.any(axis=1))
+
+
 def _count(density, total) -> int:
     if not 0.0 <= density <= 1.0:
         raise ParameterError(f"density must lie in [0, 1], got {density}")
@@ -103,7 +108,7 @@ def check_uniqueness(mask) -> UniquenessCheck:
     every other snapshot. The first fiducial column found is reported.
     """
     mask = as_mask_array(mask)
-    condition1 = bool(np.all(mask.sum(axis=1) > 0))
+    condition1 = unsampled_nodes(mask).size == 0
     links = (mask.T @ mask) > 0
     np.fill_diagonal(links, True)
     fiducial = None

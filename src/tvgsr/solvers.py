@@ -38,7 +38,7 @@ from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
-from .sampling import as_mask_array
+from .sampling import as_mask_array, unsampled_nodes
 from .temporal import TEMPORAL_STEPS, as_signal, difference_operator
 
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
@@ -132,7 +132,6 @@ class SolveResult:
     loss_trace: np.ndarray
     termination: str  # "converged" or "max_iter"
     wall_time: float
-    error_trace: np.ndarray | None = None  # ||X^t - reference||_F when requested
     iterates: list | None = None
     unsampled_columns: tuple = ()
     stats: SolveStats | None = None  # FR-CG telemetry; solve_cg only
@@ -261,8 +260,7 @@ def gradient(x_tilde, y, mask, graph, config: SolverConfig) -> np.ndarray:
     return residual + config.upsilon * problem.smoothness_gradient(x_tilde)
 
 
-def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
-             record_iterates=False) -> SolveResult:
+def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
     """Conjugate-gradient solve of the noisy reconstruction problem.
 
     Starts from X = J o Y. Each iteration takes an exact line-search step
@@ -293,13 +291,8 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
     makes the Hessian singular along e_i kron 1; the solve then logs a
     warning on the ``tvgsr`` logger and returns one of the minimizers.
 
-    Parameters
-    ----------
-    reference : array, optional
-        When given, ``error_trace`` records ||X^t - reference||_F alongside
-        the objective trace.
-    record_iterates : bool
-        Keep a copy of every iterate (small problems only).
+    With ``record_iterates`` the result keeps a copy of every iterate
+    (small problems only).
     """
     if config.objective == "gr_static":
         raise ParameterError("use solve_gr_static for the per-snapshot baseline")
@@ -325,7 +318,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
     g -= observed
     actions = 1
     record[0, 0] = loss()
-    errors = None if reference is None else [float(np.linalg.norm(x - reference))]
     iterates = [x.copy()] if record_iterates else None
 
     g_sq = float(np.dot(gf, gf))
@@ -362,8 +354,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
         if iterations == len(record):
             record = np.concatenate([record, np.empty_like(record)])
         record[iterations, 0] = loss()
-        if errors is not None:
-            errors.append(float(np.linalg.norm(x - reference)))
         if iterates is not None:
             iterates.append(x.copy())
 
@@ -404,7 +394,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
         loss_trace=record[:iterations + 1, 0].copy(),
         termination="max_iter" if stop_reason == "max_iter" else "converged",
         wall_time=end - start,
-        error_trace=None if errors is None else np.asarray(errors),
         iterates=iterates,
         stats=stats,
     )
@@ -412,9 +401,8 @@ def solve_cg(y, mask, graph, config: SolverConfig, reference=None,
 
 def _warn_unsampled_nodes(mask):
     """Log a warning when some node is never sampled: H is then singular along e_i kron 1."""
-    sampled = mask.any(axis=1)
-    if not sampled.all():
-        missing = np.flatnonzero(~sampled)
+    missing = unsampled_nodes(mask)
+    if missing.size:
         _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
                      "along e_i kron 1 at each, so the reconstruction is not unique",
                      missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))

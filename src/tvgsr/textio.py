@@ -1,7 +1,7 @@
 """Delimited-text serialization for coordinates, signals, masks, tables, and manifests.
 
 All numeric output uses 17 significant digits so that values round-trip
-losslessly through text. The default delimiter is a comma.
+losslessly through text. Fields are separated by commas.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ def format_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _split(line: str, delimiter: str) -> list[str]:
-    return [tok.strip() for tok in line.rstrip("\n").split(delimiter)]
+def _split(line: str) -> list[str]:
+    return [tok.strip() for tok in line.rstrip("\n").split(DELIMITER)]
 
 
 def _is_numeric_row(tokens) -> bool:
@@ -34,18 +34,18 @@ def _is_numeric_row(tokens) -> bool:
     return True
 
 
-def write_matrix(path, matrix, header=None, delimiter=DELIMITER):
+def write_matrix(path, matrix, header=None):
     """Write a 2-D array, one row per line, optionally preceded by a header row."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     # one %-format per row gives format_float's bytes for every value
-    row_format = delimiter.replace("%", "%%").join(["%.17g"] * matrix.shape[1]) + "\n"
+    row_format = DELIMITER.join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
-            fh.write(delimiter.join(str(h) for h in header) + "\n")
+            fh.write(DELIMITER.join(str(h) for h in header) + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in matrix)
 
 
-def read_matrix(path, delimiter=DELIMITER) -> np.ndarray:
+def read_matrix(path) -> np.ndarray:
     """Read a numeric matrix; a leading non-numeric row is treated as a header.
 
     Blank lines are skipped and tokens may carry surrounding whitespace.
@@ -54,17 +54,17 @@ def read_matrix(path, delimiter=DELIMITER) -> np.ndarray:
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-    header = bool(first.strip()) and not _is_numeric_row(_split(first, delimiter))
+    header = bool(first.strip()) and not _is_numeric_row(_split(first))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # a file without data rows only warns
-            return np.loadtxt(path, delimiter=delimiter, comments=None, ndmin=2,
+            return np.loadtxt(path, delimiter=DELIMITER, comments=None, ndmin=2,
                               skiprows=int(header), encoding="utf-8")
     except (ValueError, UserWarning):
-        return _read_matrix_tokens(path, delimiter)
+        return _read_matrix_tokens(path)
 
 
-def _read_matrix_tokens(path, delimiter) -> np.ndarray:
+def _read_matrix_tokens(path) -> np.ndarray:
     """:func:`read_matrix` one token at a time, naming the first line and column it rejects."""
     rows = []
     width = None
@@ -72,7 +72,7 @@ def _read_matrix_tokens(path, delimiter) -> np.ndarray:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            tokens = _split(line, delimiter)
+            tokens = _split(line)
             if lineno == 1 and not _is_numeric_row(tokens):
                 continue  # auto-detected header
             try:
@@ -94,17 +94,17 @@ def _read_matrix_tokens(path, delimiter) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_coordinates(path, coords, node_ids=None, delimiter=DELIMITER):
+def write_coordinates(path, coords, node_ids=None):
     """Write one node per row with the required node_id,latitude,longitude header."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InputError(f"coordinates must be N x 2, got shape {coords.shape}")
     node_ids = range(coords.shape[0]) if node_ids is None else node_ids
     write_table(path, ("node_id", "latitude", "longitude"),
-                zip(map(str, node_ids), coords[:, 0], coords[:, 1]), delimiter)
+                zip(map(str, node_ids), coords[:, 0], coords[:, 1]))
 
 
-def read_coordinates(path, delimiter=DELIMITER):
+def read_coordinates(path):
     """Read a coordinate file.
 
     The header row is mandatory; node order in the file fixes the node index.
@@ -116,13 +116,13 @@ def read_coordinates(path, delimiter=DELIMITER):
         lines = [ln for ln in fh if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty coordinate file")
-    header = _split(lines[0], delimiter)
+    header = _split(lines[0])
     if len(header) != 3:
         raise ParseError(f"{path}: line 1: expected 3 header columns, found {len(header)}")
     if _is_numeric_row(header):
         raise ParseError(f"{path}: line 1: header row required (node_id,latitude,longitude)")
     for lineno, line in enumerate(lines[1:], start=2):
-        tokens = _split(line, delimiter)
+        tokens = _split(line)
         if len(tokens) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 3 columns, found {len(tokens)}")
         try:
@@ -136,20 +136,20 @@ def read_coordinates(path, delimiter=DELIMITER):
     return node_ids, np.asarray(rows, dtype=float)
 
 
-def write_mask(path, mask, delimiter=DELIMITER):
-    write_matrix(path, np.asarray(mask, dtype=float), delimiter=delimiter)
+def write_mask(path, mask):
+    write_matrix(path, np.asarray(mask, dtype=float))
 
 
-def read_mask(path, delimiter=DELIMITER) -> np.ndarray:
-    mask = read_matrix(path, delimiter=delimiter)
+def read_mask(path) -> np.ndarray:
+    mask = read_matrix(path)
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ParseError(f"{path}: mask entries must be 0 or 1")
     return mask
 
 
-def write_loss_trace(path, trace, delimiter=DELIMITER):
+def write_loss_trace(path, trace):
     """Write a loss trace as two columns: iteration index, loss value."""
-    write_table(path, ("iteration", "loss"), enumerate(np.asarray(trace, dtype=float)), delimiter)
+    write_table(path, ("iteration", "loss"), enumerate(np.asarray(trace, dtype=float)))
 
 
 def _cell(value) -> str:
@@ -157,11 +157,11 @@ def _cell(value) -> str:
     return format_float(value) if isinstance(value, (float, np.floating)) else str(value)
 
 
-def write_table(path, header, rows, delimiter=DELIMITER):
+def write_table(path, header, rows):
     """Write a table of heterogeneous rows; floats get the 17-digit treatment."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(delimiter.join(str(h) for h in header) + "\n")
-        fh.writelines(delimiter.join(map(_cell, row)) + "\n" for row in rows)
+        fh.write(DELIMITER.join(str(h) for h in header) + "\n")
+        fh.writelines(DELIMITER.join(map(_cell, row)) + "\n" for row in rows)
 
 
 def write_keyvalues(path, mapping):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -676,6 +677,7 @@ class TestPlanValues:
         ("methods=sobolev\nsobolev.epsilom=5\n", "sobolev.epsilom"),
         ("methods=sobolev\ntgsr.upsilon=5\n", "tgsr.upsilon"),
         ("methods=sobolev\nrepetition=5\n", "repetition"),
+        ("methods=sobolev\nobjective=tgsr\n", "objective"),
     ])
     def test_unknown_key_is_a_config_error(self, synth_dir, tmp_path, capsys, lines, key):
         plan_path = tmp_path / "plan.txt"
@@ -689,6 +691,19 @@ class TestPlanValues:
         assert code == 1
         assert f"{plan_path}: unknown plan key {key!r}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("scope", ["method", "global"])
+    @pytest.mark.parametrize("field", [f for f in dataclasses.fields(tvgsr.SolverConfig)
+                                       if f.name != "objective"], ids=lambda f: f.name)
+    def test_every_solver_setting_but_objective_is_a_plan_key(self, tmp_path, field, scope):
+        value = field.default + 1  # valid for each field, and not its default
+        key = f"sobolev.{field.name}" if scope == "method" else field.name
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(f"densities=0.5\nmethods=sobolev\n{key}={value}\n")
+        plan, _, _ = tvgsr.cli._parse_plan(plan_path)
+        config = plan.methods["sobolev"]
+        assert config == dataclasses.replace(tvgsr.SolverConfig(), **{field.name: value})
+        assert type(getattr(config, field.name)) is type(field.default)
 
     def test_integral_horizons_still_parse(self, tmp_path):
         plan_path = tmp_path / "plan.txt"

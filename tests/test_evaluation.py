@@ -372,3 +372,20 @@ class TestReconstruct:
         for config in self.CONFIGS:
             tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
         assert calls == ["solve_cg", "solve_cg", "solve_cg", "solve_gr_static"]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_mask_of_the_wrong_shape_is_an_input_error(self, small_setup, config):
+        dataset, graph = small_setup
+        mask = np.ones((dataset.n_nodes, dataset.n_snapshots - 1))
+        with pytest.raises(InputError, match="does not match signal shape"):
+            tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_sampling_mask_is_accepted(self, small_setup, config):
+        dataset, graph = small_setup
+        sampling = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5, 5)
+        got = tvgsr.evaluation.reconstruct(dataset.signal, sampling, graph, config)
+        want = self.check(dataset.signal, sampling.mask, graph, config)
+        assert np.array_equal(got.x_hat, want.x_hat)
+        assert (got.rmse, got.mae, got.mape, got.evaluated_entries) == \
+            (want.rmse, want.mae, want.mape, want.evaluated_entries)

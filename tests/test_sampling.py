@@ -3,6 +3,7 @@ import pytest
 
 import tvgsr
 from tvgsr import InputError, ParameterError
+from tvgsr.sampling import unsampled_nodes
 
 
 class TestRandomEntryMask:
@@ -98,6 +99,15 @@ class TestCheckUniqueness:
             mask = tvgsr.forecasting_mask(5, 6, horizon)
             check = tvgsr.check_uniqueness(mask)
             assert not check.condition2
+
+
+class TestUnsampledNodes:
+    def test_rows_without_a_sample(self):
+        mask = np.ones((6, 3))
+        mask[[1, 4]] = 0.0
+        mask[2, :2] = 0.0
+        assert unsampled_nodes(mask).tolist() == [1, 4]
+        assert unsampled_nodes(np.ones((6, 3))).size == 0
 
 
 class TestApplyMask:

@@ -328,10 +328,11 @@ class TestSolveCg:
         y = mask * rng.normal(size=(6, 4))
         config = SolverConfig(upsilon=0.5, epsilon=0.1, objective="sobolev")
         oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
-        result = tvgsr.solve_cg(y, mask, graph, config, reference=oracle.x_hat)
-        assert result.error_trace is not None
-        assert len(result.error_trace) == len(result.loss_trace)
-        assert result.error_trace[-1] < result.error_trace[0]
+        result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
+        errors = [np.linalg.norm(x - oracle.x_hat) for x in result.iterates]
+        assert result.iterates is not None
+        assert len(errors) == len(result.loss_trace)
+        assert errors[-1] < errors[0]
 
     def test_numeric_error_carries_iteration(self, geo_graph):
         # alternating huge snapshots make the squared gradient norm overflow

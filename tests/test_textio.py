@@ -40,7 +40,7 @@ class TestMatrixRoundTrip:
             textio.read_matrix(path)
 
     @pytest.mark.parametrize("shape", [(7, 9), (1, 9), (9, 1)])
-    @pytest.mark.parametrize("with_header, delimiter", [(False, ","), (True, ","), (True, "%")])
+    @pytest.mark.parametrize("with_header, delimiter", [(False, ","), (True, ",")])
     def test_bytes_equal_per_value_formatting(self, tmp_path, shape, with_header, delimiter):
         rng = np.random.default_rng(1)
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
@@ -53,9 +53,9 @@ class TestMatrixRoundTrip:
         if with_header:
             want = delimiter.join(header) + "\n" + want
         path = tmp_path / "m.csv"
-        textio.write_matrix(path, matrix, header=header, delimiter=delimiter)
+        textio.write_matrix(path, matrix, header=header)
         assert path.read_bytes() == want.encode("utf-8")
-        textio.write_mask(path, matrix > 0, delimiter=delimiter)
+        textio.write_mask(path, matrix > 0)
         assert path.read_text() == "".join(
             delimiter.join(textio.format_float(v) for v in row) + "\n"
             for row in (matrix > 0).astype(float))
@@ -96,7 +96,7 @@ def test_read_matrix_matches_token_reader(tmp_path, name):
             return str(exc)
         return matrix.dtype, matrix.shape, matrix.tobytes()
 
-    assert outcome(textio.read_matrix) == outcome(lambda p: textio._read_matrix_tokens(p, ","))
+    assert outcome(textio.read_matrix) == outcome(lambda p: textio._read_matrix_tokens(p))
 
 
 def test_well_formed_file_skips_the_token_reader(tmp_path, monkeypatch):

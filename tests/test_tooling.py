@@ -1,8 +1,14 @@
-"""The benchmark's trace mode wraps tvgsr attributes by name; a refactor must keep them."""
+"""Names that other code relies on: the package's exports and the attributes the benchmark wraps."""
 
+import ast
+import types
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import tvgsr
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "tvgsr"
 
 
 def test_perfbench_trace_wrappers_install_and_unwrap(monkeypatch):
@@ -19,3 +25,45 @@ def test_perfbench_trace_wrappers_install_and_unwrap(monkeypatch):
     finally:
         tracer.unwrap_all()
     assert all(getattr(module, attr) is original for module, attr, original in patches)
+
+
+def _relative_imports(path):
+    """Names bound by the ``from .x import (...)`` statements of a module."""
+    tree = ast.parse(path.read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+
+
+def test_all_is_exactly_the_relatively_imported_names():
+    imported = _relative_imports(PACKAGE / "__init__.py")
+    assert imported
+    assert tvgsr.__all__ == sorted(imported)
+    assert not any(isinstance(getattr(tvgsr, name), types.ModuleType) for name in tvgsr.__all__)
+    namespace = {}
+    exec("from tvgsr import *", namespace)
+    assert all(namespace[name] is getattr(tvgsr, name) for name in tvgsr.__all__)
+
+
+def _names_measure_reads_on_cli():
+    """``cli.<name>`` attributes and ``("tvgsr.cli", "<name>", ...)`` wrap targets in measure.py."""
+    names = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "measure.py").read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "cli":
+            names.add(node.attr)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2 and all(
+                isinstance(e, ast.Constant) for e in node.elts[:2]) \
+                and node.elts[0].value == "tvgsr.cli":
+            names.add(node.elts[1].value)
+    return names
+
+
+def test_cli_keeps_unused_imports_only_for_the_benchmark():
+    source = (PACKAGE / "cli.py").read_text()
+    lines = source.splitlines()
+    unused = [alias.asname or alias.name for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ImportFrom) for alias in node.names
+              if "# noqa: F401" in lines[alias.lineno - 1]]
+    read = _names_measure_reads_on_cli()
+    assert "main" in read
+    assert set(unused) <= read, sorted(set(unused) - read)
