@@ -15,7 +15,8 @@ gradient descent on the affine set J o X = Y.
 
 :class:`ProblemOperator` applies that action and the smoothness gradient,
 into the caller's array when given ``out=`` (bit-identical to the
-allocating call). The CG loop reuses buffers allocated once and reports
+allocating call); for integer beta the action adds upsilon * K V D D^T
+onto J o V in place. The CG loop reuses buffers allocated once and reports
 why it stopped and how it got there in a :class:`SolveStats`. Messages go
 to the ``tvgsr`` logger, which is silent unless logging is configured.
 
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, identity
+from scipy.linalg.blas import daxpy
+from scipy.sparse import _sparsetools, coo_matrix, csc_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
@@ -164,10 +166,17 @@ class ProblemOperator:
     :func:`sobolev_power`. D and D D^T are the column stencils of
     :class:`~tvgsr.temporal.TemporalOperator`.
 
-    The operator owns scratch buffers for the stencil and the mask product,
-    so one instance serves one solve at a time. With ``out=`` an action
-    writes into the caller's N x M array; the only N x M array it then
-    allocates is the one the sparse product ``K @ V`` returns.
+    For integer beta the operator also keeps upsilon * (L + epsilon*I) as a
+    second ``data`` array over the same CSR ``indptr`` and ``indices``. The
+    action then scatters V D D^T into scratch, applies the first beta - 1
+    factors there, writes J o V into the result, and adds upsilon * (L +
+    epsilon*I) times the scatter onto it in place, entry by stored entry in
+    CSR order. So the action allocates nothing of its own; only fractional
+    beta allocates, for its dense product.
+
+    The operator owns two scratch buffers, so one instance serves one solve
+    at a time. With ``out=`` an action writes into the caller's C-ordered
+    float N x M array, which may be ``v`` itself.
     """
 
     def __init__(self, graph: Graph, mask, config: SolverConfig):
@@ -177,9 +186,11 @@ class ProblemOperator:
         self.upsilon = config.upsilon
         if float(config.beta).is_integer():
             self._penalty = graph.laplacian_csr + config.epsilon * identity(n_nodes, format="csr")
+            self._scaled = self.upsilon * self._penalty.data  # upsilon * (L + eps*I), same pattern
             self._repeats = int(config.beta)
         else:
             self._penalty = sobolev_power(graph.laplacian, config.epsilon, config.beta)
+            self._scaled = None
             self._repeats = 1
 
     def penalty(self, v) -> np.ndarray:
@@ -195,16 +206,16 @@ class ProblemOperator:
 
     @cached_property
     def _scratch(self):
-        """Difference, scatter and mask-product buffers, allocated on first use.
+        """Two N x M buffers for the stencil and the penalty factors, allocated on first use.
 
         Callers that only need :meth:`smoothness`, such as :func:`objective`,
         never allocate them.
         """
-        return tuple(np.empty(self.mask.shape) for _ in range(3))
+        return np.empty(self.mask.shape), np.empty(self.mask.shape)
 
     def smoothness_gradient(self, x, out=None) -> np.ndarray:
         """(L + epsilon*I)^beta X D D^T, written into ``out`` when given."""
-        product = self.penalty(self.temporal.scatter(x, *self._scratch[:2]))
+        product = self.penalty(self.temporal.scatter(x, *self._scratch))
         if out is None:
             return product
         np.copyto(out, product)
@@ -214,17 +225,44 @@ class ProblemOperator:
         """J o V + upsilon * (L + epsilon*I)^beta V D D^T, written into ``out`` when given.
 
         ``out`` may be ``v`` itself. The result is bit-identical with and
-        without ``out``.
+        without ``out``: the allocating call makes its own ``out`` and runs
+        the same steps.
         """
-        masked = np.multiply(self.mask, v, out=self._scratch[2])
-        product = self.penalty(self.temporal.scatter(v, *self._scratch[:2]))
+        spare, lifted = self._scratch
+        self.temporal.scatter(v, spare, lifted)
+        for _ in range(self._repeats - 1):
+            spare.fill(0.0)
+            _add_product(self._penalty, self._penalty.data, lifted, spare)
+            spare, lifted = lifted, spare
         if out is None:
-            out = product
-            out *= self.upsilon
-        else:
-            np.multiply(product, self.upsilon, out=out)
-        out += masked
-        return out
+            out = np.empty(self.mask.shape)
+        if self._scaled is None:  # fractional beta: the dense power
+            product = self._penalty @ lifted
+            product *= self.upsilon
+            np.multiply(self.mask, v, out=out)
+            out += product
+            return out
+        np.multiply(self.mask, v, out=out)
+        return _add_product(self._penalty, self._scaled, lifted, out)
+
+
+def _add_product(matrix, data, v, out) -> np.ndarray:
+    """out += A V, where A has ``matrix``'s CSR pattern and the values ``data``.
+
+    Runs ``csr_matvecs``, the scipy kernel behind ``matrix @ v``: row i of
+    ``out`` gains ``data[k] * v[indices[k]]`` for each stored entry k of row
+    i, in CSR order. From a zeroed ``out`` the result is ``matrix @ v`` bit
+    for bit. The kernel trusts the sizes it is given, so they are checked
+    here. ``out`` must be a C-ordered float array; reshaping it raises
+    rather than let the kernel write into a copy.
+    """
+    n_rows, n_cols = matrix.shape
+    if v.shape[0] != n_cols or out.shape != (n_rows, v.shape[1]):
+        raise ValueError(f"cannot add a {matrix.shape} matrix times a {v.shape} array "
+                         f"into a {out.shape} array")
+    _sparsetools.csr_matvecs(n_rows, n_cols, v.shape[1], matrix.indptr, matrix.indices, data,
+                             v.ravel(), np.reshape(out, -1, copy=False))
+    return out
 
 
 def _residual(x_tilde, y, mask, graph):
@@ -277,16 +315,19 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     Each iteration makes one Hessian action, h = H d. The gradient follows
     the recurrence g <- g + mu h, and every 50 iterations it is replaced by
     the true residual H X - Y so that rounding cannot accumulate in it. The
-    loss comes without another action from the identity
+    loss costs no further action. Between refreshes it follows the exact
+    line search's decrease, f <- f - <d, g>^2 / (2 <d, H d>). At the start
+    and at every refresh it is recomputed from the identity
     f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2, which holds because supp(Y) lies
     inside J (the observations are J o Y). A solve of k iterations thus
     makes k + 1 + floor(k / 50) Hessian actions, one more if it stops on
     zero curvature.
 
     The iterate, gradient, direction and action live in buffers allocated
-    once, the actions write into them through ``out=``, and every inner
-    product is one ``np.dot`` on raveled views, so an iteration allocates
-    no N x M array of its own. ``stats`` holds the per-iteration
+    once, and the actions write into them through ``out=``. The updates
+    x <- x + mu d and g <- g + mu h are one BLAS ``daxpy`` each on raveled
+    views, and every inner product is one ``np.dot``. So with integer beta
+    an iteration allocates nothing. ``stats`` holds the per-iteration
     telemetry (see :class:`SolveStats`). A node that is never sampled
     makes the Hessian singular along e_i kron 1; the solve then logs a
     warning on the ``tvgsr`` logger and returns one of the minimizers.
@@ -302,22 +343,22 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
     problem = ProblemOperator(graph, mask, config)
     x = observed.copy()
-    g, d, h, work = (np.empty_like(x) for _ in range(4))
-    xf, gf, df, hf, wf, of = (a.ravel() for a in (x, g, d, h, work, observed))
+    g, d, h = (np.empty_like(x) for _ in range(3))
+    xf, gf, df, hf, of = (a.ravel() for a in (x, g, d, h, observed))
     half_observed_sq = 0.5 * float(np.dot(of, of))
     # row t: loss after t iterations, then grad_norm, dir_norm, mu, gamma of iteration t
     record = np.empty((min(config.max_iter, _RECORD_CHUNK) + 1, 5))
     restarts = []
 
-    def loss():
-        np.subtract(gf, of, out=wf)
-        return 0.5 * float(np.dot(xf, wf)) + half_observed_sq
+    def loss():  # the identity, with h as its scratch: h is free until the next action
+        np.subtract(gf, of, out=hf)
+        return 0.5 * float(np.dot(xf, hf)) + half_observed_sq
 
     start = time.perf_counter()
     problem.hessian_action(x, out=g)
     g -= observed
     actions = 1
-    record[0, 0] = loss()
+    f = record[0, 0] = loss()
     iterates = [x.copy()] if record_iterates else None
 
     g_sq = float(np.dot(gf, gf))
@@ -343,17 +384,19 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
             stop_reason = "zero_curvature"
             break
         mu = -slope / denominator
-        x += np.multiply(d, mu, out=work)
+        daxpy(df, xf, a=mu)  # x += mu d
         iterations = t + 1
         if iterations % _RESIDUAL_REFRESH == 0:
             problem.hessian_action(x, out=g)
             actions += 1
             g -= observed
+            f = loss()
         else:
-            g += np.multiply(h, mu, out=work)
+            daxpy(hf, gf, a=mu)  # g += mu h
+            f -= slope ** 2 / (2.0 * denominator)  # the exact line search's decrease
         if iterations == len(record):
             record = np.concatenate([record, np.empty_like(record)])
-        record[iterations, 0] = loss()
+        record[iterations, 0] = f
         if iterates is not None:
             iterates.append(x.copy())
 

@@ -137,7 +137,22 @@ def read_coordinates(path):
 
 
 def write_mask(path, mask):
-    write_matrix(path, np.asarray(mask, dtype=float))
+    """Write a 0/1 mask with :func:`write_matrix`'s bytes.
+
+    When every entry is +0.0 or 1.0, the text is filled into one byte buffer
+    and written in one call. Any other entry, ``-0.0`` (written ``-0``)
+    included, takes :func:`write_matrix`.
+    """
+    mask = np.atleast_2d(np.asarray(mask, dtype=float))
+    ones = mask == 1.0
+    if mask.shape[1] == 0 or not np.all(ones | ((mask == 0.0) & ~np.signbit(mask))):
+        write_matrix(path, mask)
+        return
+    text = np.full((mask.shape[0], 2 * mask.shape[1]), ord(DELIMITER), dtype=np.uint8)
+    text[:, 0::2] = ones.view(np.uint8) + ord("0")
+    text[:, -1] = ord("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def read_mask(path) -> np.ndarray:

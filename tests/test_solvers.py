@@ -598,22 +598,28 @@ def long_cg_problem():
 
 
 def allocating_action(graph, mask, config, v):
-    """The Hessian action as a chain of fresh arrays: zero-filled scatter, then K, upsilon, J."""
+    """The Hessian action as fresh arrays: zero-filled scatter, all but the last factor of K,
+    then J o V plus each stored entry of upsilon * K, row by row in CSR order.
+
+    Fractional beta scales its dense product by upsilon and adds it to J o V.
+    """
     s = config.temporal_step
-    if float(config.beta).is_integer():
-        shifted = graph.laplacian_csr + config.epsilon * scipy.sparse.identity(
-            graph.n_nodes, format="csr")
-        penalty = [shifted] * int(config.beta)
-    else:
-        penalty = [tvgsr.sobolev_power(graph.laplacian, config.epsilon, config.beta)]
     diff = v[:, s:] - v[:, :-s]
-    action = np.zeros_like(v)
-    action[:, :-s] -= diff
-    action[:, s:] += diff
-    for factor in penalty:
-        action = factor @ action
-    action *= config.upsilon
-    action += mask * v
+    scattered = np.zeros_like(v)
+    scattered[:, :-s] -= diff
+    scattered[:, s:] += diff
+    action = mask * v
+    if not float(config.beta).is_integer():
+        penalty = tvgsr.sobolev_power(graph.laplacian, config.epsilon, config.beta)
+        return action + config.upsilon * (penalty @ scattered)
+    shifted = graph.laplacian_csr + config.epsilon * scipy.sparse.identity(
+        graph.n_nodes, format="csr")
+    for _ in range(int(config.beta) - 1):
+        scattered = shifted @ scattered
+    scaled = config.upsilon * shifted.data
+    for row in range(graph.n_nodes):
+        for k in range(shifted.indptr[row], shifted.indptr[row + 1]):
+            action[row] += scaled[k] * scattered[shifted.indices[k]]
     return action
 
 
@@ -674,6 +680,32 @@ class TestProblemOperator:
                     scale = np.abs(dense).max() * np.abs(v).max()
                     assert np.abs(action - expected).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_add_product_into_zeros_is_the_sparse_product(self, index_dtype, m):
+        rng = np.random.default_rng(39)
+        matrix = scipy.sparse.random(9, 7, density=0.4, format="csr", random_state=40)
+        matrix = scipy.sparse.csr_matrix(matrix.toarray() * (np.arange(9) != 4)[:, None])
+        matrix.indptr = matrix.indptr.astype(index_dtype)
+        matrix.indices = matrix.indices.astype(index_dtype)
+        assert matrix.indptr[4] == matrix.indptr[5]  # row 4 stores no entry
+        v = rng.normal(size=(7, m))
+        out = np.zeros((9, m))
+        assert tvgsr.solvers._add_product(matrix, matrix.data, v, out) is out
+        assert np.array_equal(out, matrix @ v)
+        transposed = np.zeros((5, 9)).T  # no flat view: the kernel would write into a copy
+        with pytest.raises(ValueError):
+            tvgsr.solvers._add_product(matrix, matrix.data, rng.normal(size=(7, 5)), transposed)
+        for rows, columns in ((6, m), (9, m + 1)):  # sizes the kernel would read past
+            with pytest.raises(ValueError):
+                tvgsr.solvers._add_product(matrix, matrix.data, v[:rows], np.zeros((9, columns)))
+
+    def test_daxpy_updates_the_raveled_buffers_in_place(self):
+        x, d = np.zeros((6, 4)), np.ones((6, 4))
+        xf = x.ravel()
+        assert tvgsr.solvers.daxpy(d.ravel(), xf, a=0.5) is xf
+        assert np.all(x == 0.5)
+
     def test_isolated_node_gets_epsilon(self):
         graph = graph_with_isolated_node("combinatorial")
         mask = np.zeros((6, 4))
@@ -706,6 +738,15 @@ class TestProblemOperator:
         for loss, x in zip(result.loss_trace, result.iterates):
             exact = tvgsr.objective(x, y, mask, graph, config)
             assert abs(loss - exact) <= 1e-10 * abs(exact)
+
+    def test_loss_recurrence_tracks_the_objective(self):
+        # between refreshes the loss falls by the line search's exact decrease
+        y, mask, graph, config = long_cg_problem()
+        result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
+        assert result.iterations > 2 * 50
+        for loss, x in zip(result.loss_trace, result.iterates):
+            exact = tvgsr.objective(x, y, mask, graph, config)
+            assert abs(loss - exact) <= 1e-12 * abs(exact)
 
     def test_refresh_keeps_solution_at_oracle(self):
         y, mask, graph, config = long_cg_problem()

@@ -136,6 +136,25 @@ class TestMask:
         textio.write_mask(path, mask)
         assert np.array_equal(textio.read_mask(path), mask)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (5, 9), (265, 302)])
+    def test_write_mask_bytes_are_write_matrix_bytes(self, tmp_path, shape):
+        rng = np.random.default_rng(7)
+        binary = (rng.random(shape) < 0.5).astype(float)
+        signed = np.where(binary > 0, 1.0, -0.0)
+        signed.flat[0] = -0.0
+        non_binary = binary.copy()
+        non_binary.flat[-1] = 0.5
+        cases = {"zeros": np.zeros(shape), "ones": np.ones(shape), "binary": binary,
+                 "bool": binary > 0, "negative zero": signed, "non-binary": non_binary}
+        written = {}
+        for name, mask in cases.items():
+            textio.write_mask(tmp_path / "mask.csv", mask)
+            textio.write_matrix(tmp_path / "matrix.csv", np.asarray(mask, dtype=float))
+            written[name] = (tmp_path / "mask.csv").read_bytes()
+            assert written[name] == (tmp_path / "matrix.csv").read_bytes(), name
+        assert b"-0" in written["negative zero"]
+        assert b"0.5" in written["non-binary"]
+
     def test_non_binary_rejected(self, tmp_path):
         path = tmp_path / "j.csv"
         path.write_text("0.5,1\n0,1\n")

@@ -67,3 +67,24 @@ def test_cli_keeps_unused_imports_only_for_the_benchmark():
     read = _names_measure_reads_on_cli()
     assert "main" in read
     assert set(unused) <= read, sorted(set(unused) - read)
+
+
+def _private_scipy_imports(path):
+    """Parts starting with ``_`` of the scipy modules and names that a module imports."""
+    private = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            private.update(part for part in node.module.split(".") if part.startswith("_"))
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Import):
+            private.update(part for alias in node.names if alias.name.split(".")[0] == "scipy"
+                           for part in alias.name.split(".") if part.startswith("_"))
+    return private
+
+
+def test_the_one_private_scipy_kernel_stays_in_solvers():
+    modules = sorted(PACKAGE.glob("*.py"))
+    imports = {path.name: _private_scipy_imports(path) for path in modules}
+    assert {name: found for name, found in imports.items() if found} == \
+        {"solvers.py": {"_sparsetools"}}
+    assert [path.name for path in modules if "_sparsetools" in path.read_text()] == ["solvers.py"]
