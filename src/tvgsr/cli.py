@@ -243,7 +243,7 @@ def cmd_reconstruct(settings) -> int:
     if result.unsampled_columns:
         metrics["unsampled_columns"] = ",".join(str(c) for c in result.unsampled_columns)
     if settings["oracle_check"]:
-        oracle = dense_oracle_solve(mask * signal, mask, graph, config)
+        oracle = dense_oracle_solve(signal, mask, graph, config)
         scale = max(float(np.linalg.norm(oracle.x_hat)), 1e-300)
         metrics["oracle_rel_diff"] = float(np.linalg.norm(result.x_hat - oracle.x_hat)) / scale
         metrics["oracle_singular"] = oracle.singular

@@ -12,19 +12,20 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from . import textio
 from .data import Dataset
 from .exceptions import InputError, NumericError, ParameterError
-from .sampling import REGIMES, forecasting_mask, random_entry_mask, snapshot_mask
-from .solvers import SolveResult, SolverConfig, _check_problem, solve_cg, solve_gr_static
+from .sampling import REGIMES, as_mask_array, forecasting_mask, random_entry_mask, snapshot_mask
+from .solvers import SolveResult, SolverConfig, solve_cg, solve_gr_static
 
 DEFAULT_UPSILON_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0)
 
+# the columns of raw_results.csv and aggregate_results.csv: ResultRow's and AggregateRow's fields
 RAW_HEADER = ("method", "regime", "density_or_horizon", "repetition",
               "rmse", "mae", "mape", "iterations", "wall_time_s", "mape_excluded",
               "termination")
@@ -125,9 +126,9 @@ class ResultRow:
     rmse: float
     mae: float
     mape: float
-    mape_excluded: int
     iterations: int
     wall_time_s: float
+    mape_excluded: int
     termination: str
 
 
@@ -166,26 +167,22 @@ def make_regime_mask(regime, n_nodes, n_snapshots, level, seed):
 def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     """Observe ``signal`` through the 0/1 array ``mask``, solve, and score the hidden entries.
 
-    The signal, mask and graph are checked first, as the solvers check
-    them; ``mask`` may also be a :class:`~tvgsr.sampling.SamplingMask`.
-    The observations are ``mask * signal``; ``gr_static`` runs the
-    per-snapshot :func:`solve_gr_static` and the temporal objectives the
-    FR-CG :func:`solve_cg`. The returned :class:`SolveResult` carries
-    ``rmse``, ``mae``, ``mape``, ``mape_excluded`` (hidden entries with zero
-    truth, left out of ``mape``) and ``evaluated_entries``, all taken on
-    ``mask == 0``; they are 0 when nothing is hidden.
+    ``gr_static`` runs the per-snapshot :func:`solve_gr_static` and the
+    temporal objectives the FR-CG :func:`solve_cg`. The solver gets the
+    signal itself, checks it with the mask and graph once, and observes
+    ``mask * signal``; ``mask`` may be a :class:`~tvgsr.sampling.SamplingMask`.
+    The returned :class:`SolveResult` carries ``rmse``, ``mae``, ``mape``,
+    ``mape_excluded`` (hidden entries with zero truth, left out of ``mape``)
+    and ``evaluated_entries``, all taken on ``mask == 0``; they are 0 when
+    nothing is hidden.
     """
-    signal, mask = _check_problem(signal, mask, graph)
-    observed = mask * signal
-    if config.objective == "gr_static":
-        result = solve_gr_static(observed, mask, graph, config)
-    else:
-        result = solve_cg(observed, mask, graph, config)
-    hidden = mask == 0
+    solve = solve_gr_static if config.objective == "gr_static" else solve_cg
+    result = solve(signal, mask, graph, config)
+    hidden = as_mask_array(mask) == 0
     result.evaluated_entries = int(hidden.sum())
     result.rmse, result.mae, result.mape, result.mape_excluded = 0.0, 0.0, 0.0, 0
     if result.evaluated_entries:
-        estimate, truth = result.x_hat[hidden], signal[hidden]
+        estimate, truth = result.x_hat[hidden], np.asarray(signal, dtype=float)[hidden]
         result.rmse, result.mae = rmse(estimate, truth), mae(estimate, truth)
         result.mape, result.mape_excluded = mape(estimate, truth, with_count=True)
     return result
@@ -217,9 +214,9 @@ def _evaluate_cell(plan, dataset, graph, level, repetition):
             rmse=result.rmse,
             mae=result.mae,
             mape=result.mape,
-            mape_excluded=result.mape_excluded,
             iterations=result.iterations,
             wall_time_s=result.wall_time,
+            mape_excluded=result.mape_excluded,
             termination=result.termination,
         )
     return (level, repetition), digest, per_method
@@ -274,15 +271,11 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
 
 
 def write_raw_results(path, result: ExperimentResult):
-    rows = [(r.method, r.regime, r.level, r.repetition, r.rmse, r.mae, r.mape,
-             r.iterations, r.wall_time_s, r.mape_excluded, r.termination) for r in result.rows]
-    textio.write_table(path, RAW_HEADER, rows)
+    textio.write_table(path, RAW_HEADER, [astuple(row) for row in result.rows])
 
 
 def write_aggregate_results(path, result: ExperimentResult):
-    rows = [(a.method, a.regime, a.level, a.repetitions, a.rmse, a.mae, a.mape,
-             a.iterations, a.wall_time_s) for a in result.aggregates]
-    textio.write_table(path, AGGREGATE_HEADER, rows)
+    textio.write_table(path, AGGREGATE_HEADER, [astuple(row) for row in result.aggregates])
 
 
 @dataclass

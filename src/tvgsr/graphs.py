@@ -327,8 +327,10 @@ def sobolev_power(laplacian_matrix, epsilon, beta) -> np.ndarray:
 
     Integer beta <= 4 uses direct matrix products, which avoids a full
     eigendecomposition on large graphs; any other beta is evaluated
-    spectrally as U diag((lambda + epsilon)^beta) U^T with eigenvalues
-    clipped at zero to absorb PSD round-off.
+    spectrally as U diag((lambda + epsilon)^beta) U^T, with eigenvalues
+    clipped at zero; shifted ones at or below N * eps_machine times the
+    largest are null up to rounding and set to zero, which the power would
+    otherwise lift (1e-16 becomes 1e-8 at beta = 0.5).
     """
     matrix = _check_symmetric(laplacian_matrix, "Laplacian")
     if epsilon < 0:
@@ -341,5 +343,6 @@ def sobolev_power(laplacian_matrix, epsilon, beta) -> np.ndarray:
     else:
         spec = spectrum(matrix)
         shifted = np.clip(spec.eigenvalues, 0.0, None) + epsilon
+        shifted[shifted <= n * np.finfo(float).eps * shifted[-1]] = 0.0
         power = (spec.eigenvectors * shifted**beta) @ spec.eigenvectors.T
     return 0.5 * (power + power.T)

@@ -13,12 +13,14 @@ whose exact line search uses the Hessian action J o V + upsilon * K V D D^T
 on the search direction. The noiseless problem is solved by projected
 gradient descent on the affine set J o X = Y.
 
-:class:`ProblemOperator` applies that action and the smoothness gradient,
-into the caller's array when given ``out=`` (bit-identical to the
-allocating call); for integer beta the action adds upsilon * K V D D^T
-onto J o V in place. The CG loop reuses buffers allocated once and reports
-why it stopped and how it got there in a :class:`SolveStats`. Messages go
-to the ``tvgsr`` logger, which is silent unless logging is configured.
+:class:`ProblemOperator` applies that action and the smoothness gradient
+K X D D^T through one body, into the caller's array when given ``out=``
+(bit-identical to the allocating call): it writes J o V, or zeros for the
+gradient, and adds upsilon * K V D D^T, or K X D D^T, onto it in place.
+Both loops reuse buffers allocated once, so an iteration of either
+allocates nothing. The CG loop reports why it stopped and how it got there
+in a :class:`SolveStats`. Messages go to the ``tvgsr`` logger, which is
+silent unless logging is configured.
 
 Solvers are deterministic given identical inputs; independent solves may run
 concurrently over shared immutable graphs. A ProblemOperator holds scratch
@@ -145,9 +147,9 @@ class SolveResult:
     evaluated_entries: int | None = None
 
 
-def _check_problem(y, mask, graph, min_snapshots=1):
+def _check_problem(y, mask, graph):
     mask = as_mask_array(mask)
-    y = as_signal(y, min_snapshots=min_snapshots)
+    y = as_signal(y)
     if mask.shape != y.shape:
         raise InputError(f"mask shape {mask.shape} does not match signal shape {y.shape}")
     if y.shape[0] != graph.n_nodes:
@@ -158,28 +160,34 @@ def _check_problem(y, mask, graph, min_snapshots=1):
 class ProblemOperator:
     """Matrix-free operators of one temporal reconstruction problem.
 
-    Applies the Sobolev penalty K = (L + epsilon*I)^beta, the difference
-    operator D and the Hessian action J o V + upsilon * K V D D^T without
-    forming an N x N or M x M product. Integer beta repeats the CSR action
-    of L + epsilon*I, with epsilon written on every diagonal entry so that
-    isolated nodes get it too; fractional beta multiplies by the dense
-    :func:`sobolev_power`. D and D D^T are the column stencils of
-    :class:`~tvgsr.temporal.TemporalOperator`.
+    Applies K = (L + epsilon*I)^beta, the difference operator D, the Hessian
+    action J o V + upsilon * K V D D^T and the smoothness gradient K X D D^T
+    without forming an N x N or M x M product. Integer beta repeats the CSR
+    action of L + epsilon*I, with epsilon on every diagonal entry so that
+    isolated nodes get it too, and keeps upsilon * (L + epsilon*I) as a
+    second ``data`` array over the same pattern; fractional beta multiplies
+    by the dense :func:`sobolev_power`. D and D D^T are the stencils of
+    :class:`~tvgsr.temporal.TemporalOperator`. A ``gr_static`` config, which
+    has no temporal term, raises :class:`ParameterError`.
 
-    For integer beta the operator also keeps upsilon * (L + epsilon*I) as a
-    second ``data`` array over the same CSR ``indptr`` and ``indices``. The
-    action then scatters V D D^T into scratch, applies the first beta - 1
-    factors there, writes J o V into the result, and adds upsilon * (L +
-    epsilon*I) times the scatter onto it in place, entry by stored entry in
-    CSR order. So the action allocates nothing of its own; only fractional
-    beta allocates, for its dense product.
+    The action and the gradient run one body, which allocates nothing: it
+    scatters V D D^T into scratch, applies the first beta - 1 factors there,
+    writes J o V (action) or zeros (gradient) into the result, and adds the
+    last factor, upsilon * K or K, times the scatter onto it in place, in
+    CSR order; fractional beta writes its dense product into the free
+    scratch buffer and adds that. :meth:`smoothness` keeps its own K (X D)
+    on the N x (M - s) differences, since <X, K X D D^T> would cancel terms
+    of the size of |X| |G|.
 
     The operator owns two scratch buffers, so one instance serves one solve
-    at a time. With ``out=`` an action writes into the caller's C-ordered
-    float N x M array, which may be ``v`` itself.
+    at a time. With ``out=`` the action and the gradient write into the
+    caller's C-ordered float N x M array, which may be their input itself.
     """
 
     def __init__(self, graph: Graph, mask, config: SolverConfig):
+        if config.objective == "gr_static":
+            raise ParameterError("the temporal solvers handle temporal objectives only; "
+                                 "use solve_gr_static for the per-snapshot baseline")
         n_nodes, n_snapshots = mask.shape
         self.temporal = difference_operator(n_snapshots, config.temporal_step)
         self.mask = mask
@@ -193,16 +201,12 @@ class ProblemOperator:
             self._scaled = None
             self._repeats = 1
 
-    def penalty(self, v) -> np.ndarray:
-        """(L + epsilon*I)^beta V, as a new array."""
-        for _ in range(self._repeats):
-            v = self._penalty @ v
-        return v
-
     def smoothness(self, x) -> float:
         """tr((X D)^T (L + epsilon*I)^beta (X D))."""
-        diff = self.temporal.apply(x)
-        return float(np.sum(diff * self.penalty(diff)))
+        diff = product = self.temporal.apply(x)
+        for _ in range(self._repeats):
+            product = self._penalty @ product
+        return float(np.sum(diff * product))
 
     @cached_property
     def _scratch(self):
@@ -215,11 +219,7 @@ class ProblemOperator:
 
     def smoothness_gradient(self, x, out=None) -> np.ndarray:
         """(L + epsilon*I)^beta X D D^T, written into ``out`` when given."""
-        product = self.penalty(self.temporal.scatter(x, *self._scratch))
-        if out is None:
-            return product
-        np.copyto(out, product)
-        return out
+        return self._apply(x, out, hessian=False)
 
     def hessian_action(self, v, out=None) -> np.ndarray:
         """J o V + upsilon * (L + epsilon*I)^beta V D D^T, written into ``out`` when given.
@@ -228,6 +228,10 @@ class ProblemOperator:
         without ``out``: the allocating call makes its own ``out`` and runs
         the same steps.
         """
+        return self._apply(v, out, hessian=True)
+
+    def _apply(self, v, out, hessian) -> np.ndarray:
+        """The one body of the action (``hessian``) and of the gradient; see the class."""
         spare, lifted = self._scratch
         self.temporal.scatter(v, spare, lifted)
         for _ in range(self._repeats - 1):
@@ -236,14 +240,18 @@ class ProblemOperator:
             spare, lifted = lifted, spare
         if out is None:
             out = np.empty(self.mask.shape)
-        if self._scaled is None:  # fractional beta: the dense power
-            product = self._penalty @ lifted
-            product *= self.upsilon
+        if hessian:
             np.multiply(self.mask, v, out=out)
-            out += product
+        else:
+            out.fill(0.0)
+        if self._scaled is None:  # fractional beta: the dense power, into the free scratch
+            np.matmul(self._penalty, lifted, out=spare)
+            if hessian:
+                spare *= self.upsilon
+            out += spare
             return out
-        np.multiply(self.mask, v, out=out)
-        return _add_product(self._penalty, self._scaled, lifted, out)
+        return _add_product(self._penalty, self._scaled if hessian else self._penalty.data,
+                            lifted, out)
 
 
 def _add_product(matrix, data, v, out) -> np.ndarray:
@@ -326,22 +334,26 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     The iterate, gradient, direction and action live in buffers allocated
     once, and the actions write into them through ``out=``. The updates
     x <- x + mu d and g <- g + mu h are one BLAS ``daxpy`` each on raveled
-    views, and every inner product is one ``np.dot``. So with integer beta
-    an iteration allocates nothing. ``stats`` holds the per-iteration
+    views, and every inner product is one ``np.dot``. So an iteration
+    allocates nothing. ``stats`` holds the per-iteration
     telemetry (see :class:`SolveStats`). A node that is never sampled
     makes the Hessian singular along e_i kron 1; the solve then logs a
-    warning on the ``tvgsr`` logger and returns one of the minimizers.
+    warning on the ``tvgsr`` logger and goes on. It returns the minimum-norm
+    minimizer: the start J o Y and every gradient H X - J o Y are orthogonal
+    to H's null space, so X never gains a component along e_i kron 1.
 
     With ``record_iterates`` the result keeps a copy of every iterate
     (small problems only).
     """
-    if config.objective == "gr_static":
-        raise ParameterError("use solve_gr_static for the per-snapshot baseline")
     entry = time.perf_counter()
-    y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
-    _warn_unsampled_nodes(mask)
-    observed = mask * y  # the observation model guarantees supp(Y) within the mask
+    y, mask = _check_problem(y, mask, graph)
     problem = ProblemOperator(graph, mask, config)
+    missing = unsampled_nodes(mask)
+    if missing.size:
+        _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
+                     "along e_i kron 1 at each, so the reconstruction is not unique",
+                     missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))
+    observed = mask * y  # the observation model guarantees supp(Y) within the mask
     x = observed.copy()
     g, d, h = (np.empty_like(x) for _ in range(3))
     xf, gf, df, hf, of = (a.ravel() for a in (x, g, d, h, observed))
@@ -442,15 +454,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     )
 
 
-def _warn_unsampled_nodes(mask):
-    """Log a warning when some node is never sampled: H is then singular along e_i kron 1."""
-    missing = unsampled_nodes(mask)
-    if missing.size:
-        _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
-                     "along e_i kron 1 at each, so the reconstruction is not unique",
-                     missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))
-
-
 def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
                     record_iterates=False) -> SolveResult:
     """Projected-gradient solve of the equality-constrained (noiseless) problem.
@@ -464,17 +467,15 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
     lambda_max(L) comes from the sparse :meth:`Graph.max_eigenvalue`.
     Stops when ||X^{t+1} - X^t||_F <= delta or at max_iter.
 
-    Each iteration applies the penalty once, for the gradient
-    G = (L + epsilon*I)^beta X D D^T, written into a reused buffer; the
-    loss of X is read from the same gradient as 1/2 <X, G>.
+    Each iteration computes the gradient G = (L + epsilon*I)^beta X D D^T
+    once, into a reused buffer, and reads the loss of X from it as
+    1/2 <X, G>. An iteration allocates nothing.
     """
-    if config.objective == "gr_static":
-        raise ParameterError("the noiseless solver handles temporal objectives only")
-    y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
+    y, mask = _check_problem(y, mask, graph)
+    problem = ProblemOperator(graph, mask, config)
     if not np.any(mask > 0):
         raise InputError("mask selects no entries")
     observed = mask * y
-    problem = ProblemOperator(graph, mask, config)
 
     if step is None:
         lam_graph = max(graph.max_eigenvalue(), 0.0)

@@ -247,7 +247,7 @@ def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
     """
     if config.objective == "gr_static":
         raise ParameterError("the dense oracle covers the temporal objectives only")
-    y, mask = _check_problem(y, mask, graph, min_snapshots=config.temporal_step + 1)
+    y, mask = _check_problem(y, mask, graph)
     n, m = y.shape
     op = difference_operator(m, config.temporal_step)
     eigenvalues, eigenvectors = np.linalg.eigh(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -141,6 +142,14 @@ class TestRunExperiment:
         expected = [(m, l, r) for m in ("tgsr", "sobolev") for l in (0.4, 0.7)
                     for r in range(2)]
         assert keys == expected
+
+    def test_table_rows_list_their_fields_in_header_order(self):
+        columns = {"density_or_horizon": "level"}
+        for row, header in ((tvgsr.evaluation.ResultRow, tvgsr.evaluation.RAW_HEADER),
+                            (tvgsr.evaluation.AggregateRow,
+                             tvgsr.evaluation.AGGREGATE_HEADER)):
+            assert [f.name for f in dataclasses.fields(row)] == \
+                [columns.get(name, name) for name in header]
 
     def test_forecasting_regime(self, small_setup):
         dataset, graph = small_setup
@@ -372,6 +381,22 @@ class TestReconstruct:
         for config in self.CONFIGS:
             tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
         assert calls == ["solve_cg", "solve_cg", "solve_cg", "solve_gr_static"]
+
+    @pytest.mark.parametrize("config", CONFIGS[:3])
+    def test_a_temporal_solve_checks_its_inputs_once(self, small_setup, config, monkeypatch):
+        # gr_static's loss comes from objective(), which checks its own inputs
+        dataset, graph = small_setup
+        original = tvgsr.solvers._check_problem
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(tvgsr.solvers, "_check_problem", counting)
+        mask = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5, 6).mask
+        tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_mask_of_the_wrong_shape_is_an_input_error(self, small_setup, config):

@@ -53,9 +53,10 @@ def dense_hessian(graph, mask, config):
 def well_posed(graph, mask, config):
     """The Hessian's condition number is at most 1e6, so 1e-6 relative accuracy is in reach.
 
-    An unsampled snapshot at epsilon=0 leaves a null direction that rounding
-    in (L + epsilon*I)^beta turns into an eigenvalue near 1e-10, which the
-    oracle's 1e-12 singularity rule does not catch.
+    This also leaves out singular Hessians, such as the one of an unsampled
+    snapshot at epsilon=0 or of a never-sampled node. The oracle flags those
+    and returns the minimum-norm solution; tests/test_solvers.py checks that
+    solve_cg reaches it.
     """
     eigenvalues = np.linalg.eigvalsh(dense_hessian(graph, mask, config))
     return eigenvalues[0] >= 1e-6 * eigenvalues[-1]

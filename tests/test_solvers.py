@@ -213,13 +213,13 @@ class TestSolveNoiseless:
             if done:
                 break
         applications = []
-        original = tvgsr.solvers.ProblemOperator.penalty
+        original = tvgsr.solvers.ProblemOperator.smoothness_gradient
 
-        def counting(self, v):
+        def counting(self, x, out=None):
             applications.append(1)
-            return original(self, v)
+            return original(self, x, out=out)
 
-        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "penalty", counting)
+        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "smoothness_gradient", counting)
         result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
         assert result.iterations == len(expected) - 1
         assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
@@ -237,6 +237,50 @@ class TestSolveNoiseless:
         y = np.ones((geo_graph.n_nodes, 3))
         with pytest.raises(ParameterError):
             tvgsr.solve_noiseless(y, np.ones_like(y), geo_graph, SolverConfig(), step=-1.0)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+    def test_iterations_allocate_no_signal_sized_array(self, beta, monkeypatch):
+        y, mask, graph, config = allocation_problem(beta, max_iter=12)
+        growth = iteration_growth(monkeypatch, "smoothness_gradient",
+                                  lambda: tvgsr.solve_noiseless(y, mask, graph, config))
+        assert len(growth) == 11
+        assert max(growth) < y.nbytes
+
+
+def allocation_problem(beta, max_iter):
+    rng = np.random.default_rng(42)
+    n, m = 200, 50
+    graph = connected_geometric_graph(rng, n, 5)
+    graph.laplacian_csr
+    mask = tvgsr.random_entry_mask(n, m, 0.5, 43).mask
+    y = mask * rng.normal(size=(n, m))
+    config = SolverConfig(upsilon=0.01, epsilon=0.1, beta=beta, objective="sobolev",
+                          max_iter=max_iter, delta=1e-300)
+    return y, mask, graph, config
+
+
+def iteration_growth(monkeypatch, method, solve):
+    """Traced bytes each iteration allocates above its start, from the second iteration on.
+
+    ``method`` is the ProblemOperator method that runs once per iteration, so
+    the span from one call's entry to the next covers a whole iteration. The
+    first span also holds the operator's scratch buffers and is left out.
+    """
+    original = getattr(tvgsr.solvers.ProblemOperator, method)
+    entries = []
+
+    def measuring(self, v, out=None):
+        entries.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return original(self, v, out=out)
+
+    monkeypatch.setattr(tvgsr.solvers.ProblemOperator, method, measuring)
+    tracemalloc.start()
+    try:
+        solve()
+    finally:
+        tracemalloc.stop()
+    return [peak - start for (start, _), (_, peak) in zip(entries[1:], entries[2:])]
 
 
 class TestSolveCg:
@@ -345,10 +389,40 @@ class TestSolveCg:
             with pytest.raises(NumericError, match="iteration"):
                 tvgsr.solve_cg(y, mask, geo_graph, config)
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_never_sampled_node_gives_the_minimum_norm_minimizer(self, beta, epsilon):
+        # e_i kron 1 is a null direction of H; J o Y and every gradient are orthogonal
+        # to it, so CG never moves along it.
+        config = SolverConfig(upsilon=0.5, epsilon=epsilon, beta=beta, delta=1e-12)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            graph = connected_geometric_graph(rng, 6, 2)
+            mask = uniqueness_mask(rng, 6, 5).copy()
+            node = rng.integers(6)
+            mask[node] = 0.0
+            y = mask * rng.normal(size=mask.shape)
+            oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+            result = tvgsr.solve_cg(y, mask, graph, config)
+            assert oracle.singular
+            assert result.termination == "converged"
+            scale = np.linalg.norm(oracle.x_hat)
+            assert np.linalg.norm(result.x_hat - oracle.x_hat) <= 1e-8 * scale
+            assert abs(result.x_hat[node].sum()) <= 1e-10 * scale
+
     def test_gr_static_objective_rejected(self, geo_graph):
         y = np.ones((geo_graph.n_nodes, 3))
         with pytest.raises(ParameterError):
             tvgsr.solve_cg(y, np.ones_like(y), geo_graph, SolverConfig(objective="gr_static"))
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+    def test_iterations_allocate_no_signal_sized_array(self, beta, monkeypatch):
+        # iterations 50 and 100 refresh the gradient with a second action
+        y, mask, graph, config = allocation_problem(beta, max_iter=120)
+        growth = iteration_growth(monkeypatch, "hessian_action",
+                                  lambda: tvgsr.solve_cg(y, mask, graph, config))
+        assert len(growth) == 121
+        assert max(growth) < y.nbytes
 
     @pytest.mark.parametrize("objective, beta", [("tgsr", 1.0), ("sobolev", 2.0)])
     def test_integer_beta_allocates_no_dense_matrix(self, objective, beta):
@@ -567,6 +641,24 @@ class TestDenseOracle:
         oracle = tvgsr.dense_oracle_solve(y, mask, geo_graph,
                                           SolverConfig(upsilon=1.0, objective="tgsr"))
         assert oracle.singular
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5])
+    def test_unsampled_snapshot_at_zero_epsilon_is_singular(self, beta):
+        # The node-constant signal on a snapshot without samples is a null direction of
+        # the Hessian at epsilon=0; (L + 0*I)^beta must not lift it to a rounding-level
+        # positive eigenvalue, which the oracle would then divide by.
+        config = SolverConfig(upsilon=0.05, epsilon=0.0, beta=beta, delta=1e-10)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            graph = random_geometric_graph(rng, 3, 2)
+            mask = (rng.random((3, 8)) < 0.7).astype(float)
+            mask[:, rng.integers(8)] = 0.0
+            y = mask * rng.normal(size=mask.shape)
+            oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+            result = tvgsr.solve_cg(y, mask, graph, config)
+            assert oracle.singular
+            error = np.linalg.norm(result.x_hat - oracle.x_hat)
+            assert error <= 1e-8 * np.linalg.norm(oracle.x_hat)
 
     def test_size_guard(self):
         rng = np.random.default_rng(22)

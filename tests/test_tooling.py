@@ -88,3 +88,16 @@ def test_the_one_private_scipy_kernel_stays_in_solvers():
     assert {name: found for name, found in imports.items() if found} == \
         {"solvers.py": {"_sparsetools"}}
     assert [path.name for path in modules if "_sparsetools" in path.read_text()] == ["solvers.py"]
+
+
+def _private_package_imports(path):
+    """``_``-prefixed names that a module imports from another tvgsr module."""
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_only_spectral_imports_private_names_from_other_modules():
+    imports = {path.name: _private_package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in imports.items() if found} == \
+        {"spectral.py": {"_check_symmetric", "_check_problem"}}
