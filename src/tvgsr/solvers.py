@@ -284,7 +284,11 @@ def _residual(x_tilde, y, mask, graph):
 
 def objective(x_tilde, y, mask, graph, config: SolverConfig) -> float:
     """Objective value for the configured reconstruction problem."""
-    x_tilde, mask, residual = _residual(x_tilde, y, mask, graph)
+    return _loss(*_residual(x_tilde, y, mask, graph), graph, config)
+
+
+def _loss(x_tilde, mask, residual, graph, config: SolverConfig) -> float:
+    """:func:`objective` on checked arrays and their residual J o X - Y."""
     data_term = 0.5 * float(np.sum(residual * residual))
     if config.upsilon == 0.0:
         return data_term
@@ -581,7 +585,7 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     return SolveResult(
         x_hat=x_hat,
         iterations=0,
-        loss_trace=np.asarray([objective(x_hat, observed, mask, graph, config)]),
+        loss_trace=np.asarray([_loss(x_hat, mask, mask * x_hat - observed, graph, config)]),
         termination="converged",
         wall_time=time.perf_counter() - start,
         unsampled_columns=tuple(skipped),

@@ -18,9 +18,11 @@ def tool():
 
 
 def write_run(directory, workload, seed, op_s, setup_s=0.05, rss=88.0, trace=False,
-              src_lines=2900, correct=True, failed=0):
+              src_lines=2900, correct=True, failed=0, calibration=None):
     run = {"workload": workload, "seed": seed, "trace": trace, "correct": correct,
            "failed": failed, "attempted": 30, "facts": {"src_lines": src_lines}}
+    if calibration is not None:
+        run["calibration_ms"] = calibration
     if trace:
         run["metrics"] = {"solvers.iteration_ms": {"value": 1.5, "unit": "ms"}}
     else:
@@ -52,6 +54,20 @@ def test_folds_untraced_runs_per_workload(tool, tmp_path):
                                                "unit": "MB"}
     assert analyze["metrics"]["op_s_p50"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "unit": "s"}
     assert not analyze["correct"]
+
+
+def test_calibration_folds_only_when_every_run_has_samples(tool, tmp_path):
+    samples = {1: [0.8, 0.9], 2: [1.2, 1.0, 1.1], 3: [0.7, 0.5], 4: [0.9, 1.3]}
+    runs = [write_run(tmp_path, "analyze", seed, 1.0, calibration=samples[seed])
+            for seed in samples]
+    runs.append(write_run(tmp_path, "analyze", 5, 1.0, trace=True))  # traced: not folded
+    runs.append(write_run(tmp_path, "covid-shaped", 1, 0.5, calibration=[0.8, 0.9]))
+    runs.append(write_run(tmp_path, "covid-shaped", 2, 0.5))  # an older result.json
+    analyze, covid = tool.fold(tool.load_runs(runs), "c1")
+    # per-run medians 0.85, 1.1, 0.6 and 1.1; across runs: median 0.975, quartiles 0.7875, 1.1
+    assert analyze["calibration_ms"] == pytest.approx({"median": 0.975, "q1": 0.7875,
+                                                       "q3": 1.1})
+    assert "calibration_ms" not in covid
 
 
 def test_refolding_replaces_and_new_seeds_append(tool, tmp_path):

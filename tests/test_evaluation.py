@@ -398,6 +398,20 @@ class TestReconstruct:
         tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, config)
         assert len(calls) == 1
 
+    def test_a_gr_static_solve_checks_its_inputs_once(self, small_setup, monkeypatch):
+        dataset, graph = small_setup
+        original = tvgsr.solvers._check_problem
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(tvgsr.solvers, "_check_problem", counting)
+        mask = tvgsr.random_entry_mask(dataset.n_nodes, dataset.n_snapshots, 0.5, 6).mask
+        tvgsr.evaluation.reconstruct(dataset.signal, mask, graph, self.CONFIGS[3])
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("config", CONFIGS)
     def test_mask_of_the_wrong_shape_is_an_input_error(self, small_setup, config):
         dataset, graph = small_setup

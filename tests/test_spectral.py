@@ -1,9 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import tvgsr
 from tvgsr import InputError, ParameterError
@@ -246,15 +252,15 @@ def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
-    """Count np.linalg.eigvalsh calls on matrices of a given order."""
+    """Count scipy.linalg.eigh calls, which every Hessian eigensolve makes, by matrix order."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
+    eigh = scipy.linalg.eigh
 
     def counting(matrix, *args, **kwargs):
         calls.append(np.shape(matrix)[0])
-        return eigvalsh(matrix, *args, **kwargs)
+        return eigh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
     return calls
 
 
@@ -391,6 +397,105 @@ class TestOneBufferAssembly:
             got = tvgsr.dense_oracle_solve(y, mask, graph, config)
             assert np.array_equal(got.x_hat, want)
             assert got.singular == (not np.all(keep))
+
+
+def numpy_oracle(y, mask, graph, config):
+    """In-test copy of the oracle through np.linalg.eigh, which copies the Hessian first."""
+    n, m = y.shape
+    op = tvgsr.difference_operator(m, config.temporal_step)
+    eigenvalues, eigenvectors = np.linalg.eigh(tvgsr.hessian(
+        mask, graph, op, config.upsilon, config.epsilon, config.beta))
+    keep = eigenvalues > 1e-12 * eigenvalues[-1]
+    coefficients = eigenvectors.T @ (mask * y).ravel(order="F")
+    scaled = np.zeros_like(coefficients)
+    scaled[keep] = coefficients[keep] / eigenvalues[keep]
+    return (eigenvectors @ scaled).reshape((n, m), order="F"), not np.all(keep)
+
+
+def isolated_node_problem(kind, step):
+    """Six nodes, node 5 isolated and unsampled in snapshot 0: singular at epsilon = 0."""
+    w = np.zeros((6, 6))
+    w[0, 1] = w[1, 2] = w[2, 3] = w[3, 4] = w[1, 4] = 0.8
+    graph = tvgsr.Graph(w + w.T, laplacian_kind=kind)
+    mask = tvgsr.random_entry_mask(6, 7, 0.6, step).mask.copy()
+    mask[5] = 1.0
+    mask[5, 0] = 0.0
+    return graph, tvgsr.difference_operator(7, step), mask
+
+
+class TestInPlaceEigensolve:
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+    def test_sweep_bits_equal_numpy(self, kind, step, beta):
+        graph, op, mask = isolated_node_problem(kind, step)
+        grid = [0.0, 0.1]
+        got = tvgsr.weyl_sweep(graph, op, 0.3, beta, grid, mask)
+        want = [per_epsilon_weyl(graph, op, 0.3, e, beta, mask) for e in grid]
+        assert got == want
+
+        def extremes(reports):
+            return np.array([(r.laplacian.lambda_min, r.laplacian.lambda_max,
+                              r.sobolev.lambda_min, r.sobolev.lambda_max) for r in reports])
+
+        assert extremes(got).tobytes() == extremes(want).tobytes()
+        assert got[0].sobolev.kappa == math.inf  # the singular epsilon = 0 Hessian
+        assert tvgsr.condition_sweep(graph, op, 0.3, beta, grid, mask) == \
+            per_epsilon_condition_sweep(graph, op, 0.3, beta, grid, mask)
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0])
+    def test_oracle_bits_equal_numpy(self, kind, step, beta):
+        graph, _, mask = isolated_node_problem(kind, step)
+        y = np.random.default_rng(step).normal(size=mask.shape)
+        for epsilon in (0.0, 0.1):
+            config = tvgsr.SolverConfig(upsilon=0.3, epsilon=epsilon, beta=beta,
+                                        temporal_step=step, objective="sobolev")
+            want, singular = numpy_oracle(y, mask, graph, config)
+            got = tvgsr.dense_oracle_solve(y, mask, graph, config)
+            assert got.x_hat.tobytes() == want.tobytes()
+            assert got.singular == singular
+            assert singular or epsilon > 0.0  # node 5's unsampled entry at epsilon = 0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_condition_number_leaves_its_argument(self, order):
+        graph, op, mask = isolated_node_problem("combinatorial", 1)
+        matrix = np.asarray(tvgsr.hessian(mask, graph, op, 0.3, 0.1, 1.0), order=order)
+        before = matrix.copy(order=order)
+        tvgsr.condition_number(matrix)
+        assert matrix.tobytes(order="A") == before.tobytes(order="A")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+    def test_sweep_grows_peak_rss_by_one_nm_by_nm_array(self):
+        # A fresh process, since the peak only grows. Its VmHWM, not ru_maxrss: on Linux,
+        # ru_maxrss starts from the resident size of the process that started it.
+        script = textwrap.dedent("""
+            import warnings
+            import numpy as np
+            import tvgsr
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+            warnings.simplefilter("ignore")
+            rng = np.random.default_rng(36)
+            graph = tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(40, 2)), 4)
+            op = tvgsr.difference_operator(40, 1)
+            mask = tvgsr.random_entry_mask(40, 40, 0.5, 1).mask
+            tvgsr.weyl_sweep(graph, tvgsr.difference_operator(4, 1), 0.5, 1.0, [0.1], mask[:, :4])
+            before = peak_kib()
+            tvgsr.weyl_sweep(graph, op, 0.5, 1.0, [0.1], mask)
+            print(1024 * (peak_kib() - before))
+        """)
+        src = str(Path(tvgsr.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        one_matrix = 1600 ** 2 * 8  # numpy's eigvalsh copy made this 2.04 arrays
+        assert int(done.stdout) < 1.5 * one_matrix
 
 
 class TestEigenvaluePenalization:

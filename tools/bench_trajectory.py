@@ -10,7 +10,11 @@ runs are grouped by workload, and each group becomes one entry: the commit,
 the workload, the seeds, the run count, the ``src/`` line count the runs
 recorded, whether every run was correct, the failed operations, and the
 median and quartiles across runs of ``op_s_p50``, ``setup_s`` and
-``peak_rss_mb``. An entry replaces an earlier one with the same commit,
+``peak_rss_mb``. When every run of the group recorded ``calibration_ms``
+samples (a fixed BLAS product timed before and after the window: how fast
+the machine ran), the entry also holds the median and quartiles across runs
+of each run's median sample, so entries measured at different times can be
+told apart from machine drift. An entry replaces an earlier one with the same commit,
 workload and seeds; any other is appended. ``--commit`` defaults to
 ``git describe --always --dirty`` of the repository, so runs of an
 uncommitted tree are labelled ``<parent>-dirty``.
@@ -74,6 +78,9 @@ def fold(runs, commit):
                         for name in METRICS},
             "source": "perfbench",
         })
+        if all(run.get("calibration_ms") for run in group):
+            entries[-1]["calibration_ms"] = summary(
+                [statistics.median(run["calibration_ms"]) for run in group])
     return entries
 
 
