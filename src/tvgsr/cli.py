@@ -4,12 +4,19 @@ Each command declares its settings once, in :data:`COMMANDS`: a table of
 ``name -> (cast, default[, choices][, help])``. The table generates the
 argparse flags (``--`` plus the name with ``_`` as ``-``), and :func:`main`
 resolves every setting from the flag, else the ``--config`` key=value file,
-else the default, before it calls the command's handler with them. A config
-key that is not a setting, nor one that ``config.txt`` echoes besides the
-settings, is a config error. Each
-command echoes its resolved settings into ``config.txt`` inside the output
-directory, in table order, so runs can be reproduced exactly. Exit codes:
-0 success, 1 usage/config error, 2 I/O or parse error, 3 numeric failure.
+else the default. A config key that is not a setting, nor one that
+``config.txt`` echoes besides the settings, is a config error.
+
+:func:`main` owns every command's ``--out`` and ``config.txt``. It requires
+``--out``, and rejects a setting that ``config.txt`` cannot carry (see
+:func:`tvgsr.textio.check_keyvalue`). It then calls the handler with the
+settings and an output-path helper, which creates the directory on its first
+use. Last it echoes the settings, in table order and then the keys the
+handler added, into ``config.txt``, so runs can be reproduced exactly. Each
+handler runs everything that can fail before its first write, so a command
+that fails on its inputs or in its computation leaves no output directory.
+Exit codes: 0 success, 1 usage/config error, 2 I/O or parse error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -92,33 +99,29 @@ def _resolve(args, config_map, name, cast, default):
     return default
 
 
-def _prepare_out_dir(path):
-    os.makedirs(path, exist_ok=True)
+def _output(out_dir):
+    """``path(name)`` of a file in ``out_dir``, which the first call creates."""
+    def path(name):
+        os.makedirs(out_dir, exist_ok=True)
+        return os.path.join(out_dir, name)
     return path
-
-
-def _echo_config(out_dir, command, settings):
-    """Write ``config.txt``; unset (None) settings are left out so --config can read it back."""
-    echo = {"command": command}
-    echo.update((key, value) for key, value in settings.items() if value is not None)
-    textio.write_keyvalues(os.path.join(out_dir, "config.txt"), echo)
 
 
 def _build_graph_from_flags(settings):
     if settings.get("adjacency"):
         weights = textio.read_matrix(settings["adjacency"])
         return Graph(weights, laplacian_kind=settings["laplacian"])
+    if not settings["coords"]:
+        raise _UsageError("--coords or --adjacency is required" if "adjacency" in settings
+                          else "--coords is required")
     _, coords = textio.read_coordinates(settings["coords"])
     return build_knn_graph(coords, settings["k"], laplacian_kind=settings["laplacian"])
 
 
-def cmd_build_graph(settings) -> int:
-    if not settings["coords"] or not settings["out"]:
-        raise _UsageError("build-graph requires --coords and --out")
+def cmd_build_graph(settings, path):
     graph = _build_graph_from_flags(settings)
-    out = _prepare_out_dir(settings["out"])
-    textio.write_matrix(os.path.join(out, "adjacency.csv"), graph.adjacency)
-    textio.write_keyvalues(os.path.join(out, "manifest.txt"), {
+    textio.write_matrix(path("adjacency.csv"), graph.adjacency)
+    textio.write_keyvalues(path("manifest.txt"), {
         "n_nodes": graph.n_nodes,
         "k": settings["k"],
         "laplacian_kind": graph.laplacian_kind,
@@ -127,22 +130,17 @@ def cmd_build_graph(settings) -> int:
         "n_components": graph.n_components,
         "provenance": settings["coords"],
     })
-    _echo_config(out, "build-graph", settings)
-    return EXIT_OK
 
 
-def cmd_synth(settings) -> int:
-    if not settings["out"]:
-        raise _UsageError("synth requires --out")
+def cmd_synth(settings, path):
     dataset, graph = synth_dataset(
         n_nodes=settings["n"], side=settings["side"], k=settings["k"],
         n_snapshots=settings["snapshots"], alpha=settings["alpha"],
         seed=settings["seed"], laplacian_kind=settings["laplacian"])
-    out = _prepare_out_dir(settings["out"])
-    textio.write_coordinates(os.path.join(out, "coords.csv"), dataset.coords)
-    textio.write_matrix(os.path.join(out, "signal.csv"), dataset.signal)
-    textio.write_matrix(os.path.join(out, "adjacency.csv"), graph.adjacency)
-    textio.write_keyvalues(os.path.join(out, "manifest.txt"), {
+    textio.write_coordinates(path("coords.csv"), dataset.coords)
+    textio.write_matrix(path("signal.csv"), dataset.signal)
+    textio.write_matrix(path("adjacency.csv"), graph.adjacency)
+    textio.write_keyvalues(path("manifest.txt"), {
         "name": "synthetic",
         "units": "a.u.",
         "n_nodes": settings["n"],
@@ -154,18 +152,11 @@ def cmd_synth(settings) -> int:
         "connected": graph.is_connected,
         "provenance": "synthetic generator",
     })
-    _echo_config(out, "synth", settings)
-    return EXIT_OK
 
 
 def _mask_from_flags(settings, n_nodes, n_snapshots):
-    if settings.get("mask"):
-        mask = textio.read_mask(settings["mask"])
-        if mask.shape != (n_nodes, n_snapshots):
-            raise InputError(
-                f"mask shape {mask.shape} does not match signal shape {(n_nodes, n_snapshots)}"
-            )
-        return mask, False
+    if settings.get("mask"):  # the solvers check its shape
+        return textio.read_mask(settings["mask"]), False
     regime = settings.get("regime")
     if not regime:
         raise _UsageError("either --mask or --regime is required")
@@ -176,9 +167,7 @@ def _mask_from_flags(settings, n_nodes, n_snapshots):
     return mask.mask, True
 
 
-def cmd_sample(settings) -> int:
-    if not settings["out"]:
-        raise _UsageError("sample requires --out")
+def cmd_sample(settings, path):
     if settings["signal"]:
         signal = textio.read_matrix(settings["signal"])
         n_nodes, n_snapshots = signal.shape
@@ -187,44 +176,26 @@ def cmd_sample(settings) -> int:
     else:
         raise _UsageError("sample needs --signal or both --n-nodes and --snapshots")
     mask, _ = _mask_from_flags(settings, n_nodes, n_snapshots)
-    out = _prepare_out_dir(settings["out"])
-    textio.write_mask(os.path.join(out, "mask.csv"), mask)
     check = check_uniqueness(mask)
+    textio.write_mask(path("mask.csv"), mask)
     settings.update({
         "n_nodes": n_nodes,
         "snapshots": n_snapshots,
         "uniqueness_condition1": check.condition1,
         "uniqueness_condition2": check.condition2,
     })
-    _echo_config(out, "sample", settings)
-    return EXIT_OK
 
 
-def cmd_reconstruct(settings) -> int:
-    if not settings["signal"] or not settings["out"]:
-        raise _UsageError("reconstruct requires --signal and --out")
-    if not settings["coords"] and not settings["adjacency"]:
-        raise _UsageError("reconstruct requires --coords or --adjacency")
-
+def cmd_reconstruct(settings, path):
+    if not settings["signal"]:
+        raise _UsageError("reconstruct requires --signal")
     signal = textio.read_matrix(settings["signal"])
     graph = _build_graph_from_flags(settings)
-    if graph.n_nodes != signal.shape[0]:
-        raise InputError(
-            f"graph has {graph.n_nodes} nodes but signal has {signal.shape[0]} rows"
-        )
     mask, generated = _mask_from_flags(settings, *signal.shape)
     config = SolverConfig(objective=settings["objective"], **{
         key: settings["step" if key == "temporal_step" else key] for key in _PLAN_METHOD_KEYS})
+    oracle = dense_oracle_solve(signal, mask, graph, config) if settings["oracle_check"] else None
     result = reconstruct(signal, mask, graph, config)
-
-    out = _prepare_out_dir(settings["out"])
-    textio.write_matrix(os.path.join(out, "x_hat.csv"), result.x_hat)
-    textio.write_loss_trace(os.path.join(out, "loss_trace.csv"), result.loss_trace)
-    if generated:
-        textio.write_mask(os.path.join(out, "mask.csv"), mask)
-    if result.stats is not None:
-        textio.write_table(os.path.join(out, "trace.csv"), TRACE_HEADER,
-                           result.stats.rows())
 
     metrics = {
         "rmse": result.rmse,
@@ -242,28 +213,25 @@ def cmd_reconstruct(settings) -> int:
         metrics["hessian_actions"] = result.stats.hessian_actions
     if result.unsampled_columns:
         metrics["unsampled_columns"] = ",".join(str(c) for c in result.unsampled_columns)
-    if settings["oracle_check"]:
-        oracle = dense_oracle_solve(signal, mask, graph, config)
+    if oracle is not None:
         scale = max(float(np.linalg.norm(oracle.x_hat)), 1e-300)
         metrics["oracle_rel_diff"] = float(np.linalg.norm(result.x_hat - oracle.x_hat)) / scale
         metrics["oracle_singular"] = oracle.singular
-    textio.write_keyvalues(os.path.join(out, "metrics.txt"), metrics)
-    _echo_config(out, "reconstruct", settings)
-    return EXIT_OK
+    textio.write_matrix(path("x_hat.csv"), result.x_hat)
+    textio.write_loss_trace(path("loss_trace.csv"), result.loss_trace)
+    if generated:
+        textio.write_mask(path("mask.csv"), mask)
+    if result.stats is not None:
+        textio.write_table(path("trace.csv"), TRACE_HEADER, result.stats.rows())
+    textio.write_keyvalues(path("metrics.txt"), metrics)
 
 
-def cmd_analyze(settings) -> int:
-    if not settings["out"]:
-        raise _UsageError("analyze requires --out")
-    if not settings["coords"] and not settings["adjacency"]:
-        raise _UsageError("analyze requires --coords or --adjacency")
+def cmd_analyze(settings, path):
     if settings["mask"] and settings["snapshots"] is not None:
         raise _UsageError("--snapshots sizes a generated mask; a --mask file fixes its own")
     graph = _build_graph_from_flags(settings)
-    if settings["mask"]:
+    if settings["mask"]:  # spectral.hessian checks its rows
         mask = textio.read_mask(settings["mask"])
-        if mask.shape[0] != graph.n_nodes:
-            raise InputError(f"mask has {mask.shape[0]} rows, graph has {graph.n_nodes} nodes")
     else:
         if not settings["snapshots"]:
             raise _UsageError("analyze needs --mask or --snapshots (to generate one)")
@@ -281,11 +249,10 @@ def cmd_analyze(settings) -> int:
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
     op = difference_operator(mask.shape[1], settings["step"])
-
-    out = _prepare_out_dir(settings["out"])
     # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
     reports = weyl_sweep(graph, op, settings["upsilon"], settings["beta"], epsilon_grid, mask)
-    textio.write_table(os.path.join(out, "condition_sweep.csv"),
+    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
+    textio.write_table(path("condition_sweep.csv"),
                        ("epsilon", "kappa_sobolev", "kappa_laplacian"),
                        [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in reports])
 
@@ -297,14 +264,10 @@ def cmd_analyze(settings) -> int:
     weyl_rows = [(name, epsilon, b.lambda_max, b.lambda_min, b.max_bracket[0], b.max_bracket[1],
                   b.min_bracket[0], b.min_bracket[1], b.premise_holds, b.max_within,
                   b.min_within) for name, epsilon, b in rows]
-    textio.write_table(os.path.join(out, "weyl_report.csv"), weyl_header, weyl_rows)
-
-    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
+    textio.write_table(path("weyl_report.csv"), weyl_header, weyl_rows)
     pen_header = ["beta"] + [f"lambda_{i + 1}" for i in range(graph.n_nodes)]
     pen_rows = [[beta_grid[j]] + list(penalties[:, j]) for j in range(len(beta_grid))]
-    textio.write_table(os.path.join(out, "eigenvalue_penalization.csv"), pen_header, pen_rows)
-    _echo_config(out, "analyze", settings)
-    return EXIT_OK
+    textio.write_table(path("eigenvalue_penalization.csv"), pen_header, pen_rows)
 
 
 # SolverConfig's fields and their casts; objective is set per method only
@@ -374,11 +337,9 @@ def _parse_plan(path):
     return plan, transform, kv
 
 
-def cmd_benchmark(settings) -> int:
+def cmd_benchmark(settings, path):
     if not settings["plan"] or not settings["coords"] or not settings["signal"]:
         raise _UsageError("benchmark requires --plan, --coords, and --signal")
-    if not settings["out"]:
-        raise _UsageError("benchmark requires --out")
     plan, transform, plan_kv = _parse_plan(settings["plan"])
     dataset = load_dataset(settings["coords"], settings["signal"])
     if transform == "daily":
@@ -387,15 +348,10 @@ def cmd_benchmark(settings) -> int:
     graph = build_knn_graph(dataset.coords, settings["k"],
                             laplacian_kind=settings["laplacian"])
     result = run_experiment(plan, dataset, graph, jobs=settings["jobs"])
-    out = _prepare_out_dir(settings["out"])
-    write_raw_results(os.path.join(out, "raw_results.csv"), result)
-    write_aggregate_results(os.path.join(out, "aggregate_results.csv"), result)
-    echo = dict(settings)
-    echo["signal_transform"] = transform
-    for key, value in sorted(plan_kv.items()):
-        echo[f"plan.{key}"] = value
-    _echo_config(out, "benchmark", echo)
-    return EXIT_OK
+    write_raw_results(path("raw_results.csv"), result)
+    write_aggregate_results(path("aggregate_results.csv"), result)
+    settings["signal_transform"] = transform
+    settings.update((f"plan.{key}", value) for key, value in sorted(plan_kv.items()))
 
 
 _OUT = (str, None, None, "output directory")
@@ -412,7 +368,8 @@ _MASK = {  # a mask file, or a regime with its density or horizon and seed
 }
 
 # command -> (handler, help, {setting: (cast, default[, choices][, help])}); a setting's
-# flag is "--" plus its name with "_" as "-", and config.txt echoes the settings in this order
+# flag is "--" plus its name with "_" as "-", and config.txt echoes the settings in this
+# order. handler(settings, path) writes its files to path(name) and may add echo keys.
 COMMANDS = {
     "build-graph": (cmd_build_graph, "build a k-NN graph from coordinates", {
         "coords": (str, None, None, "coordinate file (node_id,latitude,longitude)"),
@@ -515,8 +472,21 @@ def main(argv=None) -> int:
         if unknown:
             raise ParameterError(
                 f"{args.config}: unknown config key {', '.join(map(repr, unknown))}")
-        return handler({name: _resolve(args, config_map, name, *spec[:2])
-                        for name, spec in table.items()})
+        settings = {name: _resolve(args, config_map, name, *spec[:2])
+                    for name, spec in table.items()}
+        if not settings["out"]:
+            raise _UsageError(f"{args.command} requires --out")
+        try:  # before the handler, so that nothing is written
+            for key, value in settings.items():
+                textio.check_keyvalue(key, value)
+        except InputError as exc:
+            raise _UsageError(str(exc)) from exc
+        path = _output(settings["out"])
+        handler(settings, path)
+        # unset (None) settings are left out, so --config can read config.txt back
+        textio.write_keyvalues(path("config.txt"), {"command": args.command, **{
+            key: value for key, value in settings.items() if value is not None}})
+        return EXIT_OK
     except _UsageError as exc:
         print(f"tvgsr: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -83,10 +83,10 @@ def mask_seed(base_seed, regime, level, repetition) -> int:
 class ExperimentPlan:
     """Monte-Carlo experiment description.
 
-    ``levels`` holds sampling densities in (0, 1] for the random-entry and
-    snapshot regimes, or integer forecasting horizons in 1..10. ``methods``
-    maps a report label to the solver configuration to run; insertion order
-    fixes the report order.
+    ``levels`` holds distinct sampling densities in (0, 1] for the
+    random-entry and snapshot regimes, or distinct integer forecasting
+    horizons in 1..10. ``methods`` maps a report label to the solver
+    configuration to run; insertion order fixes the report order.
     """
 
     regime: str
@@ -100,6 +100,8 @@ class ExperimentPlan:
             raise ParameterError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if not self.levels:
             raise ParameterError("at least one density/horizon is required")
+        if len(set(self.levels)) != len(self.levels):
+            raise ParameterError(f"each density/horizon may be given once, got {self.levels}")
         if self.regime == "forecasting":
             for level in self.levels:
                 if int(level) != level or not 1 <= int(level) <= 10:

@@ -7,10 +7,7 @@ size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer,
 and every eigensolve here runs LAPACK's ``dsyevd`` on that buffer itself,
 through :func:`_eigh_in_place`. So an eigenvalue solve holds one NM x NM
 array, and the oracle's eigendecomposition holds that array, which the
-eigenvectors overwrite, plus ``dsyevd``'s 2 (NM)^2 workspace. At
-N*M = 4000, where one array is 122 MiB, one extremes eigensolve grew the
-peak RSS by 124 MiB (1.02 arrays) and the oracle by 377 MiB (3.09), where
-numpy's copy of the Hessian made it 246 and 622 MiB (one BLAS thread).
+eigenvectors overwrite, plus ``dsyevd``'s 2 (NM)^2 workspace.
 
 Built on the Hessian are condition numbers of the shifted-power (Sobolev)
 and plain Laplacian objectives and checks of their extreme eigenvalues

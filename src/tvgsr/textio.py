@@ -7,6 +7,7 @@ losslessly through text. Fields are separated by commas.
 from __future__ import annotations
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -179,20 +180,44 @@ def write_table(path, header, rows):
         fh.writelines(DELIMITER.join(map(_cell, row)) + "\n" for row in rows)
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")  # a '#' at the start of a line or after whitespace
+_UNREADABLE = re.compile(r"[\r\n]|\s#")  # a value holding either would not read back
+
+
+def check_keyvalue(key, value):
+    """Raise :class:`InputError` for a value that :func:`read_keyvalues` cannot read back.
+
+    Such a value holds a line break, or a '#' after whitespace, which would start a comment.
+    """
+    text = _cell(value)
+    if _UNREADABLE.search(text):
+        raise InputError(f"{key}={text!r}: a key=value file cannot hold a line break "
+                         "or a '#' after whitespace")
+
+
 def write_keyvalues(path, mapping):
-    """Write a flat key=value text file (manifests, config echoes, metrics)."""
+    """Write a flat key=value text file (manifests, config echoes, metrics).
+
+    Every value must pass :func:`check_keyvalue`; nothing is written otherwise.
+    """
+    for key, value in mapping.items():
+        check_keyvalue(key, value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{key}={_cell(value)}\n" for key, value in mapping.items())
 
 
 def read_keyvalues(path) -> dict:
-    """Read a flat key=value file; '#' starts a comment, blank lines are skipped."""
+    """Read a flat key=value file; blank lines are skipped.
+
+    A '#' starts a comment at the start of a line or after whitespace, so
+    ``seed=3 # note`` reads ``seed=3`` while ``out=runs/a#1`` keeps its '#'.
+    """
     if not os.path.exists(path):
         raise ParseError(f"{path}: no such file")
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = _COMMENT.split(line, 1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:

@@ -711,3 +711,60 @@ class TestPlanValues:
         plan_path.write_text("regime=forecasting\nhorizons=1,2.0\nmethods=tgsr\n")
         plan, _, _ = tvgsr.cli._parse_plan(plan_path)
         assert plan.levels == (1, 2) and all(type(h) is int for h in plan.levels)
+
+
+class TestRunLifecycle:
+    @pytest.mark.parametrize("case", ["analyze_guard", "analyze_empty_mask",
+                                      "oracle_guard", "oracle_gr_static"])
+    def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
+        coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
+        wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
+        textio.write_matrix(wide, np.random.default_rng(0).normal(size=(30, 140)))
+        analyze = ["analyze", "--coords", coords, "--k", "3", "--regime", "random_entry"]
+        reconstruct = ["reconstruct", "--coords", coords, "--k", "3", "--regime", "random_entry",
+                       "--density", "0.5", "--max-iter", "5", "--oracle-check"]
+        argv = {
+            "analyze_guard": [*analyze, "--snapshots", "150", "--density", "0.5"],
+            "analyze_empty_mask": [*analyze, "--snapshots", "6", "--density", "0"],
+            "oracle_guard": [*reconstruct, "--signal", str(wide)],
+            "oracle_gr_static": [*reconstruct, "--signal", signal, "--objective", "gr_static"],
+        }[case]
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("tvgsr: ")
+        assert not out.exists()
+
+    def test_missing_out_is_one_usage_error_for_every_command(self, capsys):
+        for command in tvgsr.cli.COMMANDS:
+            assert main([command]) == 1
+            assert capsys.readouterr().err == f"tvgsr: usage error: {command} requires --out\n"
+
+    def test_hash_in_the_output_path_survives_a_rerun(self, tmp_path):
+        out = tmp_path / "s#1"
+        assert main(["synth", "--n", "12", "--k", "3", "--snapshots", "4",
+                     "--out", str(out)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["synth", "--config", str(out / "config.txt")]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s#1"]
+
+    @pytest.mark.parametrize("flag, name", [("--coords", "a #1.csv"), ("--out", "run\nnext")])
+    def test_setting_config_txt_cannot_carry_is_a_usage_error(self, toy_files, tmp_path,
+                                                              capsys, flag, name):
+        coords, _ = toy_files
+        argv = {"--coords": coords, "--k": "1", "--out": str(tmp_path / "g"),
+                flag: str(tmp_path / name)}
+        assert main(["build-graph", *(token for item in argv.items() for token in item)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["coords.csv", "signal.csv"]
+
+    def test_repeated_plan_level_is_a_config_error(self, synth_dir, tmp_path, capsys):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5,0.5\nrepetitions=1\nmethods=tgsr\n")
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)]) == 1
+        assert "once" in capsys.readouterr().err
+        assert not out.exists()

@@ -101,6 +101,13 @@ class TestExperimentPlan:
             tvgsr.ExperimentPlan(regime="bogus", levels=(0.5,), repetitions=1,
                                  methods={"tgsr": SolverConfig(objective="tgsr")})
 
+    @pytest.mark.parametrize("regime, levels", [("random_entry", (0.5, 0.7, 0.5)),
+                                                ("forecasting", (2, 2.0))])
+    def test_repeated_level_is_rejected(self, regime, levels):
+        # each cell would run, and write its raw and aggregate rows, once per copy
+        with pytest.raises(ParameterError, match="once"):
+            two_method_plan(levels=levels, regime=regime)
+
 
 class TestRunExperiment:
     def test_full_density_perfect_reconstruction(self, small_setup):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvgsr import ParseError, textio
+from tvgsr import InputError, ParseError, textio
 
 
 class TestMatrixRoundTrip:
@@ -174,6 +174,27 @@ class TestKeyValues:
         textio.write_keyvalues(path, {"x": 1.0 / 3.0, "label": "abc"})
         values = textio.read_keyvalues(path)
         assert float(values["x"]) == 1.0 / 3.0
+
+    def test_hash_starts_a_comment_only_at_line_start_or_after_whitespace(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("#x=1\nout=runs/s#1\nlabel=#2\ntag=a\t# note\n  # indented\n")
+        assert textio.read_keyvalues(path) == {"out": "runs/s#1", "label": "#2", "tag": "a"}
+
+    @pytest.mark.parametrize("value", ["runs/s#1", "#2", "a=b", 1.0 / 3.0, None])
+    def test_values_without_the_comment_rule_round_trip(self, tmp_path, value):
+        path = tmp_path / "kv.txt"
+        textio.check_keyvalue("key", value)
+        textio.write_keyvalues(path, {"key": value})
+        assert textio.read_keyvalues(path) == {"key": textio._cell(value)}
+
+    @pytest.mark.parametrize("value", ["a #b", "a\t#b", " #b", "two\nlines", "cr\rhere"])
+    def test_a_value_that_would_not_read_back_is_not_written(self, tmp_path, value):
+        path = tmp_path / "kv.txt"
+        with pytest.raises(InputError, match="key="):
+            textio.check_keyvalue("key", value)
+        with pytest.raises(InputError):
+            textio.write_keyvalues(path, {"ok": 1, "key": value})
+        assert not path.exists()
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "kv.txt"
