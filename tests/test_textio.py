@@ -181,7 +181,7 @@ class TestKeyValues:
         assert textio.read_keyvalues(path) == {"out": "runs/s#1", "label": "#2", "tag": "a"}
 
     @pytest.mark.parametrize("value", ["runs/s#1", "#2", "a=b", 1.0 / 3.0, None])
-    def test_values_without_the_comment_rule_round_trip(self, tmp_path, value):
+    def test_values_the_rule_allows_round_trip(self, tmp_path, value):
         path = tmp_path / "kv.txt"
         textio.check_keyvalue("key", value)
         textio.write_keyvalues(path, {"key": value})
