@@ -37,7 +37,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools, coo_matrix, csc_matrix, identity
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
@@ -51,6 +53,7 @@ _TINY_DENOMINATOR = 1e-300
 _RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
 _RECORD_CHUNK = 4096  # telemetry rows allocated at a time
 _LU_OPTIONS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})  # gr_static's splu
+_BAND_LIMIT = 128  # widest RCM half-bandwidth that gr_static factors as a band; wider takes splu
 
 _log = logging.getLogger(__name__)
 
@@ -534,35 +537,32 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
 def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     """Per-snapshot graph-regularized baseline (no temporal coupling).
 
-    Each column solves (diag(j_m) + upsilon * L) x = j_m o y_m with one
-    sparse LU factorization of that column's system, built from the CSR
-    Laplacian. Every diagonal entry of upsilon * L is stored, isolated nodes
-    included, so all columns share one sparsity pattern: its fill-reducing
-    ordering is found once, and each column factors pre-permuted in that
-    order. Columns without any sample cannot be reconstructed by a purely
-    spatial method; they are returned as zero vectors and listed in
-    ``unsampled_columns``. A column whose system factors as exactly singular
-    (for instance a graph component with no sample in that column) takes the
-    minimum-norm least-squares solution of its system in dense form; that
-    degenerate case is the only one that forms an N x N matrix.
+    Each column solves (diag(j_m) + upsilon * L) x = j_m o y_m, a symmetric
+    positive semidefinite system built from the CSR Laplacian. The nodes are
+    put in reverse Cuthill-McKee order once per call, which gathers a k-NN
+    graph's Laplacian into a narrow band of half-bandwidth b. When b is at
+    most ``_BAND_LIMIT``, each column copies the lower band of upsilon * L
+    into one reused (b+1) x N buffer, adds j_m to its diagonal and solves by
+    LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``). A hub widens the band
+    to about N, where the band costs more than a sparse LU and its buffer
+    would be N x N, so a graph with b above the limit takes one SuperLU
+    factorization per column instead, in a fill-reducing order found once.
+
+    Columns without any sample cannot be reconstructed by a purely spatial
+    method; they are returned as zero vectors and listed in
+    ``unsampled_columns``. A column whose system is singular takes the
+    minimum-norm least-squares solution of its system in dense form, the
+    only case that forms an N x N matrix. On the band path that is a column
+    where some connected component of upsilon * L has no sample (at
+    upsilon = 0 each node is its own component), or where ``dpbtrf`` finds
+    the system not positive definite; on the LU path, a column that factors
+    as exactly singular.
     """
     y, mask = _check_problem(y, mask, graph)
     observed = mask * y
     lap = graph.laplacian_csr
     start = time.perf_counter()
-    n = graph.n_nodes
-    lap = lap.tocoo()
-    nodes = np.arange(n)
-    rows, cols = np.concatenate([lap.row, nodes]), np.concatenate([lap.col, nodes])
-    values = np.concatenate([config.upsilon * lap.data, np.zeros(n)])
-    # The ordering depends on the pattern alone; with zeros off the diagonal and a
-    # positive diagonal, the pattern's matrix always factors.
-    pattern = coo_matrix(((rows == cols).astype(float), (rows, cols)), shape=(n, n)).tocsc()
-    order = splu(pattern, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).perm_c
-    inverse = np.argsort(order)
-    # upsilon * L in that order: entry (r, c) moves to (order[r], order[c]).
-    smoothing = coo_matrix((values, (order[rows], order[cols])), shape=(n, n)).tocsc()
-    diagonal = np.flatnonzero(smoothing.indices == np.repeat(nodes, np.diff(smoothing.indptr)))
+    solve = _band_solver(lap, config.upsilon) or _lu_solver(lap, config.upsilon)
     x_hat = np.zeros_like(observed)
     skipped = []
     for column in range(observed.shape[1]):
@@ -570,18 +570,13 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         if not np.any(j > 0):
             skipped.append(column)
             continue
-        data = smoothing.data.copy()
-        data[diagonal] += j[inverse]
         rhs = j * observed[:, column]
-        try:
-            factor = splu(csc_matrix((data, smoothing.indices, smoothing.indptr), shape=(n, n)),
-                          permc_spec="NATURAL", **_LU_OPTIONS)
-        except RuntimeError:  # exactly singular
-            system = smoothing.toarray()[np.ix_(order, order)]
-            system[nodes, nodes] += j
-            x_hat[:, column] = np.linalg.lstsq(system, rhs, rcond=None)[0]
-        else:
-            x_hat[inverse, column] = factor.solve(rhs[inverse])
+        x = solve(j, rhs)
+        if x is None:  # singular
+            system = config.upsilon * lap.toarray()
+            system[np.diag_indices_from(system)] += j
+            x = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        x_hat[:, column] = x
     return SolveResult(
         x_hat=x_hat,
         iterations=0,
@@ -591,3 +586,76 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         unsampled_columns=tuple(skipped),
     )
 
+
+def _band_solver(lap, upsilon):
+    """gr_static's per-column solve by banded Cholesky in RCM order; None if singular.
+
+    Returns None instead of a solver when the ordered Laplacian's half-bandwidth
+    exceeds ``_BAND_LIMIT``.
+    """
+    n = lap.shape[0]
+    order = reverse_cuthill_mckee(lap, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    entries = lap.tocoo()
+    rows, cols = rank[entries.row], rank[entries.col]
+    bandwidth = int(np.abs(rows - cols).max(initial=0))
+    if bandwidth > _BAND_LIMIT:
+        return None
+    template = np.zeros((bandwidth + 1, n), order="F")  # LAPACK's lower band storage
+    lower = rows >= cols
+    template[rows[lower] - cols[lower], cols[lower]] = upsilon * entries.data[lower]
+    band = np.empty_like(template, order="F")
+    labels = np.arange(n) if upsilon == 0.0 else connected_components(lap, directed=False)[1]
+    n_labels = int(labels.max(initial=-1)) + 1
+
+    def solve(j, rhs):
+        if np.bincount(labels[j > 0], minlength=n_labels).min() == 0:
+            return None  # a component without a sample
+        np.copyto(band, template)
+        band[0] += j[order]
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            return None
+        solution, _ = dpbtrs(factor, rhs[order], lower=1, overwrite_b=1)
+        x = np.empty(n)
+        x[order] = solution
+        return x
+
+    return solve
+
+
+def _lu_solver(lap, upsilon):
+    """gr_static's per-column solve by sparse LU; None if the column factors as exactly singular.
+
+    Every diagonal entry of upsilon * L is stored, isolated nodes included, so
+    all columns share one sparsity pattern: its fill-reducing ordering is found
+    once, and each column factors pre-permuted in that order.
+    """
+    n = lap.shape[0]
+    lap = lap.tocoo()
+    nodes = np.arange(n)
+    rows, cols = np.concatenate([lap.row, nodes]), np.concatenate([lap.col, nodes])
+    values = np.concatenate([upsilon * lap.data, np.zeros(n)])
+    # The ordering depends on the pattern alone; with zeros off the diagonal and a
+    # positive diagonal, the pattern's matrix always factors.
+    pattern = coo_matrix(((rows == cols).astype(float), (rows, cols)), shape=(n, n)).tocsc()
+    order = splu(pattern, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).perm_c
+    inverse = np.argsort(order)
+    # upsilon * L in that order: entry (r, c) moves to (order[r], order[c]).
+    smoothing = coo_matrix((values, (order[rows], order[cols])), shape=(n, n)).tocsc()
+    diagonal = np.flatnonzero(smoothing.indices == np.repeat(nodes, np.diff(smoothing.indptr)))
+
+    def solve(j, rhs):
+        data = smoothing.data.copy()
+        data[diagonal] += j[inverse]
+        try:
+            factor = splu(csc_matrix((data, smoothing.indices, smoothing.indptr), shape=(n, n)),
+                          permc_spec="NATURAL", **_LU_OPTIONS)
+        except RuntimeError:  # exactly singular
+            return None
+        x = np.empty(n)
+        x[inverse] = factor.solve(rhs[inverse])
+        return x
+
+    return solve

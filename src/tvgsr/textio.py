@@ -181,18 +181,19 @@ def write_table(path, header, rows):
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")  # a '#' at the start of a line or after whitespace
-_UNREADABLE = re.compile(r"[\r\n]|\s#")  # a value holding either would not read back
+_UNREADABLE = re.compile(r"[\r\n]|\s#|^\s|\s$")  # a value holding any would not read back
 
 
 def check_keyvalue(key, value):
     """Raise :class:`InputError` for a value that :func:`read_keyvalues` cannot read back.
 
-    Such a value holds a line break, or a '#' after whitespace, which would start a comment.
+    Such a value holds a line break, or a '#' after whitespace, which would start a
+    comment, or it starts or ends with whitespace, which the reader strips.
     """
     text = _cell(value)
     if _UNREADABLE.search(text):
-        raise InputError(f"{key}={text!r}: a key=value file cannot hold a line break "
-                         "or a '#' after whitespace")
+        raise InputError(f"{key}={text!r}: a key=value file cannot hold a line break, "
+                         "a '#' after whitespace, or leading or trailing whitespace")
 
 
 def write_keyvalues(path, mapping):

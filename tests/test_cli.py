@@ -3,11 +3,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tvgsr
 from tvgsr import textio
@@ -324,6 +327,54 @@ class TestAnalyze:
         assert code == 1
 
 
+def strip_timing(path):
+    """The lines of a results table without its ``wall_time_s`` column."""
+    lines = path.read_text().strip().split("\n")
+    drop = lines[0].split(",").index("wall_time_s")
+    return [",".join(c for i, c in enumerate(line.split(",")) if i != drop) for line in lines]
+
+
+@pytest.fixture(scope="module")
+def bench_inputs(tmp_path_factory):
+    """``synth_dir`` once per module, since hypothesis reruns a test inside one fixture call."""
+    out = tmp_path_factory.mktemp("bench-inputs")
+    assert main(["synth", "--n", "30", "--k", "3", "--snapshots", "6",
+                 "--alpha", "0.5", "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+@st.composite
+def gr_static_plans(draw):
+    """A random_entry plan text with gr_static among its methods."""
+    levels = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
+                           min_size=1, max_size=2, unique=True))
+    others = draw(st.lists(st.sampled_from(["tgsr", "sobolev"]), max_size=2, unique=True))
+    upsilon = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    lines = [f"densities={','.join(map(str, levels))}",
+             f"repetitions={draw(st.integers(1, 3))}",
+             f"base_seed={draw(st.integers(0, 2**31 - 1))}",
+             f"methods={','.join(['gr_static', *others])}",
+             f"upsilon={upsilon}"]
+    if "sobolev" in others:
+        lines.append("sobolev.epsilon=0.1")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=10, deadline=None)
+@given(plan=gr_static_plans())
+def test_benchmark_tables_do_not_depend_on_jobs(bench_inputs, plan):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        (scratch / "plan.txt").write_text(plan)
+        for jobs in ("1", "2"):
+            assert main(["benchmark", "--plan", str(scratch / "plan.txt"),
+                         "--coords", str(bench_inputs / "coords.csv"),
+                         "--signal", str(bench_inputs / "signal.csv"), "--k", "3",
+                         "--jobs", jobs, "--out", str(scratch / jobs)]) == 0
+        for name in ("raw_results.csv", "aggregate_results.csv"):
+            assert strip_timing(scratch / "1" / name) == strip_timing(scratch / "2" / name)
+
+
 class TestBenchmark:
     def write_plan(self, path, repetitions=2):
         path.write_text(
@@ -363,13 +414,6 @@ class TestBenchmark:
                          "--signal", str(synth_dir / "signal.csv"), "--k", "3",
                          "--out", str(out)]) == 0
             outs.append(out)
-
-        def strip_timing(path):
-            lines = path.read_text().strip().split("\n")
-            header = lines[0].split(",")
-            drop = header.index("wall_time_s")
-            return ["," .join(c for i, c in enumerate(line.split(",")) if i != drop)
-                    for line in lines]
 
         for name in ("raw_results.csv", "aggregate_results.csv"):
             assert strip_timing(outs[0] / name) == strip_timing(outs[1] / name)
@@ -757,6 +801,14 @@ class TestRunLifecycle:
         assert main(["build-graph", *(token for item in argv.items() for token in item)]) == 1
         assert "usage error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coords.csv", "signal.csv"]
+
+    @pytest.mark.parametrize("name", ["s ", "s\t"])
+    def test_output_path_with_trailing_whitespace_is_a_usage_error(self, tmp_path, capsys, name):
+        # config.txt strips values, so a rerun from it would write somewhere else
+        argv = ["synth", "--n", "12", "--k", "3", "--snapshots", "4"]
+        assert main([*argv, "--out", str(tmp_path / "ws" / name)]) == 1
+        assert "leading or trailing whitespace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_plan_level_is_a_config_error(self, synth_dir, tmp_path, capsys):
         plan_path = tmp_path / "plan.txt"

@@ -65,6 +65,13 @@ def well_posed(graph, mask, config, kappa=1e6):
     return eigenvalues[0] * kappa >= eigenvalues[-1]
 
 
+def relabel(graph, rng):
+    """A random node order and the graph with its nodes renumbered in that order."""
+    order = rng.permutation(graph.n_nodes)
+    return order, tvgsr.Graph(graph.adjacency[np.ix_(order, order)],
+                              laplacian_kind=graph.laplacian_kind)
+
+
 def relative_difference(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
@@ -97,12 +104,22 @@ def test_solve_cg_matches_the_dense_oracle(problem):
 def test_relabelling_the_nodes_relabels_the_solution(problem):
     graph, mask, y, config, rng = problem
     assume(well_posed(graph, mask, config))
-    order = rng.permutation(graph.n_nodes)
-    relabelled = tvgsr.Graph(graph.adjacency[np.ix_(order, order)],
-                             laplacian_kind=graph.laplacian_kind)
+    order, relabelled = relabel(graph, rng)
     x_hat = tvgsr.solve_cg(y, mask, graph, config).x_hat
     x_relabelled = tvgsr.solve_cg(y[order], mask[order], relabelled, config).x_hat
     assert relative_difference(x_relabelled, x_hat[order]) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=problems())
+def test_relabelling_the_nodes_relabels_the_gr_static_solution(problem):
+    """gr_static factors in reverse Cuthill-McKee order, which follows the node labels."""
+    graph, mask, y, config, rng = problem
+    config = dataclasses.replace(config, objective="gr_static")
+    order, relabelled = relabel(graph, rng)
+    x_hat = tvgsr.solve_gr_static(y, mask, graph, config).x_hat
+    x_relabelled = tvgsr.solve_gr_static(y[order], mask[order], relabelled, config).x_hat
+    assert relative_difference(x_relabelled, x_hat[order]) <= 1e-12
 
 
 SCALED_SOLVERS = {  # name -> (objective, beta or None to keep the drawn one, solve)

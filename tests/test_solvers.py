@@ -458,6 +458,36 @@ def dense_gr_static_columns(y, mask, graph, upsilon):
     return x_hat
 
 
+def banded_graph(rng, n, width):
+    """Each node joined to all within ``width`` labels, shuffled: RCM half-bandwidth ``width``."""
+    offsets = range(1, width + 1)
+    weights = scipy.sparse.diags([rng.uniform(0.2, 1.0, n - d) for d in offsets], offsets,
+                                 shape=(n, n))
+    shuffle = rng.permutation(n)
+    return tvgsr.Graph((weights + weights.T).tocsr()[shuffle][:, shuffle])
+
+
+def star_graph(rng, n):
+    """A hub joined to every other node: no ordering gives it a narrow band."""
+    weights = scipy.sparse.coo_matrix((rng.uniform(0.2, 1.0, n - 1),
+                                       (np.zeros(n - 1, dtype=int), np.arange(1, n))),
+                                      shape=(n, n))
+    return tvgsr.Graph((weights + weights.T).tocsr())
+
+
+def band_factorizations(monkeypatch):
+    """A list that grows by one for each banded Cholesky factorization gr_static runs."""
+    calls = []
+    factor = tvgsr.solvers.dpbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(tvgsr.solvers, "dpbtrf", counting)
+    return calls
+
+
 class TestSolveGrStatic:
     def test_fully_sampled_small_upsilon(self, geo_graph):
         rng = np.random.default_rng(16)
@@ -577,6 +607,93 @@ class TestSolveGrStatic:
             error = np.linalg.norm(result.x_hat[:, column] - expected)
             assert error <= 1e-12 * np.linalg.norm(expected)
         assert 0 < singular < 8
+
+    @pytest.mark.parametrize("shape, band_path", [("band at the limit", True),
+                                                  ("band past the limit", False),
+                                                  ("star", False)])
+    @pytest.mark.parametrize("upsilon", [0.05, 3.0])
+    def test_both_sides_of_the_band_limit_match_dense_solve(self, monkeypatch, shape,
+                                                            band_path, upsilon):
+        rng = np.random.default_rng(50)
+        limit = tvgsr.solvers._BAND_LIMIT
+        n = 2 * limit + 40
+        graph = {"band at the limit": lambda: banded_graph(rng, n, limit),
+                 "band past the limit": lambda: banded_graph(rng, n, limit + 1),
+                 "star": lambda: star_graph(rng, n)}[shape]()
+        mask = tvgsr.random_entry_mask(n, 4, 0.5, 51).mask
+        y = mask * rng.normal(size=(n, 4))
+        calls = band_factorizations(monkeypatch)
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=upsilon, objective="gr_static"))
+        assert len(calls) == (4 if band_path else 0)
+        expected = dense_gr_static_columns(y, mask, graph, upsilon)
+        for column in range(4):
+            error = np.linalg.norm(result.x_hat[:, column] - expected[:, column])
+            assert error <= 1e-12 * np.linalg.norm(expected[:, column])
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("upsilon", [0.05, 3.0])
+    def test_band_path_gives_singular_columns_the_least_squares_answer(self, monkeypatch,
+                                                                       kind, upsilon):
+        # two clusters far apart, and isolated nodes 5 and 17
+        rng = np.random.default_rng(52)
+        coords = np.vstack([rng.uniform(0.0, 10.0, (40, 2)), rng.uniform(1e3, 1e3 + 10.0, (8, 2))])
+        with pytest.warns(RuntimeWarning, match="disconnected"):
+            weights = tvgsr.build_knn_graph(coords, 4).adjacency.copy()
+        weights[[5, 17]] = 0.0
+        weights[:, [5, 17]] = 0.0
+        graph = tvgsr.Graph(weights, laplacian_kind=kind)
+        assert graph.n_components == 4
+        mask = tvgsr.random_entry_mask(48, 6, 0.6, 53).mask.copy()
+        mask[[5, 17, 40], :] = 1.0
+        mask[40:, 1] = 0.0  # the second cluster has no sample in column 1
+        mask[17, 2] = 0.0  # nor has an isolated node in column 2
+        y = mask * rng.normal(size=(48, 6))
+        calls = band_factorizations(monkeypatch)
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=upsilon, objective="gr_static"))
+        assert len(calls) == 4
+        for column in range(6):
+            j = mask[:, column]
+            system = np.diag(j) + upsilon * graph.laplacian
+            rhs = j * y[:, column]
+            if column in (1, 2):
+                least_squares = np.linalg.lstsq(system, rhs, rcond=None)[0]
+                assert np.array_equal(result.x_hat[:, column], least_squares)
+            else:
+                expected = np.linalg.solve(system, rhs)
+                error = np.linalg.norm(result.x_hat[:, column] - expected)
+                assert error <= 1e-12 * np.linalg.norm(expected)
+
+    def test_failed_band_factorization_takes_least_squares_answer(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        graph = connected_geometric_graph(rng, 30, k=4)
+        mask = tvgsr.random_entry_mask(30, 3, 0.5, 55).mask
+        y = mask * rng.normal(size=(30, 3))
+        monkeypatch.setattr(tvgsr.solvers, "dpbtrf", lambda band, **options: (band, 1))
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=0.3, objective="gr_static"))
+        for column in range(3):
+            j = mask[:, column]
+            system = np.diag(j) + 0.3 * graph.laplacian
+            least_squares = np.linalg.lstsq(system, j * y[:, column], rcond=None)[0]
+            assert np.array_equal(result.x_hat[:, column], least_squares)
+
+    def test_star_solve_allocates_less_than_a_dense_matrix(self):
+        rng = np.random.default_rng(56)
+        n = 1000
+        graph = star_graph(rng, n)
+        graph.laplacian_csr
+        mask = tvgsr.random_entry_mask(n, 4, 0.5, 57).mask
+        y = mask * rng.normal(size=(n, 4))
+        config = SolverConfig(upsilon=0.1, objective="gr_static")
+        tracemalloc.start()
+        try:
+            tvgsr.solve_gr_static(y, mask, graph, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_solve_allocates_less_than_a_dense_matrix(self):
         rng = np.random.default_rng(33)

@@ -187,7 +187,8 @@ class TestKeyValues:
         textio.write_keyvalues(path, {"key": value})
         assert textio.read_keyvalues(path) == {"key": textio._cell(value)}
 
-    @pytest.mark.parametrize("value", ["a #b", "a\t#b", " #b", "two\nlines", "cr\rhere"])
+    @pytest.mark.parametrize("value", ["a #b", "a\t#b", " #b", "two\nlines", "cr\rhere",
+                                       " lead", "trail ", "\ttab"])
     def test_a_value_that_would_not_read_back_is_not_written(self, tmp_path, value):
         path = tmp_path / "kv.txt"
         with pytest.raises(InputError, match="key="):
