@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 from scipy.spatial import cKDTree
 
 from .exceptions import InputError, ParameterError
@@ -184,19 +183,6 @@ class Graph:
         if self._spectrum is None:
             self._spectrum = spectrum(self.laplacian)
         return self._spectrum
-
-    def max_eigenvalue(self) -> float:
-        """Largest Laplacian eigenvalue, from a sparse Lanczos solve on the CSR form.
-
-        The start vector is fixed and not constant (the constant vector spans
-        the null space of the combinatorial Laplacian), so repeated calls
-        return the same value.
-        """
-        if self.n_nodes == 1:
-            return 0.0  # a single node has no edges, so L = [0]
-        start = np.random.default_rng(0).standard_normal(self.n_nodes)
-        return float(eigsh(self.laplacian_csr, k=1, which="LA", tol=0, v0=start,
-                           return_eigenvectors=False)[0])
 
     def __repr__(self):
         return (

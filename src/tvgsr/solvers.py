@@ -8,19 +8,22 @@ where the smoothness term is tr((XD)^T (L + epsilon*I)^beta (XD)) for the
 temporal objectives ("sobolev", and its epsilon=0/beta=1 special case
 "tgsr") or tr(X^T L X) for the per-snapshot baseline ("gr_static").
 
-The noisy problem is solved with a Fletcher-Reeves conjugate gradient scheme
-whose exact line search uses the Hessian action J o V + upsilon * K V D D^T
-on the search direction. The noiseless problem is solved by projected
-gradient descent on the affine set J o X = Y.
+One Fletcher-Reeves conjugate gradient loop with an exact line search
+solves both temporal problems. The noisy problem runs it with the Hessian
+action J o V + upsilon * K V D D^T. The noiseless problem, the smoothness
+term subject to J o X = Y, is an unconstrained quadratic in the unsampled
+entries once the samples are fixed; it runs the same loop from J o Y with
+the smoothness Hessian K V D D^T zeroed on the samples, so every direction
+is zero there and every iterate keeps the samples bit for bit.
 
 :class:`ProblemOperator` applies that action and the smoothness gradient
 K X D D^T through one body, into the caller's array when given ``out=``
 (bit-identical to the allocating call): it writes J o V, or zeros for the
 gradient, and adds upsilon * K V D D^T, or K X D D^T, onto it in place.
-Both loops reuse buffers allocated once, so an iteration of either
-allocates nothing. The CG loop reports why it stopped and how it got there
-in a :class:`SolveStats`. Messages go to the ``tvgsr`` logger, which is
-silent unless logging is configured.
+The loop reuses buffers allocated once, so an iteration allocates nothing,
+and it reports why it stopped and how it got there in a
+:class:`SolveStats`. Messages go to the ``tvgsr`` logger, which is silent
+unless logging is configured.
 
 Solvers are deterministic given identical inputs; independent solves may run
 concurrently over shared immutable graphs. A ProblemOperator holds scratch
@@ -141,7 +144,7 @@ class SolveResult:
     wall_time: float
     iterates: list | None = None
     unsampled_columns: tuple = ()
-    stats: SolveStats | None = None  # FR-CG telemetry; solve_cg only
+    stats: SolveStats | None = None  # FR-CG telemetry of solve_cg and solve_noiseless
     # scores on the hidden entries, set by evaluation.reconstruct
     rmse: float | None = None
     mae: float | None = None
@@ -316,68 +319,112 @@ def gradient(x_tilde, y, mask, graph, config: SolverConfig) -> np.ndarray:
 def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
     """Conjugate-gradient solve of the noisy reconstruction problem.
 
-    Starts from X = J o Y. Each iteration takes an exact line-search step
-    mu = -<d, g> / <d, H d> along the Fletcher-Reeves direction
-    d = -g + gamma d_prev, gamma = ||g||^2 / ||g_prev||^2, where H d is the
-    Hessian action J o d + upsilon * (L + epsilon*I)^beta d D D^T. The
-    direction is reset to steepest descent every N*M iterations
-    (``periodic``) or when it is no longer a descent direction
-    (``lost_descent``, which also covers a zero previous gradient).
-    It stops when ||d||_F <= delta (``direction_norm``), when <d, H d> is
-    below 1e-300 in magnitude (``zero_curvature``) or at max_iter
-    (``max_iter``); ``termination`` reads ``converged`` for the first two.
-
-    Each iteration makes one Hessian action, h = H d. The gradient follows
-    the recurrence g <- g + mu h, and every 50 iterations it is replaced by
-    the true residual H X - Y so that rounding cannot accumulate in it. The
-    loss costs no further action. Between refreshes it follows the exact
-    line search's decrease, f <- f - <d, g>^2 / (2 <d, H d>). At the start
-    and at every refresh it is recomputed from the identity
-    f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2, which holds because supp(Y) lies
-    inside J (the observations are J o Y). A solve of k iterations thus
-    makes k + 1 + floor(k / 50) Hessian actions, one more if it stops on
-    zero curvature.
-
-    The iterate, gradient, direction and action live in buffers allocated
-    once, and the actions write into them through ``out=``. The updates
-    x <- x + mu d and g <- g + mu h are one BLAS ``daxpy`` each on raveled
-    views, and every inner product is one ``np.dot``. So an iteration
-    allocates nothing. ``stats`` holds the per-iteration
-    telemetry (see :class:`SolveStats`). A node that is never sampled
-    makes the Hessian singular along e_i kron 1; the solve then logs a
-    warning on the ``tvgsr`` logger and goes on. It returns the minimum-norm
-    minimizer: the start J o Y and every gradient H X - J o Y are orthogonal
-    to H's null space, so X never gains a component along e_i kron 1.
-
-    With ``record_iterates`` the result keeps a copy of every iterate
+    Runs :func:`_fr_cg` from X = J o Y with the Hessian action
+    H d = J o d + upsilon * (L + epsilon*I)^beta d D D^T. A refresh sets
+    g = H X - Y and reads the loss from f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2,
+    which holds because supp(Y) lies inside J (the observations are J o Y).
+    A node that is never sampled makes H singular along e_i kron 1; the
+    solve logs a warning on the ``tvgsr`` logger and returns the minimum-norm
+    minimizer, since J o Y and every gradient are orthogonal to H's null
+    space. With ``record_iterates`` the result keeps a copy of every iterate
     (small problems only).
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
     problem = ProblemOperator(graph, mask, config)
+    _warn_unsampled_nodes(mask)
+    observed = mask * y  # the observation model guarantees supp(Y) within the mask
+    of = observed.ravel()
+    half_observed_sq = 0.5 * float(np.dot(of, of))
+
+    def refresh(x, g, h):  # g = H X - Y, and the loss from the identity with h as scratch
+        problem.hessian_action(x, out=g)
+        g -= observed
+        hf = h.ravel()
+        np.subtract(g.ravel(), of, out=hf)
+        return 0.5 * float(np.dot(x.ravel(), hf)) + half_observed_sq
+
+    return _fr_cg("solve_cg", observed.copy(), problem.hessian_action, refresh, config,
+                  entry, record_iterates)
+
+
+def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
+    """Conjugate-gradient solve of the equality-constrained (noiseless) problem.
+
+    Minimizes 1/2 tr((XD)^T (L + epsilon*I)^beta (XD)) subject to J o X = Y,
+    the minimizer of Qiu et al.'s noiseless scheme (IEEE TSP 2017). With the
+    samples fixed, this is an unconstrained quadratic in the free entries:
+    :func:`_fr_cg` runs from X = J o Y with the smoothness Hessian K V D D^T,
+    zeroed on the samples, as its action. A refresh reads the loss
+    1/2 <X, K X D D^T> from the gradient and then zeroes the gradient there
+    too. So every direction is zero on the samples, and each iterate keeps
+    them bit for bit. A never-sampled node makes the free block singular
+    along e_i kron 1; as in :func:`solve_cg`, the solve warns and returns the
+    minimum-norm minimizer.
+    """
+    entry = time.perf_counter()
+    y, mask = _check_problem(y, mask, graph)
+    problem = ProblemOperator(graph, mask, config)
+    sampled = mask > 0
+    if not sampled.any():
+        raise InputError("mask selects no entries")
+    _warn_unsampled_nodes(mask)
+
+    def action(v, out):  # the smoothness Hessian on the free entries
+        problem.smoothness_gradient(v, out=out)
+        np.copyto(out, 0.0, where=sampled)
+
+    def refresh(x, g, h):  # the loss 1/2 <X, K X D D^T>, then g zeroed on the samples
+        problem.smoothness_gradient(x, out=g)
+        loss = 0.5 * float(np.dot(x.ravel(), g.ravel()))
+        np.copyto(g, 0.0, where=sampled)
+        return loss
+
+    return _fr_cg("solve_noiseless", mask * y, action, refresh, config, entry, record_iterates)
+
+
+def _warn_unsampled_nodes(mask):
     missing = unsampled_nodes(mask)
     if missing.size:
         _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
                      "along e_i kron 1 at each, so the reconstruction is not unique",
                      missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))
-    observed = mask * y  # the observation model guarantees supp(Y) within the mask
-    x = observed.copy()
+
+
+def _fr_cg(name, x, action, refresh, config, entry, record_iterates) -> SolveResult:
+    """The Fletcher-Reeves CG loop of :func:`solve_cg` and :func:`solve_noiseless`.
+
+    Minimizes a convex quadratic from ``x``, which it updates in place.
+    ``action(v, out)`` writes the Hessian times ``v`` into ``out``, and
+    ``refresh(x, g, h)`` writes the true gradient at ``x`` into ``g``, with
+    ``h`` as scratch, and returns the loss. ``entry`` is when the caller
+    began, for ``setup_s``.
+
+    Each iteration steps by the exact line search mu = -<d, g> / <d, H d>
+    along d = -g + gamma d_prev, gamma = ||g||^2 / ||g_prev||^2. The
+    direction is reset to -g every N*M iterations (``periodic``) or when it
+    is no longer a descent direction (``lost_descent``, which also covers a
+    zero previous gradient). It stops when ||d||_F <= delta
+    (``direction_norm``), when |<d, H d>| < 1e-300 (``zero_curvature``) or
+    at max_iter; ``termination`` reads ``converged`` for the first two.
+    The one action per iteration, h = H d, updates g <- g + mu h and the
+    loss f <- f - <d, g>^2 / (2 <d, H d>); every 50 iterations a refresh
+    replaces both, so rounding cannot accumulate. A solve of k iterations
+    thus makes k + 1 + floor(k / 50) actions and refreshes, one more if it
+    stops on zero curvature. The iterate, gradient, direction and action
+    live in buffers allocated once; x <- x + mu d and g <- g + mu h are one
+    BLAS ``daxpy`` each on raveled views, and every inner product is one
+    ``np.dot``, so an iteration allocates nothing.
+    """
     g, d, h = (np.empty_like(x) for _ in range(3))
-    xf, gf, df, hf, of = (a.ravel() for a in (x, g, d, h, observed))
-    half_observed_sq = 0.5 * float(np.dot(of, of))
+    xf, gf, df, hf = (a.ravel() for a in (x, g, d, h))
     # row t: loss after t iterations, then grad_norm, dir_norm, mu, gamma of iteration t
     record = np.empty((min(config.max_iter, _RECORD_CHUNK) + 1, 5))
     restarts = []
 
-    def loss():  # the identity, with h as its scratch: h is free until the next action
-        np.subtract(gf, of, out=hf)
-        return 0.5 * float(np.dot(xf, hf)) + half_observed_sq
-
     start = time.perf_counter()
-    problem.hessian_action(x, out=g)
-    g -= observed
+    f = record[0, 0] = refresh(x, g, h)
     actions = 1
-    f = record[0, 0] = loss()
     iterates = [x.copy()] if record_iterates else None
 
     g_sq = float(np.dot(gf, gf))
@@ -394,7 +441,7 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         if d_norm <= config.delta:
             stop_reason = "direction_norm"
             break
-        problem.hessian_action(d, out=h)
+        action(d, h)
         actions += 1
         denominator = float(np.dot(df, hf))
         if not np.isfinite(denominator):
@@ -406,10 +453,8 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         daxpy(df, xf, a=mu)  # x += mu d
         iterations = t + 1
         if iterations % _RESIDUAL_REFRESH == 0:
-            problem.hessian_action(x, out=g)
+            f = refresh(x, g, h)
             actions += 1
-            g -= observed
-            f = loss()
         else:
             daxpy(hf, gf, a=mu)  # g += mu h
             f -= slope ** 2 / (2.0 * denominator)  # the exact line search's decrease
@@ -448,8 +493,8 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         grad_norm=rows[:, 1].copy(), dir_norm=rows[:, 2].copy(), mu=rows[:, 3].copy(),
         gamma=rows[:, 4].copy(), restarts=tuple(restarts), hessian_actions=actions,
         stop_reason=stop_reason, setup_s=start - entry, iterate_s=end - start)
-    _log.debug("solve_cg: %s after %d iterations, %d restarts, %d Hessian actions",
-               stop_reason, iterations, len(restarts), actions)
+    _log.debug("%s: %s after %d iterations, %d restarts, %d Hessian actions",
+               name, stop_reason, iterations, len(restarts), actions)
     return SolveResult(
         x_hat=x,
         iterations=iterations,
@@ -458,79 +503,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         wall_time=end - start,
         iterates=iterates,
         stats=stats,
-    )
-
-
-def solve_noiseless(y, mask, graph, config: SolverConfig, step=None,
-                    record_iterates=False) -> SolveResult:
-    """Projected-gradient solve of the equality-constrained (noiseless) problem.
-
-    Minimizes the smoothness term subject to J o X = Y. Every iterate keeps
-    the sampled entries of Y bit-for-bit: the projection writes Y back into
-    the sampled positions, which is the exact-arithmetic meaning of
-    Y + V - J o V when supp(Y) lies inside the mask. The default step is
-    1 / ((lambda_max(L) + epsilon)^beta * lambda_max(D D^T)), the inverse of
-    the smoothness Hessian's largest eigenvalue, which guarantees descent;
-    lambda_max(L) comes from the sparse :meth:`Graph.max_eigenvalue`.
-    Stops when ||X^{t+1} - X^t||_F <= delta or at max_iter.
-
-    Each iteration computes the gradient G = (L + epsilon*I)^beta X D D^T
-    once, into a reused buffer, and reads the loss of X from it as
-    1/2 <X, G>. An iteration allocates nothing.
-    """
-    y, mask = _check_problem(y, mask, graph)
-    problem = ProblemOperator(graph, mask, config)
-    if not np.any(mask > 0):
-        raise InputError("mask selects no entries")
-    observed = mask * y
-
-    if step is None:
-        lam_graph = max(graph.max_eigenvalue(), 0.0)
-        curvature = (lam_graph + config.epsilon) ** config.beta * problem.temporal.max_eigenvalue()
-        step = 1.0 / curvature if curvature > 0 else 1.0
-    elif step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
-
-    start = time.perf_counter()
-    sampled = mask > 0
-    x = observed.copy()
-    x_next, smooth_gradient, work = (np.empty_like(x) for _ in range(3))
-    finite = np.empty(x.shape, dtype=bool)
-    gradient_flat, work_flat = smooth_gradient.ravel(), work.ravel()
-
-    def half_smoothness(x):  # 1/2 <X, K X D D^T> from the gradient just computed
-        return 0.5 * float(np.dot(x.ravel(), gradient_flat))
-
-    trace = []
-    iterates = [x.copy()] if record_iterates else None
-    iterations = 0
-    termination = "max_iter"
-    for t in range(config.max_iter):
-        problem.smoothness_gradient(x, out=smooth_gradient)
-        if not np.isfinite(smooth_gradient, out=finite).all():
-            raise NumericError(f"non-finite gradient at iteration {t}")
-        trace.append(half_smoothness(x))
-        np.subtract(x, np.multiply(smooth_gradient, step, out=x_next), out=x_next)
-        np.copyto(x_next, observed, where=sampled)
-        iterations = t + 1
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        np.subtract(x_next, x, out=work)
-        update_norm = math.sqrt(float(np.dot(work_flat, work_flat)))
-        x, x_next = x_next, x
-        if update_norm <= config.delta:
-            termination = "converged"
-            break
-    problem.smoothness_gradient(x, out=smooth_gradient)
-    trace.append(half_smoothness(x))
-
-    return SolveResult(
-        x_hat=x,
-        iterations=iterations,
-        loss_trace=np.asarray(trace),
-        termination=termination,
-        wall_time=time.perf_counter() - start,
-        iterates=iterates,
     )
 
 
@@ -550,19 +522,25 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
 
     Columns without any sample cannot be reconstructed by a purely spatial
     method; they are returned as zero vectors and listed in
-    ``unsampled_columns``. A column whose system is singular takes the
-    minimum-norm least-squares solution of its system in dense form, the
-    only case that forms an N x N matrix. On the band path that is a column
-    where some connected component of upsilon * L has no sample (at
-    upsilon = 0 each node is its own component), or where ``dpbtrf`` finds
-    the system not positive definite; on the LU path, a column that factors
-    as exactly singular.
+    ``unsampled_columns``. A connected component of upsilon * L (at
+    upsilon = 0 each node is its own component) without a sample in a column
+    makes that column's system singular, and its minimum-norm answer is
+    exactly zero there: such a column solves with 1 in place of j on the
+    component's nodes, where the right-hand side is zero, so either path
+    returns zeros on the component and the ordinary answer elsewhere. Only
+    a column whose system still fails, where ``dpbtrf`` finds it not
+    positive definite or the LU factors it as exactly singular, takes the
+    minimum-norm least-squares solution in dense form, the only case that
+    forms an N x N matrix.
     """
     y, mask = _check_problem(y, mask, graph)
     observed = mask * y
     lap = graph.laplacian_csr
     start = time.perf_counter()
     solve = _band_solver(lap, config.upsilon) or _lu_solver(lap, config.upsilon)
+    labels = (np.arange(lap.shape[0]) if config.upsilon == 0.0
+              else connected_components(lap, directed=False)[1])
+    n_labels = int(labels.max(initial=-1)) + 1
     x_hat = np.zeros_like(observed)
     skipped = []
     for column in range(observed.shape[1]):
@@ -571,7 +549,8 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
             skipped.append(column)
             continue
         rhs = j * observed[:, column]
-        x = solve(j, rhs)
+        unsampled = np.bincount(labels[j > 0], minlength=n_labels)[labels] == 0
+        x = solve(j + unsampled, rhs)
         if x is None:  # singular
             system = config.upsilon * lap.toarray()
             system[np.diag_indices_from(system)] += j
@@ -588,7 +567,8 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
 
 
 def _band_solver(lap, upsilon):
-    """gr_static's per-column solve by banded Cholesky in RCM order; None if singular.
+    """gr_static's per-column solve of (diag(j) + upsilon * L) x = rhs by banded Cholesky
+    in RCM order; None if singular.
 
     Returns None instead of a solver when the ordered Laplacian's half-bandwidth
     exceeds ``_BAND_LIMIT``.
@@ -606,12 +586,8 @@ def _band_solver(lap, upsilon):
     lower = rows >= cols
     template[rows[lower] - cols[lower], cols[lower]] = upsilon * entries.data[lower]
     band = np.empty_like(template, order="F")
-    labels = np.arange(n) if upsilon == 0.0 else connected_components(lap, directed=False)[1]
-    n_labels = int(labels.max(initial=-1)) + 1
 
     def solve(j, rhs):
-        if np.bincount(labels[j > 0], minlength=n_labels).min() == 0:
-            return None  # a component without a sample
         np.copyto(band, template)
         band[0] += j[order]
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
@@ -626,7 +602,8 @@ def _band_solver(lap, upsilon):
 
 
 def _lu_solver(lap, upsilon):
-    """gr_static's per-column solve by sparse LU; None if the column factors as exactly singular.
+    """gr_static's per-column solve of (diag(j) + upsilon * L) x = rhs by sparse LU; None
+    if the column factors as exactly singular.
 
     Every diagonal entry of upsilon * L is stored, isolated nodes included, so
     all columns share one sparsity pattern: its fill-reducing ordering is found

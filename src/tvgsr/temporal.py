@@ -8,7 +8,6 @@ one column per pair of snapshots s steps apart: column j has -1 at row j and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +76,6 @@ class TemporalOperator:
         np.subtract(diff[:-s], diff[s:], out=scattered[s:])
         np.subtract(0.0, diff[:s], out=scattered[:s])
         return out
-
-    def max_eigenvalue(self) -> float:
-        """Largest eigenvalue of D D^T.
-
-        D D^T splits into s path-graph Laplacians over the snapshots i, i+s,
-        i+2s, ...; the longest has c = ceil(M / s) nodes and the largest
-        eigenvalue 2 + 2 cos(pi / c).
-        """
-        chain = -(-self.n_snapshots // self.step)
-        return 2.0 + 2.0 * math.cos(math.pi / chain)
 
 
 def difference_operator(n_snapshots, step=1) -> TemporalOperator:

@@ -57,3 +57,18 @@ def uniqueness_mask(rng, n_nodes, n_snapshots, density=0.6):
         if check.condition1 and check.condition2:
             return mask
     raise RuntimeError("could not draw a uniqueness-satisfying mask")
+
+
+def free_block_minimizer(smoothness, y, mask):
+    """The minimum-norm minimizer of 1/2 vec(X)^T S vec(X) subject to J o X = Y.
+
+    ``smoothness`` is the dense S over column-major vec(X), such as
+    ``spectral.hessian`` with a zero mask and upsilon 1. With the samples
+    fixed, the free entries are x_F = -pinv(S_FF) S_FS y_S.
+    """
+    sampled = mask.ravel(order="F") > 0
+    x = (mask * y).ravel(order="F")
+    free_block = smoothness[np.ix_(~sampled, ~sampled)]
+    x[~sampled] = -np.linalg.pinv(free_block) @ (smoothness[np.ix_(~sampled, sampled)]
+                                                 @ x[sampled])
+    return x.reshape(mask.shape, order="F")

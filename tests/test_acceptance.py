@@ -305,7 +305,7 @@ def test_criterion_8_reconstruction_quality_shape(synth100):
 
 
 def test_criterion_9_noiseless_feasibility():
-    """Projected-gradient iterates keep sampled entries bit-for-bit."""
+    """Noiseless CG iterates keep sampled entries bit-for-bit."""
     start = time.perf_counter()
     rng = np.random.default_rng(109)
     for trial in range(10):

@@ -186,18 +186,6 @@ class TestLaplacian:
         assert tvgsr.spectrum(geo_graph.laplacian).eigenvalues.min() >= -1e-10
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
-    def test_max_eigenvalue_matches_dense(self, kind):
-        rng = np.random.default_rng(5)
-        graph = tvgsr.build_knn_graph(rng.uniform(0, 50, size=(40, 2)), 4, laplacian_kind=kind)
-        expected = np.linalg.eigvalsh(graph.laplacian)[-1]
-        assert graph.max_eigenvalue() == pytest.approx(expected, rel=1e-13)
-        assert graph.max_eigenvalue() == graph.max_eigenvalue()
-
-    def test_max_eigenvalue_small_graphs(self, two_node_graph):
-        assert two_node_graph.max_eigenvalue() == pytest.approx(2.0, rel=1e-14)
-        assert tvgsr.Graph(np.zeros((1, 1))).max_eigenvalue() == 0.0
-
-    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
     def test_csr_form_built_lazily_and_equal(self, geo_graph, kind):
         graph = tvgsr.Graph(geo_graph.adjacency, laplacian_kind=kind)
         assert graph._laplacian_csr is None

@@ -8,7 +8,8 @@ import scipy.sparse.linalg
 
 import tvgsr
 from tvgsr import InputError, NumericError, ParameterError, SolverConfig
-from conftest import connected_geometric_graph, random_geometric_graph, uniqueness_mask
+from conftest import (connected_geometric_graph, free_block_minimizer, random_geometric_graph,
+                      uniqueness_mask)
 
 
 def vectorized_objective(x, y, mask, graph, config):
@@ -192,51 +193,58 @@ class TestSolveNoiseless:
                                                     max_iter=300))
         assert np.all(np.diff(result.loss_trace) <= 1e-9)
 
-    @pytest.mark.parametrize("step", [1, 2, 3])
-    @pytest.mark.parametrize("beta, epsilon", [(1.0, 0.0), (2.0, 0.2), (0.5, 0.1)])
-    def test_iterates_match_the_allocating_loop(self, step, beta, epsilon, monkeypatch):
-        rng = np.random.default_rng(40)
-        graph = connected_geometric_graph(rng, 12, 3)
-        mask = tvgsr.random_entry_mask(12, 9, 0.4, 41).mask
-        y = mask * rng.normal(size=(12, 9))
-        config = SolverConfig(epsilon=epsilon, beta=beta, objective="sobolev",
-                              temporal_step=step, max_iter=400, delta=1e-7)
-        problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
-        step_size = 1.0 / ((graph.max_eigenvalue() + epsilon) ** beta
-                           * problem.temporal.max_eigenvalue())
-        x, expected = mask * y, [mask * y]
-        for _ in range(config.max_iter):
-            x_next = np.where(mask > 0, mask * y, x - step_size * problem.smoothness_gradient(x))
-            expected.append(x_next)
-            done = np.linalg.norm(x_next - x) <= config.delta
-            x = x_next
-            if done:
-                break
-        applications = []
-        original = tvgsr.solvers.ProblemOperator.smoothness_gradient
-
-        def counting(self, x, out=None):
-            applications.append(1)
-            return original(self, x, out=out)
-
-        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "smoothness_gradient", counting)
-        result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
-        assert result.iterations == len(expected) - 1
-        assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
-        assert np.array_equal(result.x_hat, expected[-1])
-        assert len(applications) == result.iterations + 1
-        losses = [0.5 * problem.smoothness(iterate) for iterate in expected]
-        assert np.allclose(result.loss_trace, losses, rtol=1e-12, atol=1e-14 * losses[0])
-
     def test_empty_mask_rejected(self, geo_graph):
         y = np.zeros((geo_graph.n_nodes, 3))
         with pytest.raises(InputError):
             tvgsr.solve_noiseless(y, np.zeros_like(y), geo_graph, SolverConfig())
 
-    def test_bad_step_rejected(self, geo_graph):
-        y = np.ones((geo_graph.n_nodes, 3))
-        with pytest.raises(ParameterError):
-            tvgsr.solve_noiseless(y, np.ones_like(y), geo_graph, SolverConfig(), step=-1.0)
+    def test_stats_count_one_product_per_iteration_and_each_refresh(self, monkeypatch):
+        y, mask, graph, config = long_cg_problem()
+        calls = []
+        original = tvgsr.solvers.ProblemOperator.smoothness_gradient
+
+        def counting(self, x, out=None):
+            calls.append(1)
+            return original(self, x, out=out)
+
+        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "smoothness_gradient", counting)
+        result = tvgsr.solve_noiseless(y, mask, graph, config)
+        stats, k = result.stats, result.iterations
+        assert k >= 100
+        assert (result.termination, stats.stop_reason) == ("converged", "direction_norm")
+        assert stats.hessian_actions == k + 1 + k // 50 == len(calls)
+        assert stats.dir_norm.shape == (k,) and np.all(stats.dir_norm > config.delta)
+        assert np.all(np.diff(result.loss_trace) <= 1e-12 * result.loss_trace[0])
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_never_sampled_node_warns_and_gives_the_minimum_norm_minimizer(self, caplog,
+                                                                           beta, epsilon):
+        # e_i kron 1 is a null direction of the free block; J o Y and every projected
+        # gradient are orthogonal to it, so CG never moves along it.
+        config = SolverConfig(epsilon=epsilon, beta=beta, delta=1e-12)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            graph = connected_geometric_graph(rng, 6, 2)
+            mask = uniqueness_mask(rng, 6, 5).copy()
+            node = rng.integers(6)
+            mask[node] = 0.0
+            y = mask * rng.normal(size=mask.shape)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tvgsr"):
+                result = tvgsr.solve_noiseless(y, mask, graph, config)
+            messages = [r.getMessage() for r in caplog.records]
+            assert len(messages) == 1
+            assert f"1 of 6 nodes are never sampled (first: {node})" in messages[0]
+            smoothness = tvgsr.spectral.hessian(np.zeros_like(mask), graph,
+                                                tvgsr.difference_operator(5, 1), 1.0, epsilon,
+                                                beta)
+            expected = free_block_minimizer(smoothness, y, mask)
+            scale = np.linalg.norm(expected)
+            assert result.termination == "converged"
+            assert np.linalg.norm(result.x_hat - expected) <= 1e-8 * scale
+            assert abs(result.x_hat[node].sum()) <= 1e-10 * scale
+            assert np.array_equal(result.x_hat[mask > 0], y[mask > 0])
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
     def test_iterations_allocate_no_signal_sized_array(self, beta, monkeypatch):
@@ -557,7 +565,7 @@ class TestSolveGrStatic:
                 0.5 * upsilon * float(np.sum(x_hat * (lap @ x_hat)))
             assert result.loss_trace.tolist() == [loss]
 
-    def test_unsampled_component_takes_least_squares_answer(self):
+    def test_unsampled_component_takes_least_squares_answer(self, monkeypatch):
         # a weighted path over nodes 0-5 and a single edge 6-7
         rng = np.random.default_rng(32)
         weights = np.zeros((8, 8))
@@ -570,11 +578,14 @@ class TestSolveGrStatic:
         mask[6:, 1] = 0.0  # second component unsampled in column 1
         mask[0, 1] = 0.0
         y = mask * y
+        calls = band_factorizations(monkeypatch)
         result = tvgsr.solve_gr_static(y, mask, graph,
                                        SolverConfig(upsilon=0.3, objective="gr_static"))
+        assert len(calls) == 3
         system = np.diag(mask[:, 1]) + 0.3 * graph.laplacian
         least_squares = np.linalg.lstsq(system, mask[:, 1] * y[:, 1], rcond=None)[0]
-        assert np.array_equal(result.x_hat[:, 1], least_squares)
+        error = np.linalg.norm(result.x_hat[:, 1] - least_squares)
+        assert error <= 1e-12 * np.linalg.norm(least_squares)
         assert np.all(result.x_hat[6:, 1] == 0.0)
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
@@ -652,18 +663,47 @@ class TestSolveGrStatic:
         calls = band_factorizations(monkeypatch)
         result = tvgsr.solve_gr_static(y, mask, graph,
                                        SolverConfig(upsilon=upsilon, objective="gr_static"))
-        assert len(calls) == 4
+        assert len(calls) == 6
+        assert np.all(result.x_hat[40:, 1] == 0.0) and result.x_hat[17, 2] == 0.0
         for column in range(6):
             j = mask[:, column]
             system = np.diag(j) + upsilon * graph.laplacian
             rhs = j * y[:, column]
             if column in (1, 2):
-                least_squares = np.linalg.lstsq(system, rhs, rcond=None)[0]
-                assert np.array_equal(result.x_hat[:, column], least_squares)
+                expected = np.linalg.lstsq(system, rhs, rcond=None)[0]
             else:
                 expected = np.linalg.solve(system, rhs)
-                error = np.linalg.norm(result.x_hat[:, column] - expected)
-                assert error <= 1e-12 * np.linalg.norm(expected)
+            error = np.linalg.norm(result.x_hat[:, column] - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("upsilon", [0.05, 3.0])
+    def test_lu_path_gives_unsampled_components_zeros_without_least_squares(self, monkeypatch,
+                                                                           upsilon):
+        # a band past the limit, and a separate five-node path
+        rng = np.random.default_rng(58)
+        limit = tvgsr.solvers._BAND_LIMIT
+        wide = banded_graph(rng, 2 * limit + 40, limit + 1).adjacency_csr
+        path = scipy.sparse.diags([rng.uniform(0.2, 1.0, 4)], [1], shape=(5, 5))
+        graph = tvgsr.Graph(scipy.sparse.block_diag([wide, path + path.T]).tocsr())
+        n = graph.n_nodes
+        mask = tvgsr.random_entry_mask(n, 4, 0.5, 59).mask.copy()
+        mask[-5:, [0, 2]] = 0.0  # the path has no sample in columns 0 and 2
+        mask[-5:, 1] = 1.0
+        y = mask * rng.normal(size=(n, 4))
+        expected = dense_gr_static_columns(y, mask, graph, upsilon)
+        calls = band_factorizations(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        result = tvgsr.solve_gr_static(y, mask, graph,
+                                       SolverConfig(upsilon=upsilon, objective="gr_static"))
+        assert len(calls) == 0
+        assert np.all(result.x_hat[-5:, [0, 2]] == 0.0)
+        for column in range(4):
+            error = np.linalg.norm(result.x_hat[:, column] - expected[:, column])
+            assert error <= 1e-12 * np.linalg.norm(expected[:, column])
 
     def test_failed_band_factorization_takes_least_squares_answer(self, monkeypatch):
         rng = np.random.default_rng(54)

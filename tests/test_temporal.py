@@ -49,13 +49,6 @@ class TestDifferenceOperator:
         assert peak < 1_000_000
         assert op.n_differences == 10**6 - 1
 
-    def test_max_eigenvalue_matches_dense(self):
-        for s in (1, 2, 3):
-            for m in range(s + 1, 40):
-                op = tvgsr.difference_operator(m, s)
-                dense = np.linalg.eigvalsh(op.matrix @ op.matrix.T)[-1]
-                assert op.max_eigenvalue() == pytest.approx(dense, rel=1e-12)
-
     def test_scatter_matches_dense(self):
         rng = np.random.default_rng(3)
         for s in (1, 2, 3):
