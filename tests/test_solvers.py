@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -192,6 +193,57 @@ class TestSolveNoiseless:
                                        SolverConfig(epsilon=0.1, objective="sobolev",
                                                     max_iter=300))
         assert np.all(np.diff(result.loss_trace) <= 1e-9)
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("beta, epsilon", [(1.0, 0.0), (2.0, 0.2), (0.5, 0.1)])
+    def test_iterates_match_the_allocating_loop(self, step, beta, epsilon, monkeypatch):
+        # FR-CG on the free entries with fresh arrays every iteration; each update is
+        # BLAS daxpy on a copy, so it rounds as the in-place loop does
+        rng = np.random.default_rng(40)
+        graph = connected_geometric_graph(rng, 12, 3)
+        mask = tvgsr.random_entry_mask(12, 9, 0.4, 41).mask
+        y = mask * rng.normal(size=(12, 9))
+        config = SolverConfig(epsilon=epsilon, beta=beta, objective="sobolev",
+                              temporal_step=step, max_iter=400, delta=1e-7)
+        problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
+
+        def projected_gradient(v):
+            return np.where(mask > 0, 0.0, problem.smoothness_gradient(v))
+
+        def plus(x, a, v):
+            x = x.copy()
+            scipy.linalg.blas.daxpy(v.ravel(), x.ravel(), a=a)
+            return x
+
+        x = mask * y
+        g = projected_gradient(x)
+        d, expected = -g, [x]
+        for t in range(1, config.max_iter + 1):
+            if np.sqrt(np.vdot(d, d)) <= config.delta:
+                break
+            h = projected_gradient(d)
+            mu = -np.vdot(d, g) / np.vdot(d, h)
+            x = plus(x, mu, d)
+            expected.append(x)
+            g_next = projected_gradient(x) if t % 50 == 0 else plus(g, mu, h)
+            d = (np.vdot(g_next, g_next) / np.vdot(g, g)) * d - g_next
+            g = g_next
+        applications = []
+        original = tvgsr.solvers.ProblemOperator.smoothness_gradient
+
+        def counting(self, x, out=None):
+            applications.append(1)
+            return original(self, x, out=out)
+
+        monkeypatch.setattr(tvgsr.solvers.ProblemOperator, "smoothness_gradient", counting)
+        result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
+        k = result.iterations
+        assert k == len(expected) - 1 and result.stats.restarts == ()
+        assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
+        assert np.array_equal(result.x_hat, expected[-1])
+        assert len(applications) == k + 1 + k // 50 == result.stats.hessian_actions
+        losses = [0.5 * problem.smoothness(iterate) for iterate in expected]
+        assert np.allclose(result.loss_trace, losses, rtol=1e-12, atol=1e-14 * losses[0])
 
     def test_empty_mask_rejected(self, geo_graph):
         y = np.zeros((geo_graph.n_nodes, 3))
