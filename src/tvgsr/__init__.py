@@ -51,8 +51,6 @@ from .graphs import (
     Graph,
     Spectrum,
     build_knn_graph,
-    gft,
-    inverse_gft,
     laplacian,
     sobolev_power,
     spectrum,
@@ -93,11 +91,6 @@ from .temporal import (
     TemporalOperator,
     alpha_smoothness_level,
     difference_operator,
-    dirichlet_form,
-    laplacian_quadratic,
-    local_variation,
-    s2_time_varying,
-    sobolev_norm,
     sobolev_smoothness,
     temporal_difference,
 )

@@ -17,6 +17,7 @@ and oracle paths, and a pickled graph carries no N x N array.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ LAPLACIAN_KINDS = ("combinatorial", "normalized")
 
 _SYMMETRY_RTOL = 1e-10
 _RADIUS_SLACK = 1e-9  # relative widening of the k-d tree radius against rounding
-_ROW_SUM_BLOCK = 1 << 18  # entries of the dense block that degrees are summed in
 
 
 def as_coordinates(coords) -> np.ndarray:
@@ -94,28 +94,12 @@ def _frozen(array):
     return array
 
 
-def _row_sums(matrix) -> np.ndarray:
-    """Row sums of a CSR matrix, bit for bit those of its dense rows.
-
-    numpy sums a dense row pairwise, zeros included, so the rows are summed
-    in dense blocks of a few rows at a time.
-    """
-    n_rows, n_cols = matrix.shape
-    step = max(1, _ROW_SUM_BLOCK // max(n_cols, 1))
-    return np.concatenate([matrix[start:start + step].toarray().sum(axis=1)
-                           for start in range(0, n_rows, step)])
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a symmetric matrix: eigenvalues ascending, U orthonormal."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 class Graph:
@@ -142,7 +126,7 @@ class Graph:
             raise ParameterError(f"laplacian_kind must be one of {LAPLACIAN_KINDS}")
         self.adjacency_csr = _frozen(adjacency)
         self.n_nodes = adjacency.shape[0]
-        self.degrees = _frozen(_row_sums(adjacency))
+        self.degrees = _frozen(np.asarray(adjacency.sum(axis=1)).ravel())
         self.laplacian_kind = laplacian_kind
         self.coords = None if coords is None else as_coordinates(coords)
         n_components, _ = connected_components(adjacency, directed=False)
@@ -269,8 +253,9 @@ def laplacian(graph: Graph) -> csr_matrix:
 
     Combinatorial: L = D - W. Normalized: the symmetric part of
     D^{-1/2} (D - W) D^{-1/2}, where isolated nodes (zero degree) contribute
-    zero rows and columns. Every entry is that of the dense formula, bit for
-    bit, and zeros are not stored.
+    zero rows and columns. The degrees are scipy's CSR row sums; on those
+    degrees every entry is that of the dense formula, bit for bit, and zeros
+    are not stored.
     """
     degrees, n = graph.degrees, graph.n_nodes
     lap = csr_matrix((degrees, np.arange(n), np.arange(n + 1)), shape=(n, n)) - graph.adjacency_csr
@@ -292,22 +277,6 @@ def spectrum(laplacian_matrix) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def gft(x, spec: Spectrum) -> np.ndarray:
-    """Graph Fourier transform: project onto the Laplacian eigenbasis (U^T x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != spec.n_nodes:
-        raise InputError(f"signal has {x.shape[0]} rows, spectrum has {spec.n_nodes} nodes")
-    return spec.eigenvectors.T @ x
-
-
-def inverse_gft(x_hat, spec: Spectrum) -> np.ndarray:
-    """Inverse graph Fourier transform (U x_hat)."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.shape[0] != spec.n_nodes:
-        raise InputError(f"coefficients have {x_hat.shape[0]} rows, spectrum has {spec.n_nodes} nodes")
-    return spec.eigenvectors @ x_hat
-
-
 def sobolev_power(laplacian_matrix, epsilon, beta) -> np.ndarray:
     """Compute (L + epsilon*I)^beta for a symmetric PSD matrix L.
 
@@ -319,6 +288,8 @@ def sobolev_power(laplacian_matrix, epsilon, beta) -> np.ndarray:
     otherwise lift (1e-16 becomes 1e-8 at beta = 0.5).
     """
     matrix = _check_symmetric(laplacian_matrix, "Laplacian")
+    if not (math.isfinite(epsilon) and math.isfinite(beta)):
+        raise ParameterError(f"epsilon and beta must be finite, got {epsilon} and {beta}")
     if epsilon < 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     if beta <= 0:

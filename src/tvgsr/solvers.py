@@ -85,6 +85,14 @@ class SolverConfig:
         if self.objective in ("tgsr", "gr_static"):
             object.__setattr__(self, "epsilon", 0.0)
             object.__setattr__(self, "beta", 1.0)
+        for name in ("upsilon", "epsilon", "beta", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        for name in ("max_iter", "temporal_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.upsilon < 0:
             raise ParameterError(f"upsilon must be >= 0, got {self.upsilon}")
         if self.epsilon < 0:

@@ -54,8 +54,8 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
         raise InputError(f"mask has {mask.shape[0]} rows but graph has {graph.n_nodes} nodes")
     if mask.size > DENSE_GUARD:
         raise ParameterError(f"dense Hessian limited to N*M <= {DENSE_GUARD}, got {mask.size}")
-    if upsilon < 0:
-        raise ParameterError(f"upsilon must be >= 0, got {upsilon}")
+    if not math.isfinite(upsilon) or upsilon < 0:
+        raise ParameterError(f"upsilon must be finite and >= 0, got {upsilon}")
     if op.n_snapshots != mask.shape[1]:
         raise InputError(f"operator expects {op.n_snapshots} snapshots, mask has {mask.shape[1]}")
     d = op.matrix

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError, ParameterError
-from .graphs import Graph, sobolev_power
+from .graphs import sobolev_power
 
 TEMPORAL_STEPS = (1, 2, 3)
 
@@ -104,33 +104,6 @@ def temporal_difference(x, op: TemporalOperator) -> np.ndarray:
     return op.apply(x)
 
 
-def local_variation(x, graph: Graph, node) -> float:
-    """Local variation at one node: sqrt(sum_j W(i,j) (x(j) - x(i))^2)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (graph.n_nodes,):
-        raise InputError(f"expected a length-{graph.n_nodes} signal, got shape {x.shape}")
-    if not 0 <= node < graph.n_nodes:
-        raise InputError(f"node index {node} out of range [0, {graph.n_nodes})")
-    adjacency = graph.adjacency_csr
-    row = slice(adjacency.indptr[node], adjacency.indptr[node + 1])
-    neighbors = adjacency.indices[row]
-    return float(np.sqrt(np.sum(adjacency.data[row] * (x[neighbors] - x[node]) ** 2)))
-
-
-def dirichlet_form(x, graph: Graph, p) -> float:
-    """Discrete p-Dirichlet form: (1/p) * sum_i ||local variation at i||^p."""
-    if p <= 0:
-        raise ParameterError(f"p must be > 0, got {p}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (graph.n_nodes,):
-        raise InputError(f"expected a length-{graph.n_nodes} signal, got shape {x.shape}")
-    adjacency = graph.adjacency_csr
-    rows = np.repeat(np.arange(graph.n_nodes), np.diff(adjacency.indptr))
-    terms = adjacency.data * (x[adjacency.indices] - x[rows]) ** 2
-    sq = np.bincount(rows, weights=terms, minlength=graph.n_nodes)
-    return float(np.sum(sq ** (p / 2.0)) / p)
-
-
 def _quadratic(z, matrix) -> float:
     """sum(z * (K @ z)): z^T K z for a vector, tr(Z^T K Z) for the columns of a matrix."""
     z = np.asarray(z, dtype=float)
@@ -138,24 +111,6 @@ def _quadratic(z, matrix) -> float:
     if z.shape[0] != matrix.shape[0]:
         raise InputError(f"signal has {z.shape[0]} rows, Laplacian is {matrix.shape[0]} x {matrix.shape[0]}")
     return float(np.sum(z * (matrix @ z)))
-
-
-def laplacian_quadratic(x, laplacian_matrix) -> float:
-    """Laplacian quadratic form x^T L x (zero iff x is constant on a connected graph)."""
-    return _quadratic(x, laplacian_matrix)
-
-
-def s2_time_varying(x, laplacian_matrix) -> float:
-    """Snapshot-summed quadratic form tr(X^T L X)."""
-    return _quadratic(x, laplacian_matrix)
-
-
-def sobolev_norm(x, laplacian_matrix, epsilon, beta) -> float:
-    """Squared graph Sobolev norm x^T (L + epsilon*I)^beta x.
-
-    Reduces to the Laplacian quadratic form at epsilon = 0, beta = 1.
-    """
-    return _quadratic(x, sobolev_power(laplacian_matrix, epsilon, beta))
 
 
 def sobolev_smoothness(x, op: TemporalOperator, laplacian_matrix, epsilon, beta) -> float:

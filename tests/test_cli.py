@@ -759,7 +759,11 @@ class TestPlanValues:
 
 class TestRunLifecycle:
     @pytest.mark.parametrize("case", ["analyze_guard", "analyze_empty_mask",
-                                      "oracle_guard", "oracle_gr_static"])
+                                      "oracle_guard", "oracle_gr_static",
+                                      "reconstruct_delta_nan", "reconstruct_upsilon_nan",
+                                      "reconstruct_epsilon_inf", "analyze_upsilon_nan",
+                                      "analyze_upsilon_inf", "analyze_beta_nan",
+                                      "analyze_epsilon_grid_nan"])
     def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
         coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
         wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
@@ -772,6 +776,13 @@ class TestRunLifecycle:
             "analyze_empty_mask": [*analyze, "--snapshots", "6", "--density", "0"],
             "oracle_guard": [*reconstruct, "--signal", str(wide)],
             "oracle_gr_static": [*reconstruct, "--signal", signal, "--objective", "gr_static"],
+            "reconstruct_delta_nan": [*reconstruct, "--signal", signal, "--delta", "nan"],
+            "reconstruct_upsilon_nan": [*reconstruct, "--signal", signal, "--upsilon", "nan"],
+            "reconstruct_epsilon_inf": [*reconstruct, "--signal", signal, "--epsilon", "inf"],
+            "analyze_upsilon_nan": [*analyze, "--snapshots", "6", "--upsilon", "nan"],
+            "analyze_upsilon_inf": [*analyze, "--snapshots", "6", "--upsilon", "inf"],
+            "analyze_beta_nan": [*analyze, "--snapshots", "6", "--beta", "nan"],
+            "analyze_epsilon_grid_nan": [*analyze, "--snapshots", "6", "--epsilon-grid", "0.1,nan"],
         }[case]
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1

@@ -224,29 +224,6 @@ class TestSpectrum:
         assert np.all(np.diff(eigenvalues) >= -1e-14)
 
 
-class TestGft:
-    def test_eigenvector_maps_to_basis(self, path_graph3):
-        spec = path_graph3.spectrum()
-        x_hat = tvgsr.gft(spec.eigenvectors[:, 0], spec)
-        expected = np.zeros(3)
-        expected[0] = 1.0
-        assert np.allclose(np.abs(x_hat), expected, atol=1e-12)
-
-    def test_zero_signal(self, path_graph3):
-        assert np.all(tvgsr.gft(np.zeros(3), path_graph3.spectrum()) == 0.0)
-
-    def test_round_trip(self, geo_graph):
-        rng = np.random.default_rng(9)
-        spec = geo_graph.spectrum()
-        x = rng.normal(size=geo_graph.n_nodes)
-        back = tvgsr.inverse_gft(tvgsr.gft(x, spec), spec)
-        assert np.abs(back - x).max() < 1e-10
-
-    def test_dimension_mismatch(self, path_graph3):
-        with pytest.raises(InputError):
-            tvgsr.gft(np.zeros(4), path_graph3.spectrum())
-
-
 class TestSobolevPower:
     def test_identity_of_construction(self, geo_graph):
         lap = geo_graph.laplacian
@@ -280,6 +257,9 @@ class TestSobolevPower:
             tvgsr.sobolev_power(geo_graph.laplacian, -0.1, 1.0)
         with pytest.raises(ParameterError):
             tvgsr.sobolev_power(geo_graph.laplacian, 0.0, 0.0)
+        for epsilon, beta in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+            with pytest.raises(ParameterError):
+                tvgsr.sobolev_power(geo_graph.laplacian, epsilon, beta)
 
     def test_symmetric_positive_definite(self, geo_graph):
         for epsilon, beta in ((0.2, 1.0), (0.5, 2.0), (1.0, 1.5)):
@@ -330,8 +310,11 @@ class TestGraphValidation:
 
 
 def dense_rule(weights, kind):
-    """The dense construction the CSR graph reproduces: degrees, Laplacian, components."""
-    degrees = weights.sum(axis=1)
+    """The dense construction the CSR graph reproduces: degrees, Laplacian, components.
+
+    The degrees are scipy's CSR row sums, the rule the graph uses.
+    """
+    degrees = np.asarray(csr_matrix(weights).sum(axis=1)).ravel()
     lap = np.diag(degrees) - weights
     if kind == "normalized":
         with np.errstate(divide="ignore"):
@@ -392,13 +375,14 @@ class TestCsrGraphAgainstDenseRule:
             assert graph.is_connected == (n_components == 1)
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
-    def test_large_degree_sums_match_numpy_row_sums(self, kind):
-        # rows longer than the dense block and than numpy's pairwise-sum leaves
+    def test_large_degree_sums_match_csr_row_sums(self, kind):
         rng = np.random.default_rng(7)
         graph = tvgsr.build_knn_graph(rng.uniform(0, 100, size=(3000, 2)), 12,
                                       laplacian_kind=kind)
         weights = graph.adjacency
-        assert bits(graph.degrees) == bits(weights.sum(axis=1))
+        assert bits(graph.degrees) == bits(np.asarray(graph.adjacency_csr.sum(axis=1)).ravel())
+        dense_sums = weights.sum(axis=1)  # numpy's pairwise sum over the dense rows
+        assert np.all(np.abs(graph.degrees - dense_sums) <= 4 * np.spacing(dense_sums))
         assert bits(graph.laplacian) == bits(dense_rule(weights, kind)[1])
 
 

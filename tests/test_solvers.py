@@ -61,6 +61,14 @@ class TestSolverConfig:
             SolverConfig(objective="banana")
         with pytest.raises(ParameterError):
             SolverConfig(temporal_step=4)
+        for bad in ({"upsilon": np.nan}, {"upsilon": np.inf}, {"epsilon": np.nan},
+                    {"epsilon": np.inf}, {"beta": np.nan}, {"beta": np.inf},
+                    {"delta": np.nan}, {"delta": np.inf}, {"max_iter": 10.5},
+                    {"max_iter": 10.0}, {"max_iter": True}, {"temporal_step": 1.0},
+                    {"temporal_step": True}):
+            with pytest.raises(ParameterError):
+                SolverConfig(**bad)
+        assert SolverConfig(max_iter=np.int64(5), temporal_step=np.int32(2)).max_iter == 5
 
 
 class TestObjective:

@@ -80,6 +80,12 @@ class TestHessian:
         with pytest.raises(ParameterError):
             tvgsr.hessian(np.ones((70, 60)), graph, op, 1.0, 0.0, 1.0)
 
+    def test_upsilon_must_be_finite_and_nonnegative(self, path_graph3):
+        op = tvgsr.difference_operator(3, 1)
+        for upsilon in (np.nan, np.inf, -1.0):
+            with pytest.raises(ParameterError, match="finite and >= 0"):
+                tvgsr.hessian(np.ones((3, 3)), path_graph3, op, upsilon, 0.0, 1.0)
+
 
 class TestConditionNumber:
     def test_identity(self):
