@@ -162,6 +162,15 @@ class TestLaplacian:
         ])
         assert np.allclose(path_graph3.laplacian, expected)
 
+    def test_degrees_by_hand(self):
+        # weighted path 1 -0.5- 2 -2.0- 3 plus an isolated node 4
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 0.5
+        w[1, 2] = w[2, 1] = 2.0
+        graph = tvgsr.Graph(w)
+        assert np.array_equal(graph.degrees, [0.5, 2.5, 2.0, 0.0])
+        assert np.array_equal(np.diag(graph.laplacian), graph.degrees)
+
     def test_symmetry_tolerance(self, geo_graph):
         lap = geo_graph.laplacian
         assert np.abs(lap - lap.T).max() <= 1e-12

@@ -94,6 +94,12 @@ class TestTemporalDifference:
             assert tvgsr.temporal_difference(x, op).tobytes() == (x @ op.matrix).tobytes()
 
 
+def two_snapshots(d):
+    """A signal whose one 1-step difference column is d, so its smoothness is a form in d."""
+    d = np.asarray(d, dtype=float)
+    return np.column_stack([np.zeros_like(d), d])
+
+
 class TestSobolevSmoothness:
     def test_constant_in_time(self, geo_graph):
         x = np.tile(np.arange(geo_graph.n_nodes, dtype=float)[:, None], (1, 5))
@@ -126,6 +132,71 @@ class TestSobolevSmoothness:
             op = tvgsr.difference_operator(6, step)
             assert tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, 0.1, 1.5) >= -1e-10
 
+    def test_single_edge_by_hand(self, two_node_graph):
+        # L + 0.5 I = [[1.5, -1], [-1, 1.5]], whose quadratic form at [1, 0] is 1.5
+        value = tvgsr.sobolev_smoothness(two_snapshots([1.0, 0.0]), tvgsr.difference_operator(2, 1),
+                                         two_node_graph.laplacian, 0.5, 1.0)
+        assert value == pytest.approx(1.5, abs=1e-12)
+
+    def test_constant_difference_value(self, geo_graph):
+        # L 1 = 0, so (L + eps I)^beta 1 = eps^beta 1 and the form is N eps^beta
+        n = geo_graph.n_nodes
+        x, op = two_snapshots(np.ones(n)), tvgsr.difference_operator(2, 1)
+        for epsilon, beta in ((0.5, 1.0), (0.25, 2.0), (0.8, 1.5)):
+            assert tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, epsilon, beta) == (
+                pytest.approx(n * epsilon**beta, rel=1e-8))
+
+    def test_scaling_is_quadratic(self, geo_graph):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(geo_graph.n_nodes, 4))
+        op = tvgsr.difference_operator(4, 1)
+        base = tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, 0.3, 1.5)
+        scaled = tvgsr.sobolev_smoothness(3.0 * x, op, geo_graph.laplacian, 0.3, 1.5)
+        assert scaled == pytest.approx(9.0 * base, rel=1e-10)
+
+    def test_monotone_in_epsilon(self, geo_graph):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(geo_graph.n_nodes, 3))
+        op = tvgsr.difference_operator(3, 1)
+        values = [tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, eps, 1.0)
+                  for eps in (0.0, 0.1, 0.5, 1.0, 2.0)]
+        assert np.all(np.diff(values) >= -1e-12)
+
+    def test_monotone_in_beta_when_epsilon_at_least_one(self, geo_graph):
+        # every eigenvalue of L + eps I is >= 1, so its powers grow with beta
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(geo_graph.n_nodes, 3))
+        op = tvgsr.difference_operator(3, 1)
+        values = [tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, 1.0, beta)
+                  for beta in (0.5, 1.0, 1.5, 2.0, 3.0)]
+        assert np.all(np.diff(values) >= -1e-10)
+
+    def test_time_constant_offset_cancels(self, geo_graph):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(geo_graph.n_nodes, 5))
+        offset = rng.normal(size=(geo_graph.n_nodes, 1))
+        op = tvgsr.difference_operator(5, 2)
+        assert tvgsr.sobolev_smoothness(x + offset, op, geo_graph.laplacian, 0.2, 1.5) == (
+            pytest.approx(tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, 0.2, 1.5),
+                          rel=1e-10))
+
+    def test_non_finite_parameters_rejected(self, geo_graph):
+        x, op = two_snapshots(np.ones(geo_graph.n_nodes)), tvgsr.difference_operator(2, 1)
+        for epsilon, beta in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+            with pytest.raises(ParameterError):
+                tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, epsilon, beta)
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_sums_the_differences_step_apart(self, geo_graph, step):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(geo_graph.n_nodes, 7))
+        power = tvgsr.sobolev_power(geo_graph.laplacian, 0.3, 2.0)
+        expected = sum((x[:, j + step] - x[:, j]) @ (power @ (x[:, j + step] - x[:, j]))
+                       for j in range(7 - step))
+        value = tvgsr.sobolev_smoothness(x, tvgsr.difference_operator(7, step),
+                                         geo_graph.laplacian, 0.3, 2.0)
+        assert value == pytest.approx(expected, rel=1e-10)
+
 
 class TestAlphaSmoothnessLevel:
     def test_constant_in_time(self, geo_graph):
@@ -141,6 +212,68 @@ class TestAlphaSmoothnessLevel:
         d = x[:, 1] - x[:, 0]
         assert tvgsr.alpha_smoothness_level(x, op, geo_graph.laplacian) == pytest.approx(
             d @ (geo_graph.laplacian @ d), abs=1e-10)
+
+    def test_single_edge_by_hand(self, two_node_graph):
+        level = tvgsr.alpha_smoothness_level(two_snapshots([1.0, 0.0]),
+                                             tvgsr.difference_operator(2, 1),
+                                             two_node_graph.laplacian)
+        assert level == pytest.approx(1.0)
+
+    def test_path_graph_by_hand(self, path_graph3):
+        # edges (1,2) and (2,3) with unit weight: (2-1)^2 + (4-2)^2
+        level = tvgsr.alpha_smoothness_level(two_snapshots([1.0, 2.0, 4.0]),
+                                             tvgsr.difference_operator(2, 1),
+                                             path_graph3.laplacian)
+        assert level == pytest.approx(5.0)
+
+    def test_edge_sum_equivalence(self, geo_graph):
+        rng = np.random.default_rng(6)
+        w = geo_graph.adjacency
+        op = tvgsr.difference_operator(2, 1)
+        for _ in range(5):
+            d = rng.normal(size=geo_graph.n_nodes)
+            edge_sum = 0.0
+            for i in range(geo_graph.n_nodes):
+                for j in range(i + 1, geo_graph.n_nodes):
+                    edge_sum += w[i, j] * (d[j] - d[i]) ** 2
+            assert tvgsr.alpha_smoothness_level(two_snapshots(d), op, geo_graph.laplacian) == (
+                pytest.approx(edge_sum, abs=1e-10))
+
+    def test_normalized_laplacian_edge_sum(self):
+        rng = np.random.default_rng(20)
+        graph = tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(8, 2)), 3,
+                                      laplacian_kind="normalized")
+        w, scale = graph.adjacency, 1.0 / np.sqrt(graph.degrees)
+        d = rng.normal(size=graph.n_nodes)
+        edge_sum = sum(w[i, j] * (d[j] * scale[j] - d[i] * scale[i]) ** 2
+                       for i in range(graph.n_nodes) for j in range(i + 1, graph.n_nodes))
+        level = tvgsr.alpha_smoothness_level(two_snapshots(d), tvgsr.difference_operator(2, 1),
+                                             graph.laplacian)
+        assert level == pytest.approx(edge_sum, abs=1e-10)
+
+    def test_level_is_the_mean_over_differences(self, geo_graph):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(geo_graph.n_nodes, 6))
+        lap = geo_graph.laplacian
+        for step in (1, 2, 3):
+            columns = [x[:, j + step] - x[:, j] for j in range(6 - step)]
+            mean = sum(d @ (lap @ d) for d in columns) / len(columns)
+            level = tvgsr.alpha_smoothness_level(x, tvgsr.difference_operator(6, step), lap)
+            assert level == pytest.approx(mean, rel=1e-10)
+
+    def test_per_snapshot_constant_shift_cancels(self, geo_graph):
+        # L 1 = 0 for the combinatorial Laplacian, so c_t * 1 added to snapshot t is invisible
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(geo_graph.n_nodes, 4))
+        shifted = x + rng.normal(size=(1, 4))
+        op = tvgsr.difference_operator(4, 1)
+        assert tvgsr.alpha_smoothness_level(shifted, op, geo_graph.laplacian) == pytest.approx(
+            tvgsr.alpha_smoothness_level(x, op, geo_graph.laplacian), rel=1e-10)
+
+    def test_signal_rows_must_match_the_laplacian(self, two_node_graph):
+        with pytest.raises(InputError):
+            tvgsr.alpha_smoothness_level(np.ones((3, 2)), tvgsr.difference_operator(2, 1),
+                                         two_node_graph.laplacian)
 
     def test_requires_two_snapshots(self, geo_graph):
         with pytest.raises(ParameterError):
@@ -162,3 +295,16 @@ class TestSpectralIdentity:
             direct = float(np.sum(x * (power @ x)))
             spectral = float(np.sum(x_hat**2 * lam[:, None] ** beta))
             assert direct == pytest.approx(spectral, rel=1e-8)
+
+    def test_sobolev_smoothness_spectral_form(self, geo_graph):
+        # the smoothness weights each GFT coefficient of the differences by (lambda + eps)^beta
+        rng = np.random.default_rng(22)
+        spec = geo_graph.spectrum()
+        x = rng.normal(size=(geo_graph.n_nodes, 5))
+        op = tvgsr.difference_operator(5, 1)
+        diff_hat = spec.eigenvectors.T @ (x @ op.matrix)
+        lam = np.clip(spec.eigenvalues, 0.0, None)
+        for epsilon, beta in ((0.1, 1.0), (0.5, 2.0), (0.2, 1.5)):
+            spectral = float(np.sum(diff_hat**2 * (lam[:, None] + epsilon) ** beta))
+            assert tvgsr.sobolev_smoothness(x, op, geo_graph.laplacian, epsilon, beta) == (
+                pytest.approx(spectral, rel=1e-8))
