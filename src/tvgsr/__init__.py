@@ -49,7 +49,6 @@ from .exceptions import (
 )
 from .graphs import (
     Graph,
-    Spectrum,
     build_knn_graph,
     laplacian,
     sobolev_power,

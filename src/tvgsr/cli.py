@@ -248,10 +248,11 @@ def cmd_analyze(settings, path):
 
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
+    # before the NM x NM eigensolves, so that a bad beta grid fails first
+    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
     op = difference_operator(mask.shape[1], settings["step"])
     # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
     reports = weyl_sweep(graph, op, settings["upsilon"], settings["beta"], epsilon_grid, mask)
-    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
     textio.write_table(path("condition_sweep.csv"),
                        ("epsilon", "kappa_sobolev", "kappa_laplacian"),
                        [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in reports])
@@ -297,11 +298,14 @@ def _parse_plan(path):
             raise ParameterError(f"{path}: {key}={kv[key]!r}: {exc}") from exc
 
     regime = kv.get("regime", "random_entry")
-    levels_key = next((key for key in ("levels", "densities", "horizons") if kv.get(key)), None)
-    if levels_key is None:
+    levels_keys = [key for key in ("levels", "densities", "horizons") if key in kv]
+    if not levels_keys:
         raise ParameterError(f"{path}: plan needs a levels=/densities=/horizons= entry")
+    if len(levels_keys) > 1:
+        raise ParameterError(f"{path}: plan sets {' and '.join(levels_keys)}; "
+                             "give the levels under one key")
     level = _horizon if regime == "forecasting" else float
-    levels = read(levels_key, lambda raw: tuple(level(tok) for tok in raw.split(",")))
+    levels = read(levels_keys[0], lambda raw: tuple(level(tok) for tok in raw.split(",")))
     method_names = [tok.strip() for tok in kv.get("methods", "").split(",") if tok.strip()]
     if not method_names:
         raise ParameterError(f"{path}: plan needs a methods= entry")
@@ -343,8 +347,7 @@ def cmd_benchmark(settings, path):
     plan, transform, plan_kv = _parse_plan(settings["plan"])
     dataset = load_dataset(settings["coords"], settings["signal"])
     if transform == "daily":
-        dataset = Dataset(coords=dataset.coords, signal=cumulative_to_daily(dataset.signal),
-                          name=dataset.name, units=dataset.units)
+        dataset = Dataset(coords=dataset.coords, signal=cumulative_to_daily(dataset.signal))
     graph = build_knn_graph(dataset.coords, settings["k"],
                             laplacian_kind=settings["laplacian"])
     result = run_experiment(plan, dataset, graph, jobs=settings["jobs"])

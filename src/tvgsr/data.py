@@ -30,8 +30,6 @@ class Dataset:
 
     coords: np.ndarray
     signal: np.ndarray
-    name: str = ""
-    units: str = ""
 
     def __post_init__(self):
         self.coords = as_coordinates(self.coords)
@@ -127,11 +125,11 @@ def synth_dataset(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE, k=SYNTH_
     coords, graph = synth_graph(n_nodes=n_nodes, side=side, k=k, seed=coords_seed,
                                 laplacian_kind=laplacian_kind)
     signal = synth_signal(graph, n_snapshots, alpha, seed=signal_seed)
-    dataset = Dataset(coords=coords, signal=signal, name="synthetic", units="a.u.")
+    dataset = Dataset(coords=coords, signal=signal)
     return dataset, graph
 
 
-def load_dataset(coords_path, signal_path, name="", units="", nonfinite="reject") -> Dataset:
+def load_dataset(coords_path, signal_path, nonfinite="reject") -> Dataset:
     """Load a dataset from a coordinate file and a signal matrix file.
 
     Node order is fixed by the coordinate file; the signal file must have one
@@ -156,7 +154,7 @@ def load_dataset(coords_path, signal_path, name="", units="", nonfinite="reject"
             )
         signal = signal.copy()
         signal[~np.isfinite(signal)] = 0.0
-    return Dataset(coords=coords, signal=signal, name=name, units=units)
+    return Dataset(coords=coords, signal=signal)
 
 
 def cumulative_to_daily(x) -> np.ndarray:

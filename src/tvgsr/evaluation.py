@@ -149,7 +149,6 @@ class AggregateRow:
 
 @dataclass
 class ExperimentResult:
-    plan: ExperimentPlan
     rows: list
     aggregates: list
     mask_digests: dict  # (level, repetition) -> sha256 hex digest
@@ -247,10 +246,13 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
     """
     if dataset.n_nodes != graph.n_nodes:
         raise InputError(f"dataset has {dataset.n_nodes} nodes, graph has {graph.n_nodes}")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     cells = [(level, repetition)
              for level in plan.levels for repetition in range(plan.repetitions)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+        # the pool may start all its workers at once, so start no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells)), initializer=_init_worker,
                                  initargs=(plan, dataset, graph)) as pool:
             outcomes = list(pool.map(_evaluate_worker_cell, cells))
     else:
@@ -268,8 +270,7 @@ def run_experiment(plan: ExperimentPlan, dataset: Dataset, graph, jobs=1) -> Exp
                      for field in ("rmse", "mae", "mape", "iterations", "wall_time_s")}
             aggregates.append(AggregateRow(method=name, regime=plan.regime, level=float(level),
                                            repetitions=plan.repetitions, **means))
-    return ExperimentResult(plan=plan, rows=rows, aggregates=aggregates,
-                            mask_digests=mask_digests)
+    return ExperimentResult(rows=rows, aggregates=aggregates, mask_digests=mask_digests)
 
 
 def write_raw_results(path, result: ExperimentResult):

@@ -8,10 +8,10 @@ kernel exp(-d^2 / sigma^2) whose bandwidth sigma is the mean length of the
 build forms no N x N distance matrix; the selection itself uses exact
 Euclidean distances with ties going to the lower node index.
 
-A :class:`Graph` stores one validated CSR adjacency. Its degrees and its CSR
-Laplacian are built from that adjacency; the dense N x N adjacency and
-Laplacian are read-only arrays built on each access, for the dense analysis
-and oracle paths, and a pickled graph carries no N x N array.
+A :class:`Graph` stores one validated CSR adjacency and, built with it, its
+degrees and CSR Laplacian; the dense N x N adjacency and Laplacian are
+read-only arrays built on each access, for the dense analysis and oracle
+paths, and a pickled graph carries no N x N array.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
@@ -94,21 +93,13 @@ def _frozen(array):
     return array
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a symmetric matrix: eigenvalues ascending, U orthonormal."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 class Graph:
-    """Undirected weighted graph on a CSR adjacency, with cached CSR Laplacian and spectrum.
+    """Undirected weighted graph on a CSR adjacency, with its CSR Laplacian and cached spectrum.
 
     Instances are immutable after construction (arrays are write-protected)
     and safe to share across concurrent workers. The dense ``adjacency`` and
-    ``laplacian`` are built on each access; a pickled graph carries neither,
-    nor the cached spectrum.
+    ``laplacian`` are built on each access; a pickled graph carries the CSR
+    Laplacian but neither dense array, nor the cached spectrum.
 
     Parameters
     ----------
@@ -116,11 +107,9 @@ class Graph:
         Symmetric nonnegative weights with a zero diagonal.
     laplacian_kind : str
         "combinatorial" for L = D - W, "normalized" for D^{-1/2} L D^{-1/2}.
-    coords : (N, 2) array, optional
-        Node coordinates, kept for provenance.
     """
 
-    def __init__(self, adjacency, laplacian_kind="combinatorial", coords=None):
+    def __init__(self, adjacency, laplacian_kind="combinatorial"):
         adjacency = _as_adjacency(adjacency)
         if laplacian_kind not in LAPLACIAN_KINDS:
             raise ParameterError(f"laplacian_kind must be one of {LAPLACIAN_KINDS}")
@@ -128,12 +117,11 @@ class Graph:
         self.n_nodes = adjacency.shape[0]
         self.degrees = _frozen(np.asarray(adjacency.sum(axis=1)).ravel())
         self.laplacian_kind = laplacian_kind
-        self.coords = None if coords is None else as_coordinates(coords)
         n_components, _ = connected_components(adjacency, directed=False)
         self.n_components = int(n_components)
         self.is_connected = self.n_components == 1
         self.sigma = None  # kernel bandwidth, set by build_knn_graph
-        self._laplacian_csr = None
+        self.laplacian_csr = _frozen(laplacian(self))
         self._spectrum = None
 
     def __getstate__(self):
@@ -142,9 +130,8 @@ class Graph:
     def __setstate__(self, state):
         """Restore a pickled graph; unpickled arrays come back writable, so protect them again."""
         self.__dict__.update(state)
-        for array in (self.adjacency_csr, self.degrees, self._laplacian_csr):
-            if array is not None:
-                _frozen(array)
+        for array in (self.adjacency_csr, self.degrees, self.laplacian_csr):
+            _frozen(array)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -156,14 +143,7 @@ class Graph:
         """Dense read-only N x N form of :attr:`laplacian_csr`, built on each access."""
         return _frozen(self.laplacian_csr.toarray())
 
-    @property
-    def laplacian_csr(self) -> csr_matrix:
-        """The CSR Laplacian from :func:`laplacian`, built on first use."""
-        if self._laplacian_csr is None:
-            self._laplacian_csr = _frozen(laplacian(self))
-        return self._laplacian_csr
-
-    def spectrum(self) -> Spectrum:
+    def spectrum(self):
         if self._spectrum is None:
             self._spectrum = spectrum(self.laplacian)
         return self._spectrum
@@ -231,7 +211,7 @@ def build_knn_graph(coords, k, laplacian_kind="combinatorial") -> Graph:
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     weights = csr_matrix((np.concatenate([w, w])[order], cols[order], indptr), shape=(n, n))
 
-    graph = Graph(weights, laplacian_kind=laplacian_kind, coords=coords)
+    graph = Graph(weights, laplacian_kind=laplacian_kind)
     graph.sigma = sigma
     if not graph.is_connected:
         warnings.warn(
@@ -270,11 +250,9 @@ def laplacian(graph: Graph) -> csr_matrix:
     return lap
 
 
-def spectrum(laplacian_matrix) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix with ascending eigenvalues."""
-    matrix = _check_symmetric(laplacian_matrix, "Laplacian")
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+def spectrum(laplacian_matrix):
+    """numpy's ``eigh`` result for a symmetric matrix: ascending eigenvalues, orthonormal U."""
+    return np.linalg.eigh(_check_symmetric(laplacian_matrix, "Laplacian"))
 
 
 def sobolev_power(laplacian_matrix, epsilon, beta) -> np.ndarray:

@@ -22,11 +22,9 @@ REGIMES = ("random_entry", "snapshot", "forecasting")
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Binary sampling matrix with the density and seed that produced it."""
+    """Binary sampling matrix, write-protected."""
 
     mask: np.ndarray
-    density: float
-    seed: int | None
 
     @property
     def shape(self):
@@ -65,7 +63,7 @@ def random_entry_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
         rows = rng.permutation(n_nodes)[:per_column]
         mask[rows, j] = 1.0
     mask.setflags(write=False)
-    return SamplingMask(mask=mask, density=float(density), seed=seed)
+    return SamplingMask(mask=mask)
 
 
 def snapshot_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
@@ -76,7 +74,7 @@ def snapshot_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
     mask = np.zeros((n_nodes, n_snapshots))
     mask[:, columns] = 1.0
     mask.setflags(write=False)
-    return SamplingMask(mask=mask, density=float(density), seed=seed)
+    return SamplingMask(mask=mask)
 
 
 def forecasting_mask(n_nodes, n_snapshots, horizon) -> SamplingMask:
@@ -88,8 +86,7 @@ def forecasting_mask(n_nodes, n_snapshots, horizon) -> SamplingMask:
     mask = np.zeros((n_nodes, n_snapshots))
     mask[:, : n_snapshots - horizon] = 1.0
     mask.setflags(write=False)
-    density = (n_snapshots - horizon) / n_snapshots
-    return SamplingMask(mask=mask, density=density, seed=None)
+    return SamplingMask(mask=mask)
 
 
 class UniquenessCheck(NamedTuple):

@@ -235,8 +235,8 @@ def eigenvalue_penalization(spec, beta_list) -> np.ndarray:
     beta_list = [float(b) for b in beta_list]
     if not beta_list:
         raise ParameterError("beta list must be nonempty")
-    if any(b < 0 for b in beta_list):
-        raise ParameterError("beta values must be >= 0")
+    if not all(math.isfinite(b) and b >= 0 for b in beta_list):
+        raise ParameterError(f"beta values must be finite and >= 0, got {beta_list}")
     lam_max = float(eigenvalues[-1])
     if lam_max <= 0:
         raise ParameterError("largest eigenvalue must be positive (edgeless graph?)")

@@ -35,14 +35,12 @@ def _is_numeric_row(tokens) -> bool:
     return True
 
 
-def write_matrix(path, matrix, header=None):
-    """Write a 2-D array, one row per line, optionally preceded by a header row."""
+def write_matrix(path, matrix):
+    """Write a 2-D array, one row per line."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     # one %-format per row gives format_float's bytes for every value
     row_format = DELIMITER.join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(DELIMITER.join(str(h) for h in header) + "\n")
         fh.writelines(row_format % tuple(row.tolist()) for row in matrix)
 
 
@@ -95,23 +93,22 @@ def _read_matrix_tokens(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_coordinates(path, coords, node_ids=None):
-    """Write one node per row with the required node_id,latitude,longitude header."""
+def write_coordinates(path, coords):
+    """Write one node per row, ids 0..N-1, under the required node_id,latitude,longitude header."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise InputError(f"coordinates must be N x 2, got shape {coords.shape}")
-    node_ids = range(coords.shape[0]) if node_ids is None else node_ids
     write_table(path, ("node_id", "latitude", "longitude"),
-                zip(map(str, node_ids), coords[:, 0], coords[:, 1]))
+                zip(range(coords.shape[0]), coords[:, 0], coords[:, 1]))
 
 
 def read_coordinates(path):
     """Read a coordinate file.
 
     The header row is mandatory; node order in the file fixes the node index.
-    Returns (node_ids, coords) with coords an N x 2 float array.
+    Returns (ids, coords): the node-id strings and an N x 2 float array.
     """
-    node_ids = []
+    ids = []
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
@@ -130,11 +127,11 @@ def read_coordinates(path):
             lat, lon = float(tokens[1]), float(tokens[2])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: non-numeric coordinate {tokens[1:]!r}") from exc
-        node_ids.append(tokens[0])
+        ids.append(tokens[0])
         rows.append((lat, lon))
     if not rows:
         raise ParseError(f"{path}: no coordinate rows")
-    return node_ids, np.asarray(rows, dtype=float)
+    return ids, np.asarray(rows, dtype=float)
 
 
 def write_mask(path, mask):

@@ -337,8 +337,7 @@ def test_criterion_10_optional_covid_reproduction():
     signal_path = os.path.join(data_dir, "signal.csv")
     if not (os.path.exists(coords_path) and os.path.exists(signal_path)):
         pytest.skip(f"coords.csv/signal.csv not found under {data_dir}")
-    dataset = tvgsr.load_dataset(coords_path, signal_path, name="covid_global",
-                                 units="cases")
+    dataset = tvgsr.load_dataset(coords_path, signal_path)
     graph = tvgsr.build_knn_graph(dataset.coords, 10)
     upsilon_t = tvgsr.tune_parameters(dataset, graph, SolverConfig(objective="tgsr"),
                                       0.7, held_out_seed(0.7),

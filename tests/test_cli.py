@@ -750,6 +750,24 @@ class TestPlanValues:
         assert config == dataclasses.replace(tvgsr.SolverConfig(), **{field.name: value})
         assert type(getattr(config, field.name)) is type(field.default)
 
+    @pytest.mark.parametrize("lines, keys", [
+        ("densities=0.5\nhorizons=3\n", "densities and horizons"),
+        ("levels=0.5\ndensities=0.5\n", "levels and densities"),
+        ("levels=0.5\nhorizons=3\n", "levels and horizons"),
+    ])
+    def test_two_level_keys_are_a_config_error(self, synth_dir, tmp_path, capsys, lines, keys):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(lines + "repetitions=1\nmethods=tgsr\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("tvgsr: ") and f"{plan_path}: plan sets {keys}" in err
+        assert not out.exists()
+
     def test_integral_horizons_still_parse(self, tmp_path):
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text("regime=forecasting\nhorizons=1,2.0\nmethods=tgsr\n")
@@ -763,11 +781,17 @@ class TestRunLifecycle:
                                       "reconstruct_delta_nan", "reconstruct_upsilon_nan",
                                       "reconstruct_epsilon_inf", "analyze_upsilon_nan",
                                       "analyze_upsilon_inf", "analyze_beta_nan",
-                                      "analyze_epsilon_grid_nan"])
+                                      "analyze_epsilon_grid_nan", "analyze_beta_grid_nan",
+                                      "analyze_beta_grid_inf", "benchmark_jobs_zero",
+                                      "benchmark_jobs_negative"])
     def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
         coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
         wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
         textio.write_matrix(wide, np.random.default_rng(0).normal(size=(30, 140)))
+        plan = tmp_path / "plan.txt"
+        plan.write_text("densities=0.5\nrepetitions=2\nmethods=tgsr\n")
+        benchmark = ["benchmark", "--plan", str(plan), "--coords", coords, "--signal", signal,
+                     "--k", "3"]
         analyze = ["analyze", "--coords", coords, "--k", "3", "--regime", "random_entry"]
         reconstruct = ["reconstruct", "--coords", coords, "--k", "3", "--regime", "random_entry",
                        "--density", "0.5", "--max-iter", "5", "--oracle-check"]
@@ -783,11 +807,23 @@ class TestRunLifecycle:
             "analyze_upsilon_inf": [*analyze, "--snapshots", "6", "--upsilon", "inf"],
             "analyze_beta_nan": [*analyze, "--snapshots", "6", "--beta", "nan"],
             "analyze_epsilon_grid_nan": [*analyze, "--snapshots", "6", "--epsilon-grid", "0.1,nan"],
+            "analyze_beta_grid_nan": [*analyze, "--snapshots", "6", "--beta-grid", "1,nan"],
+            "analyze_beta_grid_inf": [*analyze, "--snapshots", "6", "--beta-grid", "1,inf"],
+            "benchmark_jobs_zero": [*benchmark, "--jobs", "0"],
+            "benchmark_jobs_negative": [*benchmark, "--jobs", "-4"],
         }[case]
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("tvgsr: ")
         assert not out.exists()
+
+    def test_bad_beta_grid_fails_before_the_eigensolves(self, synth_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setattr(tvgsr.cli, "weyl_sweep", lambda *args: pytest.fail("eigensolved"))
+        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--beta-grid", "1,nan",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "finite and >= 0" in capsys.readouterr().err
 
     def test_missing_out_is_one_usage_error_for_every_command(self, capsys):
         for command in tvgsr.cli.COMMANDS:

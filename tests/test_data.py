@@ -94,12 +94,11 @@ class TestLoadDataset:
         signal = rng.normal(size=(3, 5)) * 1e3
         coords_path = tmp_path / "coords.csv"
         signal_path = tmp_path / "signal.csv"
-        textio.write_coordinates(coords_path, coords, node_ids=["a", "b", "c"])
+        textio.write_coordinates(coords_path, coords)
         textio.write_matrix(signal_path, signal)
-        dataset = tvgsr.load_dataset(coords_path, signal_path, name="toy", units="u")
+        dataset = tvgsr.load_dataset(coords_path, signal_path)
         assert np.array_equal(dataset.coords, coords)
         assert np.array_equal(dataset.signal, signal)
-        assert dataset.name == "toy"
 
     def test_row_count_mismatch_names_both(self, tmp_path):
         textio.write_coordinates(tmp_path / "c.csv", np.zeros((3, 2)))

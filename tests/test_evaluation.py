@@ -192,7 +192,7 @@ class TestRunExperiment:
 
     def test_workers_get_the_graph_once(self, small_setup, tmp_path, monkeypatch):
         dataset, graph = small_setup
-        fresh = tvgsr.Graph(graph.adjacency)  # no cached Laplacian to carry along
+        fresh = tvgsr.Graph(graph.adjacency)  # built with its Laplacian, before the count starts
         builds = tmp_path / "builds.txt"
         original = tvgsr.graphs.laplacian
 
@@ -204,7 +204,7 @@ class TestRunExperiment:
         monkeypatch.setattr(tvgsr.graphs, "laplacian", counting)
         plan = two_method_plan(levels=(0.5,), repetitions=4)
         par = tvgsr.run_experiment(plan, dataset, fresh, jobs=2)
-        assert 1 <= len(builds.read_text().split()) <= 2
+        assert not builds.exists()  # no worker rebuilds the Laplacian
         seq = tvgsr.run_experiment(plan, dataset, fresh, jobs=1)
 
         def written(result, tag):
@@ -220,6 +220,48 @@ class TestRunExperiment:
             return tables
 
         assert written(par, "par") == written(seq, "seq")
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, small_setup, jobs):
+        dataset, graph = small_setup
+        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+            tvgsr.run_experiment(two_method_plan(), dataset, graph, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, levels, repetitions, workers", [
+        (8, (0.5,), 3, 3), (2, (0.5,), 4, 2), (5, (0.4, 0.7), 1, 2), (3, (0.5,), 3, 3)])
+    def test_pool_starts_no_more_workers_than_cells(self, small_setup, monkeypatch, jobs,
+                                                    levels, repetitions, workers):
+        dataset, graph = small_setup
+        started = []
+
+        class InProcessPool:
+            """Records its size and runs the cells in this process, so no worker starts."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(tvgsr.evaluation, "_worker_problem", ())
+        monkeypatch.setattr(tvgsr.evaluation, "ProcessPoolExecutor", InProcessPool)
+        plan = two_method_plan(levels=levels, repetitions=repetitions)
+        pooled = tvgsr.run_experiment(plan, dataset, graph, jobs=jobs)
+        assert started == [workers]
+        seq = tvgsr.run_experiment(plan, dataset, graph, jobs=1)
+        assert pooled.mask_digests == seq.mask_digests
+
+        def untimed(rows):
+            return [dataclasses.replace(row, wall_time_s=0.0) for row in rows]
+
+        assert untimed(pooled.rows) == untimed(seq.rows)
 
 
 class TestConvergenceComparison:

@@ -195,11 +195,15 @@ class TestLaplacian:
         assert tvgsr.spectrum(geo_graph.laplacian).eigenvalues.min() >= -1e-10
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
-    def test_csr_form_built_lazily_and_equal(self, geo_graph, kind):
+    def test_csr_form_built_with_the_graph_and_equal(self, geo_graph, kind, monkeypatch):
+        built = []
+        original = tvgsr.graphs.laplacian
+        monkeypatch.setattr(tvgsr.graphs, "laplacian", lambda g: built.append(g) or original(g))
         graph = tvgsr.Graph(geo_graph.adjacency, laplacian_kind=kind)
-        assert graph._laplacian_csr is None
+        assert built == [graph] and "laplacian_csr" in vars(graph)
         assert np.array_equal(graph.laplacian_csr.toarray(), graph.laplacian)
         assert graph.laplacian_csr is graph.laplacian_csr
+        assert len(built) == 1
 
 
 class TestSpectrum:
@@ -426,10 +430,8 @@ class TestCsrStorage:
 
     def test_pickle_carries_no_dense_matrix(self):
         graph = tvgsr.build_knn_graph(np.random.default_rng(9).uniform(0, 100, (1000, 2)), 10)
-        graph.laplacian_csr
         assert len(pickle.dumps(graph)) < 1_000_000
         small = tvgsr.build_knn_graph(np.random.default_rng(10).uniform(0, 100, (60, 2)), 4)
-        small.laplacian_csr
         size = len(pickle.dumps(small))
         spectrum = small.spectrum()
         assert len(pickle.dumps(small)) == size  # the cached spectrum is not shipped
@@ -439,15 +441,15 @@ class TestCsrStorage:
 
     def test_unpickled_arrays_stay_read_only(self, geo_graph):
         def arrays(graph):
-            csr, lap = graph.adjacency_csr, graph._laplacian_csr
+            csr, lap = graph.adjacency_csr, graph.laplacian_csr
             return (csr.data, csr.indices, csr.indptr, graph.degrees,
                     lap.data, lap.indices, lap.indptr)
 
         fresh = tvgsr.Graph(geo_graph.adjacency_csr)
-        assert fresh._laplacian_csr is None
+        assert "laplacian_csr" in vars(fresh)  # built with the graph, so the pickle carries it
         copy = pickle.loads(pickle.dumps(fresh))
-        assert copy._laplacian_csr is None and not copy.degrees.flags.writeable
-        geo_graph.laplacian_csr
+        assert all(not array.flags.writeable for array in arrays(copy))
+        assert bits(copy.laplacian) == bits(fresh.laplacian)
         copy = pickle.loads(pickle.dumps(geo_graph))
         assert all(not array.flags.writeable for array in arrays(copy))
         assert bits(copy.laplacian) == bits(geo_graph.laplacian)

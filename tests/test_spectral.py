@@ -528,3 +528,8 @@ class TestEigenvaluePenalization:
         spec = tvgsr.spectrum(np.zeros((3, 3)))
         with pytest.raises(ParameterError):
             tvgsr.eigenvalue_penalization(spec, [1.0])
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_beta_rejected(self, geo_graph, bad):
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            tvgsr.eigenvalue_penalization(geo_graph.spectrum(), [1.0, bad])

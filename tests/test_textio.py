@@ -40,20 +40,17 @@ class TestMatrixRoundTrip:
             textio.read_matrix(path)
 
     @pytest.mark.parametrize("shape", [(7, 9), (1, 9), (9, 1)])
-    @pytest.mark.parametrize("with_header, delimiter", [(False, ","), (True, ",")])
-    def test_bytes_equal_per_value_formatting(self, tmp_path, shape, with_header, delimiter):
+    @pytest.mark.parametrize("delimiter", [","])
+    def test_bytes_equal_per_value_formatting(self, tmp_path, shape, delimiter):
         rng = np.random.default_rng(1)
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
         rest = rng.normal(size=63) * 10.0 ** rng.integers(-20, 20, size=63)
         size = shape[0] * shape[1]
         matrix = rng.permutation(np.concatenate([special, rest])[:size]).reshape(shape)
-        header = [f"c{j}" for j in range(shape[1])] if with_header else None
         want = "".join(delimiter.join(textio.format_float(v) for v in row) + "\n"
                        for row in matrix)
-        if with_header:
-            want = delimiter.join(header) + "\n" + want
         path = tmp_path / "m.csv"
-        textio.write_matrix(path, matrix, header=header)
+        textio.write_matrix(path, matrix)
         assert path.read_bytes() == want.encode("utf-8")
         textio.write_mask(path, matrix > 0)
         assert path.read_text() == "".join(
@@ -102,7 +99,8 @@ def test_read_matrix_matches_token_reader(tmp_path, name):
 def test_well_formed_file_skips_the_token_reader(tmp_path, monkeypatch):
     path = tmp_path / "m.csv"
     matrix = np.random.default_rng(3).normal(size=(5, 4))
-    textio.write_matrix(path, matrix, header=["a", "b", "c", "d"])
+    textio.write_matrix(path, matrix)
+    path.write_text("a,b,c,d\n" + path.read_text())  # a header row, which the reader skips
     monkeypatch.setattr(textio, "_read_matrix_tokens", None)
     assert np.array_equal(textio.read_matrix(path), matrix)
 
@@ -111,7 +109,7 @@ class TestCoordinates:
     def test_round_trip_with_ids(self, tmp_path):
         coords = np.array([[12.5, -3.25], [0.0, 90.0]])
         path = tmp_path / "c.csv"
-        textio.write_coordinates(path, coords, node_ids=["paris", "pole"])
+        path.write_text("node_id,latitude,longitude\nparis,12.5,-3.25\npole,0,90\n")
         ids, back = textio.read_coordinates(path)
         assert ids == ["paris", "pole"]
         assert np.array_equal(back, coords)
