@@ -25,12 +25,10 @@ from .data import (
 )
 from .evaluation import (
     AggregateRow,
-    ConvergenceComparison,
     ExperimentPlan,
     ExperimentResult,
     ResultRow,
     TuneResult,
-    convergence_comparison,
     mae,
     mape,
     mask_seed,
@@ -57,7 +55,6 @@ from .graphs import (
 from .sampling import (
     SamplingMask,
     UniquenessCheck,
-    apply_mask,
     check_uniqueness,
     forecasting_mask,
     random_entry_mask,

@@ -304,6 +304,9 @@ def _parse_plan(path):
     if len(levels_keys) > 1:
         raise ParameterError(f"{path}: plan sets {' and '.join(levels_keys)}; "
                              "give the levels under one key")
+    misplaced = "densities" if regime == "forecasting" else "horizons"
+    if misplaced in kv:
+        raise ParameterError(f"{path}: {misplaced}= does not apply to regime={regime}")
     level = _horizon if regime == "forecasting" else float
     levels = read(levels_keys[0], lambda raw: tuple(level(tok) for tok in raw.split(",")))
     method_names = [tok.strip() for tok in kv.get("methods", "").split(",") if tok.strip()]

@@ -8,6 +8,7 @@ mode and each innovation f_t is white Gaussian rescaled to norm alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from . import textio
 from .exceptions import InputError, ParameterError
 from .graphs import Graph, as_coordinates, build_knn_graph
+from .sampling import check_seed
 from .temporal import as_signal, difference_operator, temporal_difference
 
 SYNTH_DEFAULT_NODES = 100
@@ -54,8 +56,8 @@ def synth_graph(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE,
     """Random geometric graph: uniform coordinates in [0, side]^2, k-NN edges."""
     if n_nodes < 2:
         raise ParameterError(f"need at least 2 nodes, got {n_nodes}")
-    if side <= 0:
-        raise ParameterError(f"side must be > 0, got {side}")
+    if not (math.isfinite(side) and side > 0):
+        raise ParameterError(f"side must be finite and > 0, got {side}")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, side, size=(n_nodes, 2))
     graph = build_knn_graph(coords, k, laplacian_kind=laplacian_kind)
@@ -121,7 +123,7 @@ def synth_dataset(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE, k=SYNTH_
     The seed is split into independent child streams for the coordinates and
     the signal, so the pair is reproducible as a unit.
     """
-    coords_seed, signal_seed = np.random.SeedSequence(seed).spawn(2)
+    coords_seed, signal_seed = np.random.SeedSequence(check_seed(seed)).spawn(2)
     coords, graph = synth_graph(n_nodes=n_nodes, side=side, k=k, seed=coords_seed,
                                 laplacian_kind=laplacian_kind)
     signal = synth_signal(graph, n_snapshots, alpha, seed=signal_seed)

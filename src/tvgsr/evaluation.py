@@ -189,16 +189,10 @@ def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     return result
 
 
-def _cell_mask(regime, shape, level, repetition, base_seed):
-    """Mask array of one Monte-Carlo cell, drawn from its :func:`mask_seed`, and its sha256."""
-    seed = mask_seed(base_seed, regime, level, repetition)
-    mask = make_regime_mask(regime, *shape, level, seed).mask
-    return mask, hashlib.sha256(mask.tobytes()).hexdigest()
-
-
 def _evaluate_cell(plan, dataset, graph, level, repetition):
-    mask, digest = _cell_mask(plan.regime, dataset.signal.shape, level, repetition,
-                              plan.base_seed)
+    seed = mask_seed(plan.base_seed, plan.regime, level, repetition)
+    mask = make_regime_mask(plan.regime, *dataset.signal.shape, level, seed).mask
+    digest = hashlib.sha256(mask.tobytes()).hexdigest()
     per_method = {}
     for name, config in plan.methods.items():
         try:
@@ -281,44 +275,6 @@ def write_aggregate_results(path, result: ExperimentResult):
     textio.write_table(path, AGGREGATE_HEADER, [astuple(row) for row in result.aggregates])
 
 
-@dataclass
-class ConvergenceComparison:
-    """Per-method iteration counts and loss traces under shared masks."""
-
-    iterations: dict
-    mean_iterations: dict
-    loss_traces: dict
-    mask_digests: list
-
-
-def convergence_comparison(dataset: Dataset, graph, density, configs: dict,
-                           repetitions, base_seed=0, regime="random_entry") -> ConvergenceComparison:
-    """Compare solver convergence across methods on identical masks.
-
-    Requires both a plain-Laplacian ("tgsr") and a shifted-power ("sobolev")
-    configuration so the comparison is meaningful, and at least one repetition.
-    Repetition r uses the mask of the cell (density, r), as :func:`run_experiment` does.
-    """
-    objectives = {config.objective for config in configs.values()}
-    if not {"tgsr", "sobolev"} <= objectives:
-        raise ParameterError("configs must include both a tgsr and a sobolev objective")
-    if repetitions < 1:
-        raise ParameterError(f"repetitions must be >= 1, got {repetitions}")
-    iterations = {name: [] for name in configs}
-    traces = {name: [] for name in configs}
-    digests = []
-    for repetition in range(repetitions):
-        mask, digest = _cell_mask(regime, dataset.signal.shape, density, repetition, base_seed)
-        digests.append(digest)
-        for name, config in configs.items():
-            result = reconstruct(dataset.signal, mask, graph, config)
-            iterations[name].append(result.iterations)
-            traces[name].append(result.loss_trace)
-    mean_iterations = {name: float(np.mean(counts)) for name, counts in iterations.items()}
-    return ConvergenceComparison(iterations=iterations, mean_iterations=mean_iterations,
-                                 loss_traces=traces, mask_digests=digests)
-
-
 @dataclass(frozen=True)
 class TuneResult:
     upsilon: float
@@ -328,14 +284,15 @@ class TuneResult:
 
 def tune_parameters(dataset: Dataset, graph, config: SolverConfig, density, seed,
                     upsilon_grid=DEFAULT_UPSILON_GRID, epsilon_grid=DEFAULT_EPSILON_GRID,
-                    regime="random_entry", criterion="rmse") -> TuneResult:
+                    criterion="rmse") -> TuneResult:
     """Grid-search (upsilon, epsilon) on a single held-out repetition.
 
-    The held-out mask comes from ``seed`` and should not reuse evaluation
-    seeds. ``criterion`` is "rmse" (non-sampled entries) or "iterations".
-    For non-sobolev objectives the epsilon grid collapses to the config's
-    own epsilon; an empty grid that is searched raises ParameterError. Ties
-    keep the first grid point, so tuning is deterministic.
+    The held-out mask is a random-entry mask of ``density`` drawn from
+    ``seed``, which should not reuse evaluation seeds. ``criterion`` is
+    "rmse" (non-sampled entries) or "iterations". For non-sobolev objectives
+    the epsilon grid collapses to the config's own epsilon; an empty grid
+    that is searched raises ParameterError. Ties keep the first grid point,
+    so tuning is deterministic.
     """
     if criterion not in ("rmse", "iterations"):
         raise ParameterError(f"criterion must be 'rmse' or 'iterations', got {criterion!r}")
@@ -343,7 +300,7 @@ def tune_parameters(dataset: Dataset, graph, config: SolverConfig, density, seed
     if len(upsilon_grid) == 0 or not epsilon_values:
         raise ParameterError("tuning needs a non-empty upsilon grid and, for sobolev, "
                              "a non-empty epsilon grid")
-    mask = make_regime_mask(regime, dataset.n_nodes, dataset.n_snapshots, density, seed).mask
+    mask = random_entry_mask(dataset.n_nodes, dataset.n_snapshots, density, seed).mask
     best = None
     for upsilon in upsilon_grid:
         for epsilon in epsilon_values:

@@ -10,6 +10,7 @@ exact: round(density * N) with ties rounded half up.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,10 +55,17 @@ def _count(density, total) -> int:
     return int(math.floor(density * total + 0.5))
 
 
+def check_seed(seed):
+    """Reject a negative integer seed, which numpy's seeding refuses with a bare ValueError."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def random_entry_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
     """Sample exactly round(density * N) nodes uniformly in every snapshot."""
     per_column = _count(density, n_nodes)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     mask = np.zeros((n_nodes, n_snapshots))
     for j in range(n_snapshots):
         rows = rng.permutation(n_nodes)[:per_column]
@@ -69,7 +77,7 @@ def random_entry_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
 def snapshot_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
     """Observe round(density * M) whole snapshots chosen uniformly."""
     n_columns = _count(density, n_snapshots)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     columns = rng.permutation(n_snapshots)[:n_columns]
     mask = np.zeros((n_nodes, n_snapshots))
     mask[:, columns] = 1.0
@@ -116,11 +124,3 @@ def check_uniqueness(mask) -> UniquenessCheck:
     return UniquenessCheck(condition1=condition1, condition2=fiducial is not None,
                            fiducial_column=fiducial)
 
-
-def apply_mask(mask, x) -> np.ndarray:
-    """Hadamard observation model: Y = J o X."""
-    mask = as_mask_array(mask)
-    x = np.asarray(x, dtype=float)
-    if mask.shape != x.shape:
-        raise InputError(f"mask shape {mask.shape} does not match signal shape {x.shape}")
-    return mask * x

@@ -198,11 +198,11 @@ def test_criterion_5_convergence_advantage(synth100):
         "sobolev": SolverConfig(upsilon=upsilon, epsilon=eps_tuned.epsilon,
                                   objective="sobolev"),
     }
-    comparison = tvgsr.convergence_comparison(dataset, graph, density, configs,
-                                              repetitions=repetitions,
-                                              base_seed=SYNTH_SEED)
-    mean_t = comparison.mean_iterations["tgsr"]
-    mean_s = comparison.mean_iterations["sobolev"]
+    result = tvgsr.run_experiment(tvgsr.ExperimentPlan(
+        regime="random_entry", levels=(density,), repetitions=repetitions, methods=configs,
+        base_seed=SYNTH_SEED), dataset, graph)
+    mean = {row.method: row.iterations for row in result.aggregates}
+    mean_t, mean_s = mean["tgsr"], mean["sobolev"]
     elapsed = time.perf_counter() - start
     ok = mean_s <= mean_t and elapsed < 300.0
     assert report(5, "convergence advantage", ok,

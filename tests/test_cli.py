@@ -768,6 +768,35 @@ class TestPlanValues:
         assert err.startswith("tvgsr: ") and f"{plan_path}: plan sets {keys}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, key, regime", [
+        ("regime=forecasting\ndensities=1,2\n", "densities", "forecasting"),
+        ("regime=random_entry\nhorizons=0.5\n", "horizons", "random_entry"),
+        ("horizons=0.5\n", "horizons", "random_entry"),
+        ("regime=snapshot\nhorizons=1\n", "horizons", "snapshot"),
+    ])
+    def test_level_key_of_another_regime_is_a_config_error(self, synth_dir, tmp_path, capsys,
+                                                           lines, key, regime):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(lines + "repetitions=1\nmethods=tgsr\n")
+        out = tmp_path / "bench"
+        code = main(["benchmark", "--plan", str(plan_path),
+                     "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"tvgsr: {plan_path}: {key}= does not apply to regime={regime}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime, levels, parsed", [("random_entry", "0.5", (0.5,)),
+                                                        ("snapshot", "0.5", (0.5,)),
+                                                        ("forecasting", "1,2", (1, 2))])
+    def test_levels_key_applies_to_every_regime(self, tmp_path, regime, levels, parsed):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text(f"regime={regime}\nlevels={levels}\nmethods=tgsr\n")
+        plan, _, _ = tvgsr.cli._parse_plan(plan_path)
+        assert (plan.regime, plan.levels) == (regime, parsed)
+
     def test_integral_horizons_still_parse(self, tmp_path):
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text("regime=forecasting\nhorizons=1,2.0\nmethods=tgsr\n")
@@ -783,7 +812,11 @@ class TestRunLifecycle:
                                       "analyze_upsilon_inf", "analyze_beta_nan",
                                       "analyze_epsilon_grid_nan", "analyze_beta_grid_nan",
                                       "analyze_beta_grid_inf", "benchmark_jobs_zero",
-                                      "benchmark_jobs_negative"])
+                                      "benchmark_jobs_negative", "synth_seed_negative",
+                                      "synth_side_nan", "synth_side_inf",
+                                      "sample_random_entry_seed_negative",
+                                      "sample_snapshot_seed_negative",
+                                      "reconstruct_seed_negative", "analyze_seed_negative"])
     def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
         coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
         wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
@@ -795,6 +828,8 @@ class TestRunLifecycle:
         analyze = ["analyze", "--coords", coords, "--k", "3", "--regime", "random_entry"]
         reconstruct = ["reconstruct", "--coords", coords, "--k", "3", "--regime", "random_entry",
                        "--density", "0.5", "--max-iter", "5", "--oracle-check"]
+        synth = ["synth", "--n", "12", "--k", "3", "--snapshots", "4"]
+        sample = ["sample", "--signal", signal, "--density", "0.5", "--regime"]
         argv = {
             "analyze_guard": [*analyze, "--snapshots", "150", "--density", "0.5"],
             "analyze_empty_mask": [*analyze, "--snapshots", "6", "--density", "0"],
@@ -811,6 +846,13 @@ class TestRunLifecycle:
             "analyze_beta_grid_inf": [*analyze, "--snapshots", "6", "--beta-grid", "1,inf"],
             "benchmark_jobs_zero": [*benchmark, "--jobs", "0"],
             "benchmark_jobs_negative": [*benchmark, "--jobs", "-4"],
+            "synth_seed_negative": [*synth, "--seed", "-5"],
+            "synth_side_nan": [*synth, "--side", "nan"],
+            "synth_side_inf": [*synth, "--side", "inf"],
+            "sample_random_entry_seed_negative": [*sample, "random_entry", "--seed", "-3"],
+            "sample_snapshot_seed_negative": [*sample, "snapshot", "--seed", "-3"],
+            "reconstruct_seed_negative": [*reconstruct, "--signal", signal, "--seed", "-1"],
+            "analyze_seed_negative": [*analyze, "--snapshots", "6", "--seed", "-2"],
         }[case]
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1

@@ -120,6 +120,8 @@ class TestRunExperiment:
     def test_deterministic_given_base_seed(self, small_setup):
         dataset, graph = small_setup
         plan = two_method_plan()
+        plan = dataclasses.replace(plan, methods={**plan.methods, "sobolev_eps0": SolverConfig(
+            upsilon=0.5, epsilon=0.0, beta=1.0, objective="sobolev")})
         a = tvgsr.run_experiment(plan, dataset, graph)
         b = tvgsr.run_experiment(plan, dataset, graph)
         assert a.mask_digests == b.mask_digests
@@ -127,6 +129,10 @@ class TestRunExperiment:
             assert row_a.rmse == row_b.rmse
             assert row_a.mae == row_b.mae
             assert row_a.iterations == row_b.iterations
+        # at eps 0, beta 1 the shifted-power objective is tgsr, iteration for iteration
+        iterations = {name: [r.iterations for r in a.rows if r.method == name]
+                      for name in ("tgsr", "sobolev_eps0")}
+        assert iterations["tgsr"] == iterations["sobolev_eps0"]
 
     def test_aggregates_are_arithmetic_means(self, small_setup):
         dataset, graph = small_setup
@@ -264,39 +270,6 @@ class TestRunExperiment:
         assert untimed(pooled.rows) == untimed(seq.rows)
 
 
-class TestConvergenceComparison:
-    def test_special_case_identical_iterations(self, small_setup):
-        dataset, graph = small_setup
-        configs = {
-            "tgsr": SolverConfig(upsilon=0.5, objective="tgsr"),
-            "sobolev_eps0": SolverConfig(upsilon=0.5, epsilon=0.0, beta=1.0,
-                                         objective="sobolev"),
-        }
-        comparison = tvgsr.convergence_comparison(dataset, graph, 0.5, configs,
-                                                  repetitions=2, base_seed=5)
-        assert comparison.iterations["tgsr"] == comparison.iterations["sobolev_eps0"]
-
-    def test_requires_both_objectives(self, small_setup):
-        dataset, graph = small_setup
-        with pytest.raises(ParameterError):
-            tvgsr.convergence_comparison(dataset, graph, 0.5,
-                                         {"only": SolverConfig(objective="tgsr")},
-                                         repetitions=1)
-
-    def test_shared_masks_and_traces(self, small_setup):
-        dataset, graph = small_setup
-        configs = {
-            "tgsr": SolverConfig(upsilon=0.5, objective="tgsr"),
-            "sobolev": SolverConfig(upsilon=0.5, epsilon=0.2, objective="sobolev"),
-        }
-        comparison = tvgsr.convergence_comparison(dataset, graph, 0.5, configs,
-                                                  repetitions=3, base_seed=6)
-        assert len(comparison.mask_digests) == 3
-        assert len(comparison.loss_traces["tgsr"]) == 3
-        assert comparison.mean_iterations["tgsr"] == pytest.approx(
-            np.mean(comparison.iterations["tgsr"]))
-
-
 class TestTuneParameters:
     def test_deterministic_and_in_grid(self, small_setup):
         dataset, graph = small_setup
@@ -339,15 +312,6 @@ class TestTuneParameters:
         result = tvgsr.tune_parameters(dataset, graph, SolverConfig(objective="tgsr"), 0.5,
                                        seed=81, upsilon_grid=(0.5,), epsilon_grid=())
         assert (result.upsilon, result.epsilon) == (0.5, 0.0)
-
-
-class TestConvergenceRepetitions:
-    def test_zero_repetitions_raise(self, small_setup):
-        dataset, graph = small_setup
-        configs = {"tgsr": SolverConfig(upsilon=0.5, objective="tgsr"),
-                   "sobolev": SolverConfig(upsilon=0.5, epsilon=0.1, objective="sobolev")}
-        with pytest.raises(ParameterError, match="repetitions must be >= 1, got 0"):
-            tvgsr.convergence_comparison(dataset, graph, 0.5, configs, repetitions=0)
 
 
 def old_reconstruct(signal, mask, graph, config):

@@ -197,3 +197,28 @@ def test_scaling_y_by_three_scales_the_solution(name, problem):
     else:
         assert base.termination == scaled.termination == "converged"
         assert relative_difference(scaled.x_hat, 3.0 * base.x_hat) <= 1e-8
+
+
+ADDITIVE_SOLVERS = {  # name -> (objective, solve, largest condition number drawn, bound)
+    "cg": ("sobolev", tvgsr.solve_cg, 1e3, 1e-8),
+    "gr_static": ("gr_static", tvgsr.solve_gr_static, None, 1e-12),
+    "oracle": ("sobolev", tvgsr.dense_oracle_solve, None, 1e-12),
+}
+
+
+@pytest.mark.parametrize("name", ADDITIVE_SOLVERS)
+@settings(max_examples=30, deadline=None)
+@given(problem=problems())
+def test_the_solution_is_additive_in_y(name, problem):
+    """x(Y1 + Y2) = x(Y1) + x(Y2). CG is held to the Hessians of the scaling test above."""
+    graph, mask, y, config, rng = problem
+    objective, solve, kappa, bound = ADDITIVE_SOLVERS[name]
+    if kappa is not None:
+        assume(well_posed(graph, mask, config, kappa=kappa))
+    config = dataclasses.replace(config, objective=objective)
+    y2 = mask * rng.normal(size=mask.shape)
+    results = [solve(observed, mask, graph, config) for observed in (y, y2, y + y2)]
+    if name == "cg":
+        assert all(result.termination == "converged" for result in results)
+    x1, x2, x_sum = (result.x_hat for result in results)
+    assert relative_difference(x1 + x2, x_sum) <= bound

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tvgsr
-from tvgsr import InputError, ParameterError
+from tvgsr import ParameterError
 from tvgsr.sampling import unsampled_nodes
 
 
@@ -45,6 +45,15 @@ class TestSnapshotMask:
     def test_column_sums_zero_or_full(self):
         mask = tvgsr.snapshot_mask(5, 9, 0.4, 3)
         assert set(mask.mask.sum(axis=0)) <= {0.0, 5.0}
+
+
+@pytest.mark.parametrize("draw", [tvgsr.random_entry_mask, tvgsr.snapshot_mask])
+def test_seed_is_a_non_negative_integer(draw):
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        draw(4, 6, 0.5, np.int64(-1))
+    # numpy integers and mask_seed's 64-bit values still seed the generator
+    assert np.array_equal(draw(4, 6, 0.5, np.uint64(2**64 - 1)).mask,
+                          draw(4, 6, 0.5, 2**64 - 1).mask)
 
 
 class TestForecastingMask:
@@ -109,27 +118,3 @@ class TestUnsampledNodes:
         assert unsampled_nodes(mask).tolist() == [1, 4]
         assert unsampled_nodes(np.ones((6, 3))).size == 0
 
-
-class TestApplyMask:
-    def test_all_ones_returns_signal(self):
-        x = np.arange(12, dtype=float).reshape(3, 4)
-        assert np.array_equal(tvgsr.apply_mask(np.ones((3, 4)), x), x)
-
-    def test_all_zeros(self):
-        x = np.ones((3, 4))
-        assert np.all(tvgsr.apply_mask(np.zeros((3, 4)), x) == 0.0)
-
-    def test_unsampled_entries_zero(self):
-        mask = tvgsr.random_entry_mask(6, 5, 0.4, 2)
-        x = np.random.default_rng(0).normal(size=(6, 5)) + 10.0
-        observed = tvgsr.apply_mask(mask, x)
-        assert np.all(observed[mask.mask == 0] == 0.0)
-        assert np.array_equal(observed[mask.mask == 1], x[mask.mask == 1])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            tvgsr.apply_mask(np.ones((2, 3)), np.ones((3, 2)))
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(InputError):
-            tvgsr.apply_mask(np.full((2, 2), 0.5), np.ones((2, 2)))
