@@ -58,7 +58,7 @@ def synth_graph(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE,
         raise ParameterError(f"need at least 2 nodes, got {n_nodes}")
     if not (math.isfinite(side) and side > 0):
         raise ParameterError(f"side must be finite and > 0, got {side}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     coords = rng.uniform(0.0, side, size=(n_nodes, 2))
     graph = build_knn_graph(coords, k, laplacian_kind=laplacian_kind)
     return coords, graph
@@ -87,7 +87,7 @@ def synth_signal(graph: Graph, n_snapshots, alpha, seed=0, return_innovations=Fa
     if not graph.is_connected or (n > 1 and eigenvalues[1] <= 1e-12 * max(eigenvalues[-1], 1.0)):
         raise InputError("synthetic generator requires a connected graph (lambda_2 > 0)")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     n_low = min(_LOW_FREQUENCIES, n - 1)
     coefficients = rng.standard_normal(n_low)
     first = spec.eigenvectors[:, 1:1 + n_low] @ coefficients

@@ -123,4 +123,3 @@ def check_uniqueness(mask) -> UniquenessCheck:
             break
     return UniquenessCheck(condition1=condition1, condition2=fiducial is not None,
                            fiducial_column=fiducial)
-

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ class TestSynthGraph:
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             tvgsr.synth_graph(n_nodes=1)
-        with pytest.raises(ParameterError):
-            tvgsr.synth_graph(side=0.0)
+        for bad in ({"side": 0.0}, {"side": math.nan}, {"side": math.inf}, {"seed": -1}):
+            with pytest.raises(ParameterError):
+                tvgsr.synth_graph(**bad)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,10 @@ class TestSynthSignal:
     def test_too_few_snapshots(self, graph):
         with pytest.raises(ParameterError):
             tvgsr.synth_signal(graph, 1, 1.0)
+
+    def test_negative_seed_rejected(self, graph):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            tvgsr.synth_signal(graph, 4, 1.0, seed=-1)
 
 
 class TestLoadDataset:

@@ -117,4 +117,3 @@ class TestUnsampledNodes:
         mask[2, :2] = 0.0
         assert unsampled_nodes(mask).tolist() == [1, 4]
         assert unsampled_nodes(np.ones((6, 3))).size == 0
-
