@@ -43,6 +43,7 @@ from .graphs import Graph, build_knn_graph
 from .sampling import REGIMES, check_uniqueness
 from .solvers import (
     OBJECTIVES,
+    PRECONDITIONERS,
     SolverConfig,
     solve_cg,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.solve_cg
     solve_gr_static,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.solve_gr_static
@@ -415,6 +416,8 @@ COMMANDS = {
         "delta": (float, 1e-6),
         "max_iter": (int, 20000),
         "step": (int, 1, None, "temporal difference step (1, 2, or 3)"),
+        "preconditioner": (str, "temporal", PRECONDITIONERS,
+                           "CG preconditioner; none runs the paper's plain FR-CG"),
         "out": _OUT,
         "oracle_check": (_truthy, False, None,
                          "cross-check against the dense stationarity oracle"),

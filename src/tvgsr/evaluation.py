@@ -169,7 +169,7 @@ def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     """Observe ``signal`` through the 0/1 array ``mask``, solve, and score the hidden entries.
 
     ``gr_static`` runs the per-snapshot :func:`solve_gr_static` and the
-    temporal objectives the FR-CG :func:`solve_cg`. The solver gets the
+    temporal objectives the CG :func:`solve_cg`. The solver gets the
     signal itself, checks it with the mask and graph once, and observes
     ``mask * signal``; ``mask`` may be a :class:`~tvgsr.sampling.SamplingMask`.
     The returned :class:`SolveResult` carries ``rmse``, ``mae``, ``mape``,
@@ -289,9 +289,10 @@ def tune_parameters(dataset: Dataset, graph, config: SolverConfig, density, seed
 
     The held-out mask is a random-entry mask of ``density`` drawn from
     ``seed``, which should not reuse evaluation seeds. ``criterion`` is
-    "rmse" (non-sampled entries) or "iterations". For non-sobolev objectives
-    the epsilon grid collapses to the config's own epsilon; an empty grid
-    that is searched raises ParameterError. Ties keep the first grid point,
+    "rmse" (non-sampled entries) or "iterations", the CG iterations under
+    ``config.preconditioner`` (the paper counts those of "none"). For
+    non-sobolev objectives the epsilon grid collapses to the config's own
+    epsilon; an empty grid that is searched raises ParameterError. Ties keep the first grid point,
     so tuning is deterministic.
     """
     if criterion not in ("rmse", "iterations"):

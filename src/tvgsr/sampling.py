@@ -55,6 +55,12 @@ def _count(density, total) -> int:
     return int(math.floor(density * total + 0.5))
 
 
+def _check_size(n_nodes, n_snapshots):
+    if n_nodes < 1 or n_snapshots < 1:
+        raise ParameterError(f"a mask needs at least one node and one snapshot, "
+                             f"got {n_nodes} x {n_snapshots}")
+
+
 def check_seed(seed):
     """Reject a negative integer seed, which numpy's seeding refuses with a bare ValueError."""
     if isinstance(seed, numbers.Integral) and seed < 0:
@@ -64,6 +70,7 @@ def check_seed(seed):
 
 def random_entry_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
     """Sample exactly round(density * N) nodes uniformly in every snapshot."""
+    _check_size(n_nodes, n_snapshots)
     per_column = _count(density, n_nodes)
     rng = np.random.default_rng(check_seed(seed))
     mask = np.zeros((n_nodes, n_snapshots))
@@ -76,6 +83,7 @@ def random_entry_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
 
 def snapshot_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
     """Observe round(density * M) whole snapshots chosen uniformly."""
+    _check_size(n_nodes, n_snapshots)
     n_columns = _count(density, n_snapshots)
     rng = np.random.default_rng(check_seed(seed))
     columns = rng.permutation(n_snapshots)[:n_columns]
@@ -87,6 +95,7 @@ def snapshot_mask(n_nodes, n_snapshots, density, seed) -> SamplingMask:
 
 def forecasting_mask(n_nodes, n_snapshots, horizon) -> SamplingMask:
     """Observe the first M - horizon snapshots fully; hide the trailing ones."""
+    _check_size(n_nodes, n_snapshots)
     if not 1 <= horizon < n_snapshots:
         raise ParameterError(
             f"horizon must satisfy 1 <= t < M, got t={horizon} with M={n_snapshots}"

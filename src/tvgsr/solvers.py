@@ -8,13 +8,20 @@ where the smoothness term is tr((XD)^T (L + epsilon*I)^beta (XD)) for the
 temporal objectives ("sobolev", and its epsilon=0/beta=1 special case
 "tgsr") or tr(X^T L X) for the per-snapshot baseline ("gr_static").
 
-One Fletcher-Reeves conjugate gradient loop with an exact line search
-solves both temporal problems. The noisy problem runs it with the Hessian
-action J o V + upsilon * K V D D^T. The noiseless problem, the smoothness
-term subject to J o X = Y, is an unconstrained quadratic in the unsampled
-entries once the samples are fixed; it runs the same loop from J o Y with
-the smoothness Hessian K V D D^T zeroed on the samples, so every direction
-is zero there and every iterate keeps the samples bit for bit.
+One conjugate gradient loop with an exact line search solves both temporal
+problems. The noisy problem runs it with the Hessian action
+J o V + upsilon * K V D D^T. The noiseless problem, the smoothness term
+subject to J o X = Y, is an unconstrained quadratic in the unsampled entries
+once the samples are fixed; it runs the same loop from J o Y with the
+smoothness Hessian K V D D^T zeroed on the samples, so every direction is
+zero there and every iterate keeps the samples bit for bit.
+
+By default the loop is preconditioned along the time axis: M keeps the data
+term and each node's own temporal chains exactly, with K replaced by its
+diagonal, so M is one tridiagonal matrix over the unknowns, factored once by
+LAPACK's ``dpttrf`` (see :func:`_temporal_preconditioner`).
+``SolverConfig(preconditioner="none")`` runs the paper's plain
+Fletcher-Reeves CG.
 
 :class:`ProblemOperator` applies that action and the smoothness gradient
 K X D D^T through one body, into the caller's array when given ``out=``
@@ -40,23 +47,25 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 from scipy.sparse import _sparsetools, coo_matrix, csc_matrix, identity
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, sobolev_power
-from .sampling import as_mask_array, unsampled_nodes
+from .sampling import as_mask_array
 from .temporal import TEMPORAL_STEPS, as_signal, difference_operator
 
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
+PRECONDITIONERS = ("temporal", "none")
 
 _TINY_DENOMINATOR = 1e-300
 _RESIDUAL_REFRESH = 50  # CG iterations between true-residual replacements of the gradient
 _RECORD_CHUNK = 4096  # telemetry rows allocated at a time
 _LU_OPTIONS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})  # gr_static's splu
 _BAND_LIMIT = 128  # widest RCM half-bandwidth that gr_static factors as a band; wider takes splu
+_CHAIN_SHIFT = 1e-8  # lifts an unsampled chain's singular block, relative to its coupling
 
 _log = logging.getLogger(__name__)
 
@@ -67,7 +76,9 @@ class SolverConfig:
 
     ``objective="tgsr"`` is the plain Laplacian temporal objective and is
     normalized to epsilon=0, beta=1 so it shares the exact code path of the
-    shifted-power objective; ``gr_static`` likewise ignores epsilon/beta.
+    shifted-power objective; ``gr_static`` likewise ignores epsilon/beta and
+    the preconditioner. ``preconditioner`` is "temporal" (the default) or
+    "none", the paper's plain FR-CG, whose iteration counts the paper reports.
     Defaults: delta=1e-6, max_iter=20000.
     """
 
@@ -78,13 +89,19 @@ class SolverConfig:
     max_iter: int = 20000
     objective: str = "sobolev"
     temporal_step: int = 1
+    preconditioner: str = "temporal"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ParameterError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ParameterError(f"preconditioner must be one of {PRECONDITIONERS}, "
+                                 f"got {self.preconditioner!r}")
         if self.objective in ("tgsr", "gr_static"):
             object.__setattr__(self, "epsilon", 0.0)
             object.__setattr__(self, "beta", 1.0)
+        if self.objective == "gr_static":
+            object.__setattr__(self, "preconditioner", "none")
         for name in ("upsilon", "epsilon", "beta", "delta"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -111,12 +128,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Telemetry of one FR-CG solve; entry t of each array describes iteration t + 1.
+    """Telemetry of one CG solve; entry t of each array describes iteration t + 1.
 
     ``grad_norm`` is ||g|| after the iteration's step, ``dir_norm`` the
     ||d|| of the direction it stepped along, ``mu`` its step and ``gamma``
-    the Fletcher-Reeves ratio that formed the next direction (0 where the
-    direction was reset). ``restarts`` lists (iteration, reason) for each
+    the ratio <g, z> / <g_prev, z_prev> that formed the next direction, with
+    z = M^-1 g (z = g without a preconditioner; 0 where the direction was
+    reset). ``restarts`` lists (iteration, reason) for each
     reset, with reason ``periodic`` or ``lost_descent``. ``stop_reason``
     is ``direction_norm``, ``zero_curvature`` or ``max_iter``. ``setup_s``
     covers the input checks and the operator and buffer set-up, and
@@ -152,7 +170,7 @@ class SolveResult:
     wall_time: float
     iterates: list | None = None
     unsampled_columns: tuple = ()
-    stats: SolveStats | None = None  # FR-CG telemetry of solve_cg and solve_noiseless
+    stats: SolveStats | None = None  # CG telemetry of solve_cg and solve_noiseless
     # scores on the hidden entries, set by evaluation.reconstruct
     rmse: float | None = None
     mae: float | None = None
@@ -328,10 +346,12 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     """Conjugate-gradient solve of the noisy reconstruction problem.
 
     Runs :func:`_fr_cg` from X = J o Y with the Hessian action
-    H d = J o d + upsilon * (L + epsilon*I)^beta d D D^T. A refresh sets
-    g = H X - Y and reads the loss from f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2,
+    H d = J o d + upsilon * (L + epsilon*I)^beta d D D^T, preconditioned by
+    :func:`_temporal_preconditioner` unless the config says "none". A refresh
+    sets g = H X - Y and reads the loss from f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2,
     which holds because supp(Y) lies inside J (the observations are J o Y).
-    A node that is never sampled makes H singular along e_i kron 1; the
+    A node with no sample on a chain t = r (mod s), the whole row at step 1,
+    makes H singular along that chain's indicator (e_i kron 1 at step 1); the
     solve logs a warning on the ``tvgsr`` logger and returns the minimum-norm
     minimizer, since J o Y and every gradient are orthogonal to H's null
     space. With ``record_iterates`` the result keeps a copy of every iterate
@@ -340,7 +360,8 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
     problem = ProblemOperator(graph, mask, config)
-    _warn_unsampled_nodes(mask)
+    chains = _unsampled_chains(mask, config.temporal_step)
+    _warn_unsampled_chains(chains)
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
     of = observed.ravel()
     half_observed_sq = 0.5 * float(np.dot(of, of))
@@ -352,8 +373,9 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         np.subtract(g.ravel(), of, out=hf)
         return 0.5 * float(np.dot(x.ravel(), hf)) + half_observed_sq
 
+    precondition = _temporal_preconditioner(graph, mask, config, chains, constrained=False)
     return _fr_cg("solve_cg", observed.copy(), problem.hessian_action, refresh, config,
-                  entry, record_iterates)
+                  entry, record_iterates, precondition)
 
 
 def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
@@ -363,12 +385,12 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     the minimizer of Qiu et al.'s noiseless scheme (IEEE TSP 2017). With the
     samples fixed, this is an unconstrained quadratic in the free entries:
     :func:`_fr_cg` runs from X = J o Y with the smoothness Hessian K V D D^T,
-    zeroed on the samples, as its action. A refresh reads the loss
-    1/2 <X, K X D D^T> from the gradient and then zeroes the gradient there
-    too. So every direction is zero on the samples, and each iterate keeps
-    them bit for bit. A never-sampled node makes the free block singular
-    along e_i kron 1; as in :func:`solve_cg`, the solve warns and returns the
-    minimum-norm minimizer.
+    zeroed on the samples, as its action, and the temporal preconditioner of
+    that free block. A refresh reads the loss 1/2 <X, K X D D^T> from the
+    gradient and then zeroes the gradient there too. So every direction is
+    zero on the samples, and each iterate keeps them bit for bit. An
+    unsampled chain makes the free block singular along its indicator; as in
+    :func:`solve_cg`, the solve warns and returns the minimum-norm minimizer.
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
@@ -376,7 +398,8 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     sampled = mask > 0
     if not sampled.any():
         raise InputError("mask selects no entries")
-    _warn_unsampled_nodes(mask)
+    chains = _unsampled_chains(mask, config.temporal_step)
+    _warn_unsampled_chains(chains)
 
     def action(v, out):  # the smoothness Hessian on the free entries
         problem.smoothness_gradient(v, out=out)
@@ -388,47 +411,174 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
         np.copyto(g, 0.0, where=sampled)
         return loss
 
-    return _fr_cg("solve_noiseless", mask * y, action, refresh, config, entry, record_iterates)
+    precondition = _temporal_preconditioner(graph, mask, config, chains, constrained=True)
+    return _fr_cg("solve_noiseless", mask * y, action, refresh, config, entry, record_iterates,
+                  precondition)
 
 
-def _warn_unsampled_nodes(mask):
-    missing = unsampled_nodes(mask)
-    if missing.size:
-        _log.warning("%d of %d nodes are never sampled (first: %s); the Hessian is singular "
-                     "along e_i kron 1 at each, so the reconstruction is not unique",
-                     missing.size, mask.shape[0], ", ".join(str(i) for i in missing[:5]))
+def _unsampled_chains(mask, step) -> np.ndarray:
+    """N x s flags: (i, r) is True when node i has no sample at any t = r (mod s).
+
+    D D^T couples t only with t +- s, so each node's unknowns fall into s
+    chains; an unsampled chain's indicator is a null vector of the Hessian.
+    """
+    sampled = mask > 0
+    return np.stack([~sampled[:, r::step].any(axis=1) for r in range(step)], axis=1)
 
 
-def _fr_cg(name, x, action, refresh, config, entry, record_iterates) -> SolveResult:
-    """The Fletcher-Reeves CG loop of :func:`solve_cg` and :func:`solve_noiseless`.
+def _warn_unsampled_chains(chains):
+    nodes = np.flatnonzero(chains.any(axis=1))
+    if nodes.size:
+        step = chains.shape[1]
+        where = "" if step == 1 else f" on some chain of snapshots t = r (mod {step})"
+        _log.warning("%d of %d nodes are never sampled%s (first: %s); the Hessian is singular "
+                     "along each unsampled chain's indicator, e_i kron 1 at step 1, so the "
+                     "reconstruction is not unique", nodes.size, chains.shape[0], where,
+                     ", ".join(str(i) for i in nodes[:5]))
+
+
+def _temporal_preconditioner(graph, mask, config, chains, constrained):
+    """``precondition(g, z)``, writing z = M^-1 g for :func:`_fr_cg`, or None to run plain.
+
+    M is the Hessian with K replaced by its diagonal (L_ii + epsilon)^beta,
+    exact at beta 1: block Jacobi along the time axis. Node i's block is
+    J_i + upsilon K_ii D D^T, and D D^T couples t only with t +- s, so with
+    each row's snapshots in chain order, by (t mod s, t), M is one
+    tridiagonal matrix over the NM unknowns, cut between chains. It is
+    factored once by LAPACK's ``dpttrf`` and applied by one ``dpttrs`` per
+    call, with a gather into chain order and back at step 2 or 3, into
+    buffers allocated here. ``constrained`` builds the noiseless problem's M:
+    upsilon is 1, and a sample's row and column are the identity's, so z is
+    exactly 0 wherever g is.
+
+    A zero diagonal entry (K_ii = 0 or upsilon = 0, without a sample)
+    becomes 1; g is 0 there. An unsampled chain's block is singular along
+    the chain's indicator, as H is: its diagonal is lifted by 1e-8 of its
+    coupling and z is projected to zero mean on the chain, so the iterates
+    stay orthogonal to null(H). At epsilon = 0 null(H) may hold more
+    (:func:`_chains_span_null_space`), which M does not respect; the loop
+    then runs plain, as it does if the factorization fails.
+    """
+    if config.preconditioner == "none":
+        return None
+    m, s = mask.shape[1], config.temporal_step
+    if config.epsilon == 0.0 and not _chains_span_null_space(graph, mask, s, chains):
+        _log.debug("null(H) holds more than the unsampled chains at epsilon = 0; "
+                   "running without the temporal preconditioner")
+        return None
+    coupling = (graph.laplacian_csr.diagonal() + config.epsilon) ** config.beta
+    if not constrained:
+        coupling *= config.upsilon
+    order = np.concatenate([np.arange(r, m, s) for r in range(s)])
+    degree = (order >= s).astype(float) + (order + s < m)  # the diagonal of D D^T
+    linked = np.append(order[1:] == order[:-1] + s, False)  # position k joins k + 1
+    diagonal = coupling[:, None] * degree
+    off = -coupling[:, None] * linked
+    sampled = mask[:, order] > 0
+    if constrained:
+        diagonal[sampled] = 1.0
+        off[sampled] = 0.0
+        off[:, :-1][sampled[:, 1:]] = 0.0
+    else:
+        diagonal += sampled
+    bounds = np.cumsum([0] + [len(range(r, m, s)) for r in range(s)])
+    segments = []  # (nodes, first, stop) of the unsampled chains, in chain order
+    for r in range(s):
+        nodes = np.flatnonzero(chains[:, r])
+        if nodes.size:
+            diagonal[nodes, bounds[r]:bounds[r + 1]] += _CHAIN_SHIFT * coupling[nodes, None]
+            segments.append((nodes, bounds[r], bounds[r + 1]))
+    diagonal[diagonal == 0.0] = 1.0
+    factor_d, factor_e, info = dpttrf(diagonal.ravel(), off.ravel()[:-1],
+                                      overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        _log.debug("dpttrf failed (info %d); running without the temporal preconditioner", info)
+        return None
+    inverse = np.argsort(order)
+    gathered = np.empty(mask.shape) if s > 1 else None
+
+    def precondition(g, z):
+        if gathered is None:
+            line = z
+            np.copyto(z, g)
+        else:
+            line = gathered
+            np.take(g, order, axis=1, out=line, mode="clip")
+        dpttrs(factor_d, factor_e, line.ravel(), overwrite_b=1)
+        for nodes, first, stop in segments:
+            block = line[nodes, first:stop]
+            line[nodes, first:stop] = block - block.mean(axis=1, keepdims=True)
+        if gathered is not None:
+            np.take(line, inverse, axis=1, out=z, mode="clip")
+
+    return precondition
+
+
+def _chains_span_null_space(graph, mask, step, chains) -> bool:
+    """Whether null(H) at epsilon = 0 is spanned by the unsampled chains' indicators alone.
+
+    At epsilon = 0, null(K) holds a vector u_C for each graph component C,
+    and null(H) holds every u_C kron w + sum_r a_r kron 1_{t = r mod s} that
+    vanishes on the samples. Join a vertex (C, t) per component and snapshot
+    to a vertex (i, t mod s) per node and chain for each sample (i, t): each
+    connected part carries one free parameter, and s per component cancel.
+    So null(H) is the unsampled chains (isolated vertices) alone exactly when
+    the graph has s parts per component besides them.
+    """
+    n, m = mask.shape
+    n_components, labels = connected_components(graph.adjacency_csr, directed=False)
+    nodes, times = np.nonzero(mask > 0)
+    size = n_components * m + n * step
+    joined = coo_matrix((np.ones(nodes.size), (labels[nodes] * m + times,
+                                                n_components * m + nodes * step + times % step)),
+                        shape=(size, size))
+    parts = connected_components(joined, directed=False)[0]
+    return parts == n_components * step + int(chains.sum())
+
+
+def _fr_cg(name, x, action, refresh, config, entry, record_iterates,
+           precondition=None) -> SolveResult:
+    """The conjugate gradient loop of :func:`solve_cg` and :func:`solve_noiseless`.
 
     Minimizes a convex quadratic from ``x``, which it updates in place.
     ``action(v, out)`` writes the Hessian times ``v`` into ``out``, and
     ``refresh(x, g, h)`` writes the true gradient at ``x`` into ``g``, with
-    ``h`` as scratch, and returns the loss. ``entry`` is when the caller
-    began, for ``setup_s``.
+    ``h`` as scratch, and returns the loss. ``precondition(g, z)`` writes
+    z = M^-1 g; without it z is g itself and the loop is the paper's
+    Fletcher-Reeves CG, bit for bit. ``entry`` is when the caller began, for
+    ``setup_s``.
 
     Each iteration steps by the exact line search mu = -<d, g> / <d, H d>
-    along d = -g + gamma d_prev, gamma = ||g||^2 / ||g_prev||^2. The
-    direction is reset to -g every N*M iterations (``periodic``) or when it
-    is no longer a descent direction (``lost_descent``, which also covers a
-    zero previous gradient). It stops when ||d||_F <= delta
-    (``direction_norm``), when |<d, H d>| < 1e-300 (``zero_curvature``) or
-    at max_iter; ``termination`` reads ``converged`` for the first two.
-    The one action per iteration, h = H d, updates g <- g + mu h and the
-    loss f <- f - <d, g>^2 / (2 <d, H d>); every 50 iterations a refresh
-    replaces both, so rounding cannot accumulate. A solve of k iterations
-    thus makes k + 1 + floor(k / 50) actions and refreshes, one more if it
-    stops on zero curvature. The iterate, gradient, direction and action
-    live in buffers allocated once; x <- x + mu d and g <- g + mu h are one
-    BLAS ``daxpy`` each on raveled views, and every inner product is one
-    ``np.dot``, so an iteration allocates nothing.
+    along d = -z + gamma d_prev, gamma = <g, z> / <g_prev, z_prev>
+    (||g||^2 / ||g_prev||^2 without a preconditioner). The direction is
+    reset to -z every N*M iterations (``periodic``) or when it is no longer
+    a descent direction (``lost_descent``, which also covers <g, z> <= 0).
+    It stops when ||d||_F <= delta (``direction_norm``), when
+    |<d, H d>| < 1e-300 (``zero_curvature``) or at max_iter; ``termination``
+    reads ``converged`` for the first two. Near the answer d is about
+    -M^-1 g, which for M close to H is the error, so the same delta serves
+    both loops. The one action per iteration, h = H d, updates
+    g <- g + mu h and the loss f <- f - <d, g>^2 / (2 <d, H d>); every 50
+    iterations a refresh replaces both, so rounding cannot accumulate. A
+    solve of k iterations thus makes k + 1 + floor(k / 50) actions and
+    refreshes, one more if it stops on zero curvature. The iterate,
+    gradient, preconditioned gradient, direction and action live in buffers
+    allocated once; x <- x + mu d and g <- g + mu h are one BLAS ``daxpy``
+    each on raveled views, and every inner product is one ``np.dot``, so an
+    iteration allocates nothing.
     """
     g, d, h = (np.empty_like(x) for _ in range(3))
-    xf, gf, df, hf = (a.ravel() for a in (x, g, d, h))
+    z = g if precondition is None else np.empty_like(x)
+    xf, gf, df, hf, zf = (a.ravel() for a in (x, g, d, h, z))
     # row t: loss after t iterations, then grad_norm, dir_norm, mu, gamma of iteration t
     record = np.empty((min(config.max_iter, _RECORD_CHUNK) + 1, 5))
     restarts = []
+
+    def preconditioned(g_sq):  # <g, z> with z = M^-1 g
+        if precondition is None:
+            return g_sq
+        precondition(g, z)
+        return float(np.dot(gf, zf))
 
     start = time.perf_counter()
     f = record[0, 0] = refresh(x, g, h)
@@ -438,8 +588,9 @@ def _fr_cg(name, x, action, refresh, config, entry, record_iterates) -> SolveRes
     g_sq = float(np.dot(gf, gf))
     if not np.isfinite(g_sq):
         raise NumericError("non-finite gradient at iteration 0")
-    np.negative(g, out=d)
-    slope = -g_sq  # <d, g>
+    rho = preconditioned(g_sq)
+    np.negative(z, out=d)
+    slope = -rho  # <d, g>
     restart_every = x.size
     iterations = 0
     stop_reason = "max_iter"
@@ -475,25 +626,26 @@ def _fr_cg(name, x, action, refresh, config, entry, record_iterates) -> SolveRes
         g_new_sq = float(np.dot(gf, gf))
         if not np.isfinite(g_new_sq):
             raise NumericError(f"non-finite gradient at iteration {iterations}")
+        rho_new = preconditioned(g_new_sq)
         restart = None
         if iterations % restart_every == 0:
             restart = "periodic"
-        elif g_sq == 0.0:
+        elif rho <= 0.0 or rho_new <= 0.0:
             restart = "lost_descent"
         else:
-            gamma = g_new_sq / g_sq
+            gamma = rho_new / rho
             d *= gamma
-            d -= g
+            d -= z
             slope = float(np.dot(df, gf))
             if slope >= 0.0:
                 restart = "lost_descent"
         if restart is not None:
-            np.negative(g, out=d)
+            np.negative(z, out=d)
             gamma = 0.0
-            slope = -g_new_sq
+            slope = -rho_new
             restarts.append((iterations, restart))
         record[iterations, 1:] = (math.sqrt(g_new_sq), d_norm, mu, gamma)
-        g_sq = g_new_sq
+        rho = rho_new
 
     end = time.perf_counter()
     rows = record[1:iterations + 1]

@@ -196,13 +196,15 @@ class TestReconstruct:
         assert "stop_reason" not in metrics
         assert not (out / "trace.csv").exists()
 
-    def test_trace_and_telemetry_metrics(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize("preconditioner, problem", [
+        ("none", []), ("temporal", ["--beta", "2", "--upsilon", "1"])])  # both past 50 iterations
+    def test_trace_and_telemetry_metrics(self, synth_dir, tmp_path, preconditioner, problem):
         out = tmp_path / "r"
         assert main(["reconstruct", "--coords", str(synth_dir / "coords.csv"),
                      "--signal", str(synth_dir / "signal.csv"), "--k", "3",
                      "--regime", "random_entry", "--density", "0.5", "--seed", "4",
                      "--objective", "sobolev", "--upsilon", "0.05", "--delta", "1e-10",
-                     "--out", str(out)]) == 0
+                     "--preconditioner", preconditioner, *problem, "--out", str(out)]) == 0
         metrics = read_kv(out / "metrics.txt")
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "iteration,grad_norm,dir_norm,mu,gamma,restart"
@@ -584,6 +586,7 @@ def parser_options():
 GRAPH_KINDS = ("combinatorial", "normalized")
 REGIMES = ("random_entry", "snapshot", "forecasting")
 OBJECTIVES = ("tgsr", "sobolev", "gr_static")
+PRECONDITIONERS = ("temporal", "none")
 TEXT = (None, None)  # a string flag: no type conversion, no choices
 
 
@@ -606,7 +609,8 @@ class TestSettingsTable:
                         "--objective": (None, OBJECTIVES), "--upsilon": (float, None),
                         "--epsilon": (float, None), "--beta": (float, None),
                         "--delta": (float, None), "--max-iter": (int, None),
-                        "--step": (int, None), "--out": TEXT, "--oracle-check": TEXT},
+                        "--step": (int, None), "--preconditioner": (None, PRECONDITIONERS),
+                        "--out": TEXT, "--oracle-check": TEXT},
         "analyze": {"--config": TEXT, "--coords": TEXT, "--adjacency": TEXT,
                     "--k": (int, None), "--laplacian": (None, GRAPH_KINDS), "--mask": TEXT,
                     "--regime": (None, REGIMES), "--density": (float, None),
@@ -652,7 +656,7 @@ class TestSettingsTable:
                              "--regime", "random_entry", "--density", "0.5"],
                             ["coords", "signal", "k", "laplacian", "regime", "density", "seed",
                              "objective", "upsilon", "epsilon", "beta", "delta", "max_iter",
-                             "step", "out", "oracle_check"]),
+                             "step", "preconditioner", "out", "oracle_check"]),
             "analyze": (["--coords", coords, "--k", "3", "--snapshots", "4"],
                         ["coords", "k", "laplacian", "regime", "seed", "snapshots", "upsilon",
                          "beta", "epsilon_grid", "beta_grid", "step", "out"]),
@@ -741,7 +745,8 @@ class TestPlanValues:
     @pytest.mark.parametrize("field", [f for f in dataclasses.fields(tvgsr.SolverConfig)
                                        if f.name != "objective"], ids=lambda f: f.name)
     def test_every_solver_setting_but_objective_is_a_plan_key(self, tmp_path, field, scope):
-        value = field.default + 1  # valid for each field, and not its default
+        # valid for each field, and not its default
+        value = "none" if field.name == "preconditioner" else field.default + 1
         key = f"sobolev.{field.name}" if scope == "method" else field.name
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text(f"densities=0.5\nmethods=sobolev\n{key}={value}\n")
@@ -816,7 +821,8 @@ class TestRunLifecycle:
                                       "synth_side_nan", "synth_side_inf",
                                       "sample_random_entry_seed_negative",
                                       "sample_snapshot_seed_negative",
-                                      "reconstruct_seed_negative", "analyze_seed_negative"])
+                                      "reconstruct_seed_negative", "analyze_seed_negative",
+                                      "sample_nodes_negative", "sample_snapshots_negative"])
     def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
         coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
         wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
@@ -853,6 +859,10 @@ class TestRunLifecycle:
             "sample_snapshot_seed_negative": [*sample, "snapshot", "--seed", "-3"],
             "reconstruct_seed_negative": [*reconstruct, "--signal", signal, "--seed", "-1"],
             "analyze_seed_negative": [*analyze, "--snapshots", "6", "--seed", "-2"],
+            "sample_nodes_negative": ["sample", "--n-nodes", "-3", "--snapshots", "4",
+                                      "--density", "0.5"],
+            "sample_snapshots_negative": ["sample", "--n-nodes", "3", "--snapshots", "-4",
+                                          "--density", "0.5"],
         }[case]
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1

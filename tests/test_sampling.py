@@ -117,3 +117,12 @@ class TestUnsampledNodes:
         mask[2, :2] = 0.0
         assert unsampled_nodes(mask).tolist() == [1, 4]
         assert unsampled_nodes(np.ones((6, 3))).size == 0
+
+
+@pytest.mark.parametrize("n_nodes, n_snapshots", [(-3, 4), (3, -4), (0, 4), (3, 0)])
+def test_every_mask_needs_a_node_and_a_snapshot(n_nodes, n_snapshots):
+    for make in (lambda: tvgsr.random_entry_mask(n_nodes, n_snapshots, 0.5, 0),
+                 lambda: tvgsr.snapshot_mask(n_nodes, n_snapshots, 0.5, 0),
+                 lambda: tvgsr.forecasting_mask(n_nodes, n_snapshots, 1)):
+        with pytest.raises(ParameterError, match="at least one node and one snapshot"):
+            make()

@@ -1,8 +1,10 @@
+import dataclasses
 import logging
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse
 import scipy.sparse.linalg
@@ -204,16 +206,23 @@ class TestSolveNoiseless:
 
     @pytest.mark.parametrize("step", [1, 2, 3])
     @pytest.mark.parametrize("beta, epsilon", [(1.0, 0.0), (2.0, 0.2), (0.5, 0.1)])
-    def test_iterates_match_the_allocating_loop(self, step, beta, epsilon, monkeypatch):
-        # FR-CG on the free entries with fresh arrays every iteration; each update is
-        # BLAS daxpy on a copy, so it rounds as the in-place loop does
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_iterates_match_the_allocating_loop(self, step, beta, epsilon, preconditioner,
+                                                monkeypatch):
+        # CG on the free entries with fresh arrays every iteration; each update is BLAS
+        # daxpy on a copy, so FR-CG rounds as the in-place loop does, bit for bit. The
+        # preconditioned loop is checked against M^-1 applied node by node with
+        # solve_banded, which rounds otherwise, so its iterates agree to 1e-12.
         rng = np.random.default_rng(40)
         graph = connected_geometric_graph(rng, 12, 3)
         mask = tvgsr.random_entry_mask(12, 9, 0.4, 41).mask
         y = mask * rng.normal(size=(12, 9))
         config = SolverConfig(epsilon=epsilon, beta=beta, objective="sobolev",
-                              temporal_step=step, max_iter=400, delta=1e-7)
+                              temporal_step=step, max_iter=400, delta=1e-7,
+                              preconditioner=preconditioner)
         problem = tvgsr.solvers.ProblemOperator(graph, mask, config)
+        solve = (lambda g: g) if preconditioner == "none" else \
+            banded_preconditioner(graph, mask, config)
 
         def projected_gradient(v):
             return np.where(mask > 0, 0.0, problem.smoothness_gradient(v))
@@ -225,7 +234,8 @@ class TestSolveNoiseless:
 
         x = mask * y
         g = projected_gradient(x)
-        d, expected = -g, [x]
+        z = solve(g)
+        d, expected = -z, [x]
         for t in range(1, config.max_iter + 1):
             if np.sqrt(np.vdot(d, d)) <= config.delta:
                 break
@@ -234,8 +244,9 @@ class TestSolveNoiseless:
             x = plus(x, mu, d)
             expected.append(x)
             g_next = projected_gradient(x) if t % 50 == 0 else plus(g, mu, h)
-            d = (np.vdot(g_next, g_next) / np.vdot(g, g)) * d - g_next
-            g = g_next
+            z_next = solve(g_next)
+            d = (np.vdot(g_next, z_next) / np.vdot(g, z)) * d - z_next
+            g, z = g_next, z_next
         applications = []
         original = tvgsr.solvers.ProblemOperator.smoothness_gradient
 
@@ -247,8 +258,14 @@ class TestSolveNoiseless:
         result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
         k = result.iterations
         assert k == len(expected) - 1 and result.stats.restarts == ()
-        assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
-        assert np.array_equal(result.x_hat, expected[-1])
+        if preconditioner == "none":
+            assert all(np.array_equal(a, b) for a, b in zip(result.iterates, expected))
+            assert np.array_equal(result.x_hat, expected[-1])
+        else:
+            scale = np.abs(expected[-1]).max()
+            assert all(np.abs(a - b).max() <= 1e-12 * scale
+                       for a, b in zip(result.iterates, expected))
+            assert all(np.array_equal(a[mask > 0], y[mask > 0]) for a in result.iterates)
         assert len(applications) == k + 1 + k // 50 == result.stats.hessian_actions
         losses = [0.5 * problem.smoothness(iterate) for iterate in expected]
         assert np.allclose(result.loss_trace, losses, rtol=1e-12, atol=1e-14 * losses[0])
@@ -258,8 +275,10 @@ class TestSolveNoiseless:
         with pytest.raises(InputError):
             tvgsr.solve_noiseless(y, np.zeros_like(y), geo_graph, SolverConfig())
 
-    def test_stats_count_one_product_per_iteration_and_each_refresh(self, monkeypatch):
-        y, mask, graph, config = long_cg_problem()
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_stats_count_one_product_per_iteration_and_each_refresh(self, monkeypatch,
+                                                                    preconditioner):
+        y, mask, graph, config = long_cg_problem(preconditioner)
         calls = []
         original = tvgsr.solvers.ProblemOperator.smoothness_gradient
 
@@ -315,6 +334,42 @@ class TestSolveNoiseless:
         assert max(growth) < y.nbytes
 
 
+def banded_preconditioner(graph, mask, config):
+    """M^-1 of the noiseless problem, node by node with ``solve_banded``: fresh arrays, in the
+    natural snapshot order.
+
+    Node i's block is (L_ii + epsilon)^beta D D^T on its free entries, with a
+    sample's row and column those of the identity. A chain t = r (mod s)
+    without a sample is lifted by 1e-8 times the coupling, and its part of
+    the answer is projected to zero mean.
+    """
+    s, (n, m) = config.temporal_step, mask.shape
+    dd = tvgsr.difference_operator(m, s).matrix @ tvgsr.difference_operator(m, s).matrix.T
+    coupling = (graph.laplacian_csr.diagonal() + config.epsilon) ** config.beta
+    blocks = []
+    for i in range(n):
+        free = mask[i] == 0
+        block = coupling[i] * dd * np.outer(free, free)
+        block[~free, ~free] = 1.0
+        chains = [np.arange(r, m, s) for r in range(s) if free[r::s].all()]
+        for chain in chains:
+            block[chain, chain] += 1e-8 * coupling[i]
+        band = np.zeros((2 * s + 1, m))
+        for offset in range(-s, s + 1):
+            band[s - offset, max(offset, 0):m + min(offset, 0)] = np.diagonal(block, offset)
+        blocks.append((band, chains))
+
+    def solve(g):
+        z = np.empty_like(g)
+        for i, (band, chains) in enumerate(blocks):
+            z[i] = scipy.linalg.solve_banded((s, s), band, g[i])
+            for chain in chains:
+                z[i, chain] -= z[i, chain].mean()
+        return z
+
+    return solve
+
+
 def allocation_problem(beta, max_iter):
     rng = np.random.default_rng(42)
     n, m = 200, 50
@@ -361,15 +416,26 @@ class TestSolveCg:
         rel = np.linalg.norm(result.x_hat - y) / np.linalg.norm(y)
         assert rel < 1e-4
 
-    def test_matches_dense_oracle(self):
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 1.5])
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_matches_dense_oracle(self, kind, step, beta, preconditioner):
+        # redraw until the oracle is nonsingular: the one-step uniqueness conditions do not
+        # cover s = 2 or 3
         rng = np.random.default_rng(11)
-        graph = connected_geometric_graph(rng, 6, 2)
-        mask = uniqueness_mask(rng, 6, 4)
-        y = mask * rng.normal(size=(6, 4))
-        config = SolverConfig(upsilon=0.5, epsilon=0.1, beta=1.0, objective="sobolev",
-                              delta=1e-9)
+        graph = tvgsr.Graph(connected_geometric_graph(rng, 6, 2).adjacency_csr,
+                            laplacian_kind=kind)
+        config = SolverConfig(upsilon=0.5, epsilon=0.1, beta=beta, objective="sobolev",
+                              temporal_step=step, delta=1e-9, preconditioner=preconditioner)
+        for _ in range(50):
+            mask = uniqueness_mask(rng, 6, 7)
+            y = mask * rng.normal(size=(6, 7))
+            oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+            if not oracle.singular:
+                break
+        assert not oracle.singular
         result = tvgsr.solve_cg(y, mask, graph, config)
-        oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
         rel = np.linalg.norm(result.x_hat - oracle.x_hat) / np.linalg.norm(oracle.x_hat)
         assert result.termination == "converged"
         assert rel < 1e-6
@@ -508,6 +574,134 @@ class TestSolveCg:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 10
+
+
+def minimum_norm_answers(y, mask, graph, config):
+    """solve_cg's and solve_noiseless's answers, each with its dense minimum-norm answer."""
+    op = tvgsr.difference_operator(mask.shape[1], config.temporal_step)
+    smoothness = tvgsr.spectral.hessian(np.zeros_like(mask), graph, op, 1.0, config.epsilon,
+                                        config.beta)
+    return ((tvgsr.solve_cg(y, mask, graph, config),
+             tvgsr.dense_oracle_solve(y, mask, graph, config).x_hat),
+            (tvgsr.solve_noiseless(y, mask, graph, config),
+             free_block_minimizer(smoothness, y, mask)))
+
+
+def assert_minimum_norm(y, mask, graph, config):
+    for result, expected in minimum_norm_answers(y, mask, graph, config):
+        scale = np.linalg.norm(expected)
+        assert result.termination == "converged"
+        assert np.linalg.norm(result.x_hat - expected) <= 1e-8 * scale
+
+
+def two_step_chain_problem():
+    """12 x 8 at step 2, where node 3 is sampled on even snapshots only."""
+    rng = np.random.default_rng(50)
+    graph = connected_geometric_graph(rng, 12, 3)
+    mask = uniqueness_mask(rng, 12, 8).copy()
+    mask[3] = 0.0
+    mask[3, ::2] = 1.0
+    y = mask * rng.normal(size=mask.shape)
+    return y, mask, graph
+
+
+@pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+class TestDegenerateProblems:
+    """Singular and degenerate problems give the minimum-norm answer with either loop."""
+
+    def test_unsampled_chain_at_step_two_warns_and_gives_the_minimum_norm(self, caplog,
+                                                                          preconditioner):
+        y, mask, graph = two_step_chain_problem()
+        config = SolverConfig(upsilon=0.5, epsilon=0.1, temporal_step=2, delta=1e-12,
+                              preconditioner=preconditioner)
+        assert tvgsr.dense_oracle_solve(y, mask, graph, config).singular
+        with caplog.at_level(logging.WARNING, logger="tvgsr"):
+            assert_minimum_norm(y, mask, graph, config)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2  # one per solve
+        assert all("1 of 12 nodes are never sampled on some chain of snapshots t = r (mod 2) "
+                   "(first: 3)" in message for message in messages)
+
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    @pytest.mark.parametrize("everywhere", [True, False])
+    def test_isolated_node_at_zero_epsilon(self, preconditioner, kind, everywhere):
+        # K_ii = 0 on the isolated node; sampled everywhere, the preconditioner runs with
+        # its block's zero diagonal set to 1; otherwise e_i kron e_t joins null(H)
+        graph = graph_with_isolated_node(kind)
+        rng = np.random.default_rng(51)
+        mask = uniqueness_mask(rng, 6, 5).copy()
+        mask[5] = 1.0 if everywhere else np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        y = mask * rng.normal(size=mask.shape)
+        config = SolverConfig(upsilon=0.5, epsilon=0.0, beta=1.5, delta=1e-12,
+                              preconditioner=preconditioner)
+        assert_minimum_norm(y, mask, graph, config)
+
+    def test_zero_upsilon_returns_the_observations(self, preconditioner):
+        rng = np.random.default_rng(52)
+        graph = connected_geometric_graph(rng, 6, 2)
+        mask = tvgsr.random_entry_mask(6, 5, 0.5, 53).mask
+        y = mask * rng.normal(size=mask.shape)
+        config = SolverConfig(upsilon=0.0, epsilon=0.1, delta=1e-12,
+                              preconditioner=preconditioner)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+        assert np.linalg.norm(result.x_hat - oracle.x_hat) <= 1e-8 * np.linalg.norm(oracle.x_hat)
+        assert np.array_equal(result.x_hat, y)
+
+    def test_tgsr_forecast_is_singular_and_gives_the_minimum_norm(self, preconditioner):
+        # every forecast snapshot t holds 1_C kron e_t in null(H) at epsilon = 0
+        rng = np.random.default_rng(54)
+        graph = connected_geometric_graph(rng, 6, 2)
+        mask = tvgsr.forecasting_mask(6, 7, 2).mask
+        y = mask * rng.normal(size=mask.shape)
+        config = SolverConfig(upsilon=0.5, objective="tgsr", delta=1e-12,
+                              preconditioner=preconditioner)
+        oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+        result = tvgsr.solve_cg(y, mask, graph, config)
+        assert oracle.singular and result.termination == "converged"
+        assert np.linalg.norm(result.x_hat - oracle.x_hat) <= 1e-8 * np.linalg.norm(oracle.x_hat)
+
+
+class TestTemporalPreconditioner:
+    def test_default_is_temporal_and_cuts_the_iterations(self):
+        y, mask, graph, config = long_cg_problem()
+        plain = tvgsr.solve_cg(y, mask, graph,
+                               dataclasses.replace(config, preconditioner="none"))
+        preconditioned = tvgsr.solve_cg(y, mask, graph, config)
+        assert SolverConfig().preconditioner == "temporal" == config.preconditioner
+        assert 3 * preconditioned.iterations < plain.iterations
+        scale = np.linalg.norm(plain.x_hat)
+        assert np.linalg.norm(preconditioned.x_hat - plain.x_hat) <= 1e-8 * scale
+
+    def test_gr_static_normalizes_to_none(self):
+        assert SolverConfig(objective="gr_static").preconditioner == "none"
+        with pytest.raises(ParameterError, match="preconditioner"):
+            SolverConfig(preconditioner="jacobi")
+
+    @pytest.mark.parametrize("case", ["unsampled_snapshot", "failed_factor"])
+    def test_falls_back_to_the_plain_loop_bit_for_bit(self, monkeypatch, caplog, case):
+        rng = np.random.default_rng(55)
+        graph = connected_geometric_graph(rng, 8, 3)
+        mask = tvgsr.random_entry_mask(8, 6, 0.6, 56).mask.copy()
+        if case == "unsampled_snapshot":  # at epsilon 0, 1 kron e_4 joins null(H)
+            mask[:, 4] = 0.0
+        else:
+            monkeypatch.setattr(tvgsr.solvers, "dpttrf", lambda d, e, **_: (d, e, 1))
+        y = mask * rng.normal(size=mask.shape)
+        config = SolverConfig(upsilon=0.5, epsilon=0.0)
+        with caplog.at_level(logging.DEBUG, logger="tvgsr"):
+            results = [tvgsr.solve_cg(y, mask, graph, dataclasses.replace(
+                config, preconditioner=preconditioner)) for preconditioner in ("none", "temporal")]
+        assert np.array_equal(results[0].x_hat, results[1].x_hat)
+        assert np.array_equal(results[0].loss_trace, results[1].loss_trace)
+        assert any("without the temporal preconditioner" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_noiseless_samples_stay_bit_exact(self):
+        y, mask, graph, config = long_cg_problem()
+        result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)
+        assert result.termination == "converged"
+        assert all(np.array_equal(x[mask > 0], y[mask > 0]) for x in result.iterates)
 
 
 def dense_gr_static_columns(y, mask, graph, upsilon):
@@ -896,13 +1090,18 @@ def graph_with_isolated_node(laplacian_kind):
     return tvgsr.Graph(weights, laplacian_kind=laplacian_kind)
 
 
-def long_cg_problem():
-    """A problem on which FR-CG runs past two gradient refreshes."""
+def long_cg_problem(preconditioner="temporal"):
+    """A problem on which CG runs past two gradient refreshes, with either preconditioner.
+
+    beta 2 keeps the temporal preconditioner, which leaves out the graph's
+    coupling, at about 370 iterations (FR-CG takes about 1,200).
+    """
     rng = np.random.default_rng(33)
     graph = connected_geometric_graph(rng, 30, 3)
     mask = tvgsr.random_entry_mask(30, 20, 0.3, 34).mask
     y = mask * rng.normal(size=(30, 20))
-    config = SolverConfig(upsilon=0.05, epsilon=0.01, objective="sobolev", delta=1e-10)
+    config = SolverConfig(upsilon=0.05, epsilon=0.01, beta=2.0, objective="sobolev",
+                          delta=1e-10, preconditioner=preconditioner)
     return y, mask, graph, config
 
 
@@ -1025,8 +1224,9 @@ class TestProblemOperator:
         assert np.allclose(action[5], 0.25 * np.array([-1.0, 2.0, -1.0, 0.0]), rtol=1e-15)
         assert np.all(action[:5] == 0.0)
 
-    def test_one_hessian_action_per_iteration(self, monkeypatch):
-        y, mask, graph, config = long_cg_problem()
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_one_hessian_action_per_iteration(self, monkeypatch, preconditioner):
+        y, mask, graph, config = long_cg_problem(preconditioner)
         calls = []
         original = tvgsr.solvers.ProblemOperator.hessian_action
 
@@ -1040,17 +1240,19 @@ class TestProblemOperator:
         assert result.iterations >= 100
         assert len(calls) == result.iterations + 1 + result.iterations // 50
 
-    def test_free_loss_matches_objective(self):
-        y, mask, graph, config = long_cg_problem()
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_free_loss_matches_objective(self, preconditioner):
+        y, mask, graph, config = long_cg_problem(preconditioner)
         result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
         assert result.iterations >= 100
         for loss, x in zip(result.loss_trace, result.iterates):
             exact = tvgsr.objective(x, y, mask, graph, config)
             assert abs(loss - exact) <= 1e-10 * abs(exact)
 
-    def test_loss_recurrence_tracks_the_objective(self):
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_loss_recurrence_tracks_the_objective(self, preconditioner):
         # between refreshes the loss falls by the line search's exact decrease
-        y, mask, graph, config = long_cg_problem()
+        y, mask, graph, config = long_cg_problem(preconditioner)
         result = tvgsr.solve_cg(y, mask, graph, config, record_iterates=True)
         assert result.iterations > 2 * 50
         for loss, x in zip(result.loss_trace, result.iterates):
@@ -1071,8 +1273,9 @@ def stats_bytes(stats):
 
 
 class TestSolveStats:
-    def test_invariants_on_a_long_solve(self):
-        y, mask, graph, config = long_cg_problem()
+    @pytest.mark.parametrize("preconditioner", ["none", "temporal"])
+    def test_invariants_on_a_long_solve(self, preconditioner):
+        y, mask, graph, config = long_cg_problem(preconditioner)
         result = tvgsr.solve_cg(y, mask, graph, config)
         stats, k = result.stats, result.iterations
         assert k >= 100
