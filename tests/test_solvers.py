@@ -344,7 +344,8 @@ def banded_preconditioner(graph, mask, config):
     the answer is projected to zero mean.
     """
     s, (n, m) = config.temporal_step, mask.shape
-    dd = tvgsr.difference_operator(m, s).matrix @ tvgsr.difference_operator(m, s).matrix.T
+    difference = tvgsr.difference_operator(m, s).matrix
+    dd = difference @ difference.T
     coupling = (graph.laplacian_csr.diagonal() + config.epsilon) ** config.beta
     blocks = []
     for i in range(n):
