@@ -523,11 +523,20 @@ def _chains_span_null_space(graph, mask, step, chains) -> bool:
     to a vertex (i, t mod s) per node and chain for each sample (i, t): each
     connected part carries one free parameter, and s per component cancel.
     So null(H) is the unsampled chains (isolated vertices) alone exactly when
-    the graph has s parts per component besides them.
+    the graph has s parts per component besides them. A (C, t) without a
+    sample is a part of its own, one too many unless t is alone on its
+    chain; that settles every forecast and snapshot mask before the joined
+    graph is built.
     """
     n, m = mask.shape
     n_components, labels = connected_components(graph.adjacency_csr, directed=False)
-    nodes, times = np.nonzero(mask > 0)
+    sampled = mask > 0
+    members = coo_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_components, n))
+    snapshots = np.arange(m)
+    shared = (snapshots >= step) | (snapshots + step < m)  # another snapshot on t's chain
+    if np.any((members @ sampled)[:, shared] == 0):
+        return False
+    nodes, times = np.nonzero(sampled)
     size = n_components * m + n * step
     joined = coo_matrix((np.ones(nodes.size), (labels[nodes] * m + times,
                                                 n_components * m + nodes * step + times % step)),

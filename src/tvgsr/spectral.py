@@ -1,17 +1,20 @@
-"""Dense NM x NM analysis: the vectorized Hessian, its spectrum, and the oracle.
+"""Dense NM x NM analysis: the vectorized Hessian, its extreme eigenvalues, and the oracle.
 
 The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
 using column-major vectorization. Only this module forms it, under a hard
-size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer,
-and every eigensolve here runs LAPACK's ``dsyevd`` on that buffer itself,
-through :func:`_eigh_in_place`. So an eigenvalue solve holds one NM x NM
-array, and the oracle's eigendecomposition holds that array, which the
-eigenvectors overwrite, plus ``dsyevd``'s 2 (NM)^2 workspace.
+size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer.
+:func:`_extremes` finds its two extreme eigenvalues by Lanczos on a
+Cholesky factor made in that buffer, O((NM)^3 / 3) flops instead of a full
+spectrum's 4/3 (NM)^3; a singular Hessian falls back to LAPACK's ``dsyevd``
+on a rebuilt buffer, through :func:`_eigh_in_place`, as the oracle's
+eigendecomposition does. So the extremes hold one NM x NM array, and the
+oracle holds that array, which the eigenvectors overwrite, plus
+``dsyevd``'s 2 (NM)^2 workspace.
 
-Built on the Hessian are condition numbers of the shifted-power (Sobolev)
-and plain Laplacian objectives and checks of their extreme eigenvalues
-against the additive (Weyl) brackets, both eigensolving each distinct
+Built on the extremes are condition numbers of the shifted-power (Sobolev)
+and plain Laplacian objectives and checks of the extremes against the
+additive (Weyl) brackets, both finding the extremes of each distinct
 Hessian of a sweep once, and the dense eigendecomposition oracle that
 solves the stationarity system for tests.
 """
@@ -25,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .exceptions import InputError, ParameterError
 from .graphs import Graph, _check_symmetric, sobolev_power
@@ -36,6 +41,7 @@ DENSE_GUARD = 4000  # maximum N*M for dense vectorized systems
 
 _SINGULAR_RATIO = 1e-12  # eigenvalues below this fraction of lambda_max count as zero
 _BRACKET_RTOL = 1e-8
+_LANCZOS_NCV = 10  # Lanczos basis size; fixed, like the start vector, so reruns repeat their bits
 
 
 def _vec(x) -> np.ndarray:
@@ -73,6 +79,49 @@ def _eigh_in_place(matrix, eigvals_only):
     """
     return linalg.eigh(matrix.T, eigvals_only=eigvals_only, overwrite_a=True,
                        check_finite=False, driver="evd")
+
+
+def _largest_eigenvalue(matvec, size) -> float:
+    """ARPACK's largest eigenvalue of a symmetric operator, from a fixed start vector."""
+    v0 = np.random.default_rng(0).standard_normal(size)
+    operator = LinearOperator((size, size), matvec=matvec, dtype=float)
+    return float(eigsh(operator, k=1, which="LA", v0=v0, ncv=min(size, _LANCZOS_NCV), tol=0,
+                       return_eigenvectors=False)[0])
+
+
+def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
+    """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum.
+
+    The buffer is Cholesky-factored in place (``dpotrf``), and lambda_min is
+    1/mu, with mu the largest eigenvalue of H^-1 applied by ``dpotrs``.
+    lambda_max comes from the matrix-free action q v + upsilon vec(K V D D^T),
+    O(N^2 M) per product. Both are Lanczos runs (ARPACK) to machine
+    precision. When ``dpotrf`` fails (a singular or indefinite Hessian) or
+    ARPACK does not converge, the Hessian is rebuilt and eigensolved whole.
+    """
+    matrix = hessian(mask, graph, op, upsilon, epsilon, beta)
+    size = matrix.shape[0]
+    factor, info = dpotrf(matrix.T, overwrite_a=True, clean=False)  # Fortran order, no copy
+    del matrix
+    if info == 0:
+        q = _vec(as_mask_array(mask))
+        penalty = sobolev_power(graph.laplacian, epsilon, beta)
+        ddt = op.matrix @ op.matrix.T
+        n_snapshots = ddt.shape[0]
+
+        def action(v):
+            transposed = v.reshape(n_snapshots, -1)  # V^T, since vec(V) stacks V's columns
+            return q * v + upsilon * (ddt @ transposed @ penalty).ravel()
+
+        try:
+            mu = _largest_eigenvalue(lambda v: dpotrs(factor, v)[0], size)
+            return 1.0 / mu, _largest_eigenvalue(action, size)
+        except ArpackNoConvergence:
+            pass
+    del factor
+    eigenvalues = _eigh_in_place(hessian(mask, graph, op, upsilon, epsilon, beta),
+                                 eigvals_only=True)
+    return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
 def _kappa(lam_min, lam_max) -> float:
@@ -156,17 +205,16 @@ def _hessian_extremes(mask, graph: Graph, op, upsilon):
     """Memoized (epsilon, beta) -> Hessian extremes; the Laplacian Hessian is (0.0, 1.0)."""
     @functools.cache
     def extremes(epsilon, beta):
-        eigenvalues = _eigh_in_place(hessian(mask, graph, op, upsilon, epsilon, beta),
-                                     eigvals_only=True)
-        return float(eigenvalues[0]), float(eigenvalues[-1])
+        return _extremes(mask, graph, op, upsilon, epsilon, beta)
     return extremes
 
 
 def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Check the extreme Hessian eigenvalues against their analytic brackets.
 
-    Returns one :class:`WeylReport` per grid epsilon. Each distinct Hessian
-    is eigensolved once, so E epsilons cost at most E+1 NM x NM eigensolves.
+    Returns one :class:`WeylReport` per grid epsilon. The extremes of each
+    distinct Hessian are found once, so E epsilons cost at most E+1 NM x NM
+    factorizations.
     Both Hessians are examined in the scale-invariant form
     (1/upsilon) Q + (D D^T) kron K, whose extremes are those of
     :func:`hessian` divided by upsilon. The brackets read
@@ -199,7 +247,7 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
 
 
 def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
-    """:func:`weyl_sweep` at one epsilon: two eigensolves, or one at (0, 1)."""
+    """:func:`weyl_sweep` at one epsilon: two Hessians' extremes, or one at (0, 1)."""
     return weyl_sweep(graph, op, upsilon, beta, [epsilon], mask)[0]
 
 
@@ -213,7 +261,7 @@ def condition_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list
     """Condition numbers of both Hessians over a grid of epsilon values.
 
     Each row pairs the Laplacian value with the shifted-power value at one
-    epsilon; each distinct Hessian is eigensolved once.
+    epsilon; the extremes of each distinct Hessian are found once.
     """
     epsilon_grid = [float(e) for e in epsilon_grid]
     if not epsilon_grid:

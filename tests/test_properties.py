@@ -222,3 +222,43 @@ def test_the_solution_is_additive_in_y(name, problem):
         assert all(result.termination == "converged" for result in results)
     x1, x2, x_sum = (result.x_hat for result in results)
     assert relative_difference(x1 + x2, x_sum) <= bound
+
+
+@st.composite
+def hessian_problems(draw):
+    """A graph, mask and Hessian setting from N*M = 2 up, maybe with an isolated node.
+
+    The isolated node misses one sample, which makes the Hessian singular at
+    epsilon=0, so both the Lanczos route and its dense fallback are drawn.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    step = draw(st.integers(1, 3))
+    m = draw(st.integers(step + 1, 8))
+    weights = np.zeros((n, n))
+    if n > 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a disconnected k-NN graph
+            weights = tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(n, 2)),
+                                            min(3, n - 1)).adjacency
+    mask = (rng.random((n, m)) < 0.7).astype(float)
+    if draw(st.booleans()):
+        weights = np.pad(weights, ((0, 1), (0, 1)))
+        mask = np.vstack([mask, np.ones((1, m))])
+        mask[-1, 0] = 0.0
+    graph = tvgsr.Graph(weights, laplacian_kind=draw(st.sampled_from(["combinatorial",
+                                                                      "normalized"])))
+    return (mask, graph, tvgsr.difference_operator(m, step),
+            draw(st.sampled_from([0.05, 0.3, 3.0])), draw(st.sampled_from([0.0, 0.1])),
+            draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=hessian_problems())
+def test_hessian_extremes_match_the_dense_spectrum(problem):
+    """Lanczos on the Cholesky factor, or the dense fallback, within 1e-12 lambda_max of eigvalsh."""
+    eigenvalues = np.linalg.eigvalsh(tvgsr.spectral.hessian(*problem))
+    lam_min, lam_max = tvgsr.spectral._extremes(*problem)
+    bound = 1e-12 * abs(eigenvalues[-1])
+    assert abs(lam_min - eigenvalues[0]) <= bound
+    assert abs(lam_max - eigenvalues[-1]) <= bound

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 import tvgsr
@@ -697,6 +698,55 @@ class TestTemporalPreconditioner:
         assert np.array_equal(results[0].loss_trace, results[1].loss_trace)
         assert any("without the temporal preconditioner" in r.getMessage()
                    for r in caplog.records)
+
+    @pytest.mark.parametrize("regime", ["forecasting", "snapshot"])
+    def test_a_snapshot_without_samples_settles_before_the_joined_graph(self, monkeypatch,
+                                                                        regime):
+        rng = np.random.default_rng(57)
+        graph = connected_geometric_graph(rng, 8, 3)
+        mask = tvgsr.forecasting_mask(8, 7, 2).mask if regime == "forecasting" else \
+            tvgsr.snapshot_mask(8, 7, 0.5, 58).mask
+        components = tvgsr.solvers.connected_components
+        calls = []
+
+        def graph_components_only(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) == 1, "the joined graph was built"
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(tvgsr.solvers, "connected_components", graph_components_only)
+        assert not tvgsr.solvers._chains_span_null_space(
+            graph, mask, 1, tvgsr.solvers._unsampled_chains(mask, 1))
+
+    def test_null_space_rule_matches_the_joined_graph_count(self):
+        # in-test copy of the rule without its early exit; m = s + 1 leaves a snapshot alone
+        # on its chain, whose missing sample the joined graph does not count against it
+        def joined_graph_rule(graph, mask, step, chains):
+            n, m = mask.shape
+            n_components, labels = scipy.sparse.csgraph.connected_components(
+                graph.adjacency_csr, directed=False)
+            nodes, times = np.nonzero(mask > 0)
+            size = n_components * m + n * step
+            joined = scipy.sparse.coo_matrix(
+                (np.ones(nodes.size), (labels[nodes] * m + times,
+                                       n_components * m + nodes * step + times % step)),
+                shape=(size, size))
+            parts = scipy.sparse.csgraph.connected_components(joined, directed=False)[0]
+            return parts == n_components * step + int(chains.sum())
+
+        rng = np.random.default_rng(59)
+        decisions = set()
+        for _ in range(400):
+            n, step = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            m = int(rng.integers(step + 1, step + 5))
+            weights = np.triu((rng.random((n, n)) < 0.35) * rng.uniform(0.2, 1.0, (n, n)), 1)
+            graph = tvgsr.Graph(weights + weights.T)
+            mask = (rng.random((n, m)) < rng.uniform(0.2, 1.0)).astype(float)
+            chains = tvgsr.solvers._unsampled_chains(mask, step)
+            decision = tvgsr.solvers._chains_span_null_space(graph, mask, step, chains)
+            assert decision == joined_graph_rule(graph, mask, step, chains)
+            decisions.add(decision)
+        assert decisions == {True, False}
 
     def test_noiseless_samples_stay_bit_exact(self):
         y, mask, graph, config = long_cg_problem()

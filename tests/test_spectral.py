@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import tvgsr
 from tvgsr import InputError, ParameterError
@@ -207,9 +207,8 @@ class TestConditionSweep:
 
 
 def per_epsilon_extremes(graph, op, upsilon, epsilon, beta, mask):
-    """One eigensolve of ``hessian(...)``, as every call made before the sweep."""
-    eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, upsilon, epsilon, beta))
-    return float(eigenvalues[0]), float(eigenvalues[-1])
+    """The extremes of one ``hessian(...)``, unmemoized, as every call made before the sweep."""
+    return tvgsr.spectral._extremes(mask, graph, op, upsilon, epsilon, beta)
 
 
 def per_epsilon_weyl(graph, op, upsilon, epsilon, beta, mask):
@@ -258,15 +257,15 @@ def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
 
 @pytest.fixture
 def count_eigensolves(monkeypatch):
-    """Count scipy.linalg.eigh calls, which every Hessian eigensolve makes, by matrix order."""
+    """Count the calls of the one routine that finds a Hessian's extremes, by matrix order."""
     calls = []
-    eigh = scipy.linalg.eigh
+    extremes = tvgsr.spectral._extremes
 
-    def counting(matrix, *args, **kwargs):
-        calls.append(np.shape(matrix)[0])
-        return eigh(matrix, *args, **kwargs)
+    def counting(mask, *args):
+        calls.append(np.size(mask))
+        return extremes(mask, *args)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(tvgsr.spectral, "_extremes", counting)
     return calls
 
 
@@ -440,14 +439,31 @@ class TestInPlaceEigensolve:
         want = [per_epsilon_weyl(graph, op, 0.3, e, beta, mask) for e in grid]
         assert got == want
 
-        def extremes(reports):
-            return np.array([(r.laplacian.lambda_min, r.laplacian.lambda_max,
-                              r.sobolev.lambda_min, r.sobolev.lambda_max) for r in reports])
+        def numpy_extremes(epsilon, power):
+            eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.3, epsilon, power))
+            return np.array([eigenvalues[0], eigenvalues[-1]]) / 0.3
 
-        assert extremes(got).tobytes() == extremes(want).tobytes()
+        # the singular epsilon = 0 Hessians take the dense fallback, which keeps numpy's bits
+        for bounds, power in ((got[0].laplacian, 1.0), (got[0].sobolev, beta)):
+            assert np.array([bounds.lambda_min, bounds.lambda_max]).tobytes() == \
+                numpy_extremes(0.0, power).tobytes()
+        reference = numpy_extremes(0.1, beta)
+        assert np.abs([got[1].sobolev.lambda_min, got[1].sobolev.lambda_max] - reference).max() \
+            <= 1e-12 * reference[1]
         assert got[0].sobolev.kappa == math.inf  # the singular epsilon = 0 Hessian
         assert tvgsr.condition_sweep(graph, op, 0.3, beta, grid, mask) == \
             per_epsilon_condition_sweep(graph, op, 0.3, beta, grid, mask)
+
+    def test_unconverged_lanczos_falls_back_to_the_dense_bits(self, monkeypatch):
+        graph, op, mask = isolated_node_problem("combinatorial", 1)
+
+        def unconverged(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(tvgsr.spectral, "eigsh", unconverged)
+        eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.3, 0.1, 1.0))
+        extremes = tvgsr.spectral._extremes(mask, graph, op, 0.3, 0.1, 1.0)
+        assert np.array(extremes).tobytes() == eigenvalues[[0, -1]].tobytes()
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
     @pytest.mark.parametrize("step", [1, 2, 3])
