@@ -4,13 +4,15 @@ The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
 using column-major vectorization. Only this module forms it, under a hard
 size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer.
-:func:`_extremes` finds its two extreme eigenvalues by Lanczos on a
-Cholesky factor made in that buffer, O((NM)^3 / 3) flops instead of a full
-spectrum's 4/3 (NM)^3; a singular Hessian falls back to LAPACK's ``dsyevd``
-on a rebuilt buffer, through :func:`_eigh_in_place`, as the oracle's
-eigendecomposition does. So the extremes hold one NM x NM array, and the
-oracle holds that array, which the eigenvectors overwrite, plus
-``dsyevd``'s 2 (NM)^2 workspace.
+:func:`_extremes` finds its two extreme eigenvalues by Lanczos on its
+Cholesky factor. D D^T couples snapshot t only with t +- s, so the Hessian
+is a band matrix of half-width (s+1) N - 1, and the factor of that band
+costs O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. A singular
+Hessian falls back to LAPACK's ``dsyevd`` on the buffer itself, through
+:func:`_eigh_in_place`, as the oracle's eigendecomposition does. So the
+extremes hold one NM x NM array plus its band, and the oracle holds that
+array, which the eigenvectors overwrite, plus ``dsyevd``'s 2 (NM)^2
+workspace.
 
 Built on the extremes are condition numbers of the shifted-power (Sobolev)
 and plain Laplacian objectives and checks of the extremes against the
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .exceptions import InputError, ParameterError
@@ -92,17 +94,21 @@ def _largest_eigenvalue(matvec, size) -> float:
 def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
     """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum.
 
-    The buffer is Cholesky-factored in place (``dpotrf``), and lambda_min is
-    1/mu, with mu the largest eigenvalue of H^-1 applied by ``dpotrs``.
-    lambda_max comes from the matrix-free action q v + upsilon vec(K V D D^T),
-    O(N^2 M) per product. Both are Lanczos runs (ARPACK) to machine
-    precision. When ``dpotrf`` fails (a singular or indefinite Hessian) or
-    ARPACK does not converge, the Hessian is rebuilt and eigensolved whole.
+    The band of the buffer is copied out and Cholesky-factored (``dpbtrf``),
+    and lambda_min is 1/mu, with mu the largest eigenvalue of H^-1 applied
+    by ``dpbtrs``. lambda_max comes from the matrix-free action
+    q v + upsilon vec(K V D D^T), O(N^2 M) per product. Both are Lanczos
+    runs (ARPACK) to machine precision. When ``dpbtrf`` fails (a singular or
+    indefinite Hessian) or ARPACK does not converge, the buffer, which the
+    band copy left as it was, is eigensolved whole.
     """
     matrix = hessian(mask, graph, op, upsilon, epsilon, beta)
     size = matrix.shape[0]
-    factor, info = dpotrf(matrix.T, overwrite_a=True, clean=False)  # Fortran order, no copy
-    del matrix
+    width = min(size, (op.step + 1) * graph.n_nodes) - 1  # D D^T couples t only with t +- s
+    band = np.zeros((width + 1, size), order="F")
+    for offset in range(width + 1):
+        band[width - offset, offset:] = np.diagonal(matrix, offset)
+    factor, info = dpbtrf(band, overwrite_ab=True)
     if info == 0:
         q = _vec(as_mask_array(mask))
         penalty = sobolev_power(graph.laplacian, epsilon, beta)
@@ -114,13 +120,11 @@ def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
             return q * v + upsilon * (ddt @ transposed @ penalty).ravel()
 
         try:
-            mu = _largest_eigenvalue(lambda v: dpotrs(factor, v)[0], size)
+            mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], size)
             return 1.0 / mu, _largest_eigenvalue(action, size)
         except ArpackNoConvergence:
             pass
-    del factor
-    eigenvalues = _eigh_in_place(hessian(mask, graph, op, upsilon, epsilon, beta),
-                                 eigvals_only=True)
+    eigenvalues = _eigh_in_place(matrix, eigvals_only=True)
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
 
