@@ -5,14 +5,17 @@ Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
 using column-major vectorization. Only this module forms it, under a hard
 size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer.
 :func:`_extremes` finds its two extreme eigenvalues by Lanczos on its
-Cholesky factor. D D^T couples snapshot t only with t +- s, so the Hessian
-is a band matrix of half-width (s+1) N - 1, and the factor of that band
-costs O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. A singular
-Hessian falls back to LAPACK's ``dsyevd`` on the buffer itself, through
-:func:`_eigh_in_place`, as the oracle's eigendecomposition does. So the
-extremes hold one NM x NM array plus its band, and the oracle holds that
-array, which the eigenvectors overwrite, plus ``dsyevd``'s 2 (NM)^2
-workspace.
+Cholesky factor without that buffer. D D^T couples snapshot t only with
+t +- s, so the Hessian is a band matrix of half-width (s+1) N - 1:
+:func:`_band` fills that band straight from q = vec(J), D D^T and one
+K = (L + epsilon*I)^beta, with the buffer's bits, and its factor costs
+O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. A singular
+Hessian falls back to LAPACK's ``dsyevd`` on the buffer, built from the
+same K only then, through :func:`_eigh_in_place`, as the oracle's
+eigendecomposition does. So a nonsingular Hessian's extremes hold its
+(s+1) N x NM band and no NM x NM array; the fallback adds the buffer and
+``dsyevd``'s 2 (NM)^2 workspace, and the oracle holds the buffer, which the
+eigenvectors overwrite, plus that workspace.
 
 Built on the extremes are condition numbers of the shifted-power (Sobolev)
 and plain Laplacian objectives and checks of the extremes against the
@@ -30,10 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .exceptions import InputError, ParameterError
+from .exceptions import InputError, NumericError, ParameterError
 from .graphs import Graph, _check_symmetric, sobolev_power
 from .sampling import as_mask_array
 from .solvers import SolverConfig, _check_problem
@@ -51,12 +55,8 @@ def _vec(x) -> np.ndarray:
     return np.asarray(x).ravel(order="F")
 
 
-def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
-    """The dense vectorized Hessian Q + upsilon * (D D^T) kron (L + epsilon*I)^beta.
-
-    Built in one NM x NM buffer under the N*M <= 4000 guard, with
-    Q = diag(vec(J)) added onto the diagonal.
-    """
+def _checked_mask(mask, graph: Graph, op, upsilon) -> np.ndarray:
+    """The 0/1 mask array of a Hessian request, after :func:`hessian`'s checks in its order."""
     mask = as_mask_array(mask)
     if mask.shape[0] != graph.n_nodes:
         raise InputError(f"mask has {mask.shape[0]} rows but graph has {graph.n_nodes} nodes")
@@ -66,12 +66,68 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
         raise ParameterError(f"upsilon must be finite and >= 0, got {upsilon}")
     if op.n_snapshots != mask.shape[1]:
         raise InputError(f"operator expects {op.n_snapshots} snapshots, mask has {mask.shape[1]}")
-    d = op.matrix
-    matrix = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
+    return mask
+
+
+def _assemble(mask, ddt, penalty, upsilon) -> np.ndarray:
+    """The NM x NM buffer of :func:`hessian` from the mask, D D^T and K."""
+    matrix = np.kron(ddt, penalty)
     matrix *= upsilon
     matrix += 0.0  # -0.0 to +0.0, as in the sum Q + smoothness: LAPACK's output depends on zero signs
     matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
     return matrix
+
+
+def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
+    """The dense vectorized Hessian Q + upsilon * (D D^T) kron (L + epsilon*I)^beta.
+
+    Built in one NM x NM buffer under the N*M <= 4000 guard, with
+    Q = diag(vec(J)) added onto the diagonal.
+    """
+    mask = _checked_mask(mask, graph, op, upsilon)
+    d = op.matrix
+    return _assemble(mask, d @ d.T, sobolev_power(graph.laplacian, epsilon, beta), upsilon)
+
+
+def _put_blocks(slabs, penalty, coefficients, upsilon, lower=False):
+    """Write the buffer's block fl(fl(c K) upsilon) + 0.0, transposed, into ``slabs[u]``.
+
+    c is ``coefficients[u]``. Each distinct coefficient's block is computed
+    once: a diagonal of D D^T holds at most two values. ``lower`` writes
+    zeros above the diagonal of the transposed block.
+    """
+    values, which = np.unique(coefficients, return_inverse=True)
+    for index, value in enumerate(values):
+        block = value * penalty.T
+        block *= upsilon
+        block += 0.0
+        slabs[which == index] = np.tril(block) if lower else block
+
+
+def _band(mask, ddt, penalty, upsilon, step) -> np.ndarray:
+    """The upper band of :func:`hessian` in LAPACK's storage, entry for entry with its bits.
+
+    Returns the Fortran-ordered (width + 1) x NM array ``band`` with
+    ``band[width + r - c, c] = H[r, c]`` for 0 <= c - r <= width, where
+    width = (s+1) N - 1, and zeros elsewhere. Only the blocks (t, t) and
+    (t, t + s) of D D^T are nonzero: one N x N slab per snapshot each,
+    written by :func:`_put_blocks`, plus q on the diagonal.
+    """
+    n, m = mask.shape
+    width = min(n * m, (step + 1) * n) - 1
+    band = np.zeros((width + 1, n * m), order="F")
+    # With r = t N + i and c = u N + j, entry (i, j) of the block in column block u
+    # sits at stride (width + 1) N in u, width in j and 1 in i: slab [u, j, i].
+    strides = ((width + 1) * n * band.itemsize, width * band.itemsize, band.itemsize)
+    # A diagonal block's i > j would land below the band, at rows 0..N-1-j of the
+    # next column: zeros there, and row N-1-j is the coupling block's, written after.
+    diagonal = as_strided(band[width:], (m, n, n), strides)
+    _put_blocks(diagonal, penalty, ddt.diagonal(), upsilon, lower=True)
+    nodes = np.arange(n)
+    diagonal[:, nodes, nodes] += mask.T
+    coupling = as_strided(band[n - 1:, step * n:], (m - step, n, n), strides)
+    _put_blocks(coupling, penalty, ddt.diagonal(step), upsilon)
+    return band
 
 
 def _eigh_in_place(matrix, eigvals_only):
@@ -94,25 +150,28 @@ def _largest_eigenvalue(matvec, size) -> float:
 def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
     """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum.
 
-    The band of the buffer is copied out and Cholesky-factored (``dpbtrf``),
-    and lambda_min is 1/mu, with mu the largest eigenvalue of H^-1 applied
-    by ``dpbtrs``. lambda_max comes from the matrix-free action
-    q v + upsilon vec(K V D D^T), O(N^2 M) per product. Both are Lanczos
-    runs (ARPACK) to machine precision. When ``dpbtrf`` fails (a singular or
-    indefinite Hessian) or ARPACK does not converge, the buffer, which the
-    band copy left as it was, is eigensolved whole.
+    One K = (L + epsilon*I)^beta serves the whole call. The Hessian's band is
+    built by :func:`_band` and Cholesky-factored (``dpbtrf``), and lambda_min
+    is 1/mu, with mu the largest eigenvalue of H^-1 applied by ``dpbtrs``.
+    lambda_max comes from the matrix-free action q v + upsilon vec(K V D D^T),
+    O(N^2 M) per product. Both are Lanczos runs (ARPACK) to machine
+    precision. A band that is not finite (K or its product with upsilon
+    overflows) raises :class:`NumericError` before anything is factored.
+    When ``dpbtrf`` fails (a singular or indefinite Hessian) or ARPACK does
+    (no convergence, or a breakdown on a subnormal Hessian), the NM x NM
+    buffer is built and eigensolved whole.
     """
-    matrix = hessian(mask, graph, op, upsilon, epsilon, beta)
-    size = matrix.shape[0]
-    width = min(size, (op.step + 1) * graph.n_nodes) - 1  # D D^T couples t only with t +- s
-    band = np.zeros((width + 1, size), order="F")
-    for offset in range(width + 1):
-        band[width - offset, offset:] = np.diagonal(matrix, offset)
+    mask = _checked_mask(mask, graph, op, upsilon)
+    ddt = op.matrix @ op.matrix.T
+    penalty = sobolev_power(graph.laplacian, epsilon, beta)
+    band = _band(mask, ddt, penalty, upsilon, op.step)
+    if not np.all(np.isfinite(band)):
+        raise NumericError(f"Hessian not finite at upsilon={upsilon}, epsilon={epsilon}, "
+                           f"beta={beta}: (L + epsilon*I)^beta or its upsilon multiple overflows")
     factor, info = dpbtrf(band, overwrite_ab=True)
+    size = mask.size
     if info == 0:
-        q = _vec(as_mask_array(mask))
-        penalty = sobolev_power(graph.laplacian, epsilon, beta)
-        ddt = op.matrix @ op.matrix.T
+        q = _vec(mask)
         n_snapshots = ddt.shape[0]
 
         def action(v):
@@ -122,9 +181,9 @@ def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
         try:
             mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], size)
             return 1.0 / mu, _largest_eigenvalue(action, size)
-        except ArpackNoConvergence:
+        except ArpackError:  # ArpackNoConvergence included
             pass
-    eigenvalues = _eigh_in_place(matrix, eigvals_only=True)
+    eigenvalues = _eigh_in_place(_assemble(mask, ddt, penalty, upsilon), eigvals_only=True)
     return float(eigenvalues[0]), float(eigenvalues[-1])
 
 

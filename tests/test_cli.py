@@ -345,6 +345,28 @@ class TestAnalyze:
                      "--out", str(tmp_path / "an")])
         assert code == 1
 
+    def test_overflowing_hessian_is_a_numeric_failure(self, synth_dir, tmp_path, capsys):
+        # (L + eps I)^1000 overflows; ARPACK used to die on the NaN factor in a traceback
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--density", "0.5", "--seed", "2", "--beta", "1e3",
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("tvgsr: numeric failure: Hessian not finite")
+        assert not out.exists()
+
+    def test_subnormal_hessian_reads_as_singular(self, synth_dir, tmp_path, capsys):
+        # upsilon * K is subnormal: ARPACK breaks down on the factor, and the dense
+        # fallback finds lambda_min <= 0, so every kappa is infinite
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--density", "0.5", "--seed", "2",
+                     "--upsilon", "1e-320", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        sweep = textio.read_matrix(out / "condition_sweep.csv")
+        assert np.all(np.isinf(sweep[:, 1:]))
+
 
 def strip_timing(path):
     """The lines of a results table without its ``wall_time_s`` column."""

@@ -262,3 +262,24 @@ def test_hessian_extremes_match_the_dense_spectrum(problem):
     bound = 1e-12 * abs(eigenvalues[-1])
     assert abs(lam_min - eigenvalues[0]) <= bound
     assert abs(lam_max - eigenvalues[-1]) <= bound
+
+
+def copied_band(matrix, width):
+    """The upper band of a dense matrix in LAPACK's storage, copied one diagonal at a time."""
+    band = np.zeros((width + 1, matrix.shape[0]), order="F")
+    for offset in range(width + 1):
+        band[width - offset, offset:] = np.diagonal(matrix, offset)
+    return band
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=hessian_problems())
+def test_direct_band_equals_the_band_of_the_dense_hessian(problem):
+    """Byte for byte: at beta = 1, K's zeros times D D^T's -1 are -0.0 until the buffer's + 0.0."""
+    mask, graph, op, upsilon, epsilon, beta = problem
+    penalty = tvgsr.sobolev_power(graph.laplacian, epsilon, beta)
+    band = tvgsr.spectral._band(mask, op.matrix @ op.matrix.T, penalty, upsilon, op.step)
+    want = copied_band(tvgsr.spectral.hessian(*problem), (op.step + 1) * graph.n_nodes - 1)
+    assert band.flags.f_contiguous
+    assert band.shape == want.shape
+    assert band.tobytes(order="F") == want.tobytes(order="F")

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import tvgsr
 from tvgsr import InputError, ParameterError
-from conftest import random_geometric_graph, uniqueness_mask
+from conftest import connected_geometric_graph, random_geometric_graph, uniqueness_mask
 
 
 def unscaled_hessians(graph, op, upsilon, epsilon, beta, mask):
@@ -518,6 +518,57 @@ class TestInPlaceEigensolve:
         assert done.returncode == 0, done.stderr
         one_matrix = 1600 ** 2 * 8  # numpy's eigvalsh copy made this 2.04 arrays
         assert int(done.stdout) < 1.5 * one_matrix
+
+
+class TestDirectBand:
+    def test_nonsingular_extremes_hold_no_nm_by_nm_array(self):
+        rng = np.random.default_rng(38)
+        graph = random_geometric_graph(rng, 30, 3)
+        op = tvgsr.difference_operator(40, 1)
+        mask = tvgsr.random_entry_mask(30, 40, 0.5, 1).mask
+        one_matrix = (30 * 40) ** 2 * 8
+        tracemalloc.start()
+        try:
+            lam_min, lam_max = tvgsr.spectral._extremes(mask, graph, op, 0.5, 0.1, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < lam_min < lam_max
+        assert peak < one_matrix / 4
+
+    def test_guard_raises_before_allocating(self):
+        rng = np.random.default_rng(39)
+        graph = random_geometric_graph(rng, 100, 3)
+        op = tvgsr.difference_operator(41, 1)
+        mask = np.ones((100, 41))  # one NM x NM array would be 134 MB
+        tracemalloc.start()
+        try:
+            for call in (lambda: tvgsr.condition_sweep(graph, op, 1.0, 1.5, [0.1], mask),
+                         lambda: tvgsr.weyl_sweep(graph, op, 1.0, 1.5, [0.1], mask)):
+                with pytest.raises(ParameterError, match=re.escape("N*M <= 4000")):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_one_penalty_per_distinct_hessian(self, monkeypatch):
+        calls = []
+        power = tvgsr.spectral.sobolev_power
+
+        def counting(laplacian, epsilon, beta):
+            calls.append((epsilon, beta))
+            return power(laplacian, epsilon, beta)
+
+        monkeypatch.setattr(tvgsr.spectral, "sobolev_power", counting)
+        rng = np.random.default_rng(40)
+        graph = connected_geometric_graph(rng, 8, 3)
+        mask = uniqueness_mask(rng, 8, 6)
+        reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(6, 1), 0.7, 1.5,
+                                   [0.0, 0.1, 0.5, 0.1], mask)
+        assert all(math.isfinite(r.laplacian.kappa) and math.isfinite(r.sobolev.kappa)
+                   for r in reports)  # nonsingular: no dense fallback
+        assert sorted(calls) == [(0.0, 1.0), (0.0, 1.5), (0.1, 1.5), (0.5, 1.5)]
 
 
 class TestEigenvaluePenalization:
