@@ -249,7 +249,7 @@ def cmd_analyze(settings, path):
 
     epsilon_grid = _parse_float_list(settings["epsilon_grid"])
     beta_grid = _parse_float_list(settings["beta_grid"])
-    # before the NM x NM factorizations, so that a bad beta grid fails first
+    # before the Hessians are built, so that a bad beta grid fails first
     penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
     op = difference_operator(mask.shape[1], settings["step"])
     # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.

@@ -1,4 +1,4 @@
-"""Dense NM x NM analysis: the vectorized Hessian, its extreme eigenvalues, and the oracle.
+"""Dense analysis: the vectorized Hessian, its extreme eigenvalues, and the oracle.
 
 The vectorized Hessian of the noisy reconstruction objective is
 Q + upsilon * (D D^T) kron (L + epsilon*I)^beta with Q = diag(vec(J)),
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
 from numpy.lib.stride_tricks import as_strided
+from scipy import linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -114,7 +114,7 @@ def _band(mask, ddt, penalty, upsilon, step) -> np.ndarray:
     written by :func:`_put_blocks`, plus q on the diagonal.
     """
     n, m = mask.shape
-    width = min(n * m, (step + 1) * n) - 1
+    width = (step + 1) * n - 1  # M > s, so the band is narrower than the matrix
     band = np.zeros((width + 1, n * m), order="F")
     # With r = t N + i and c = u N + j, entry (i, j) of the block in column block u
     # sits at stride (width + 1) N in u, width in j and 1 in i: slab [u, j, i].
@@ -169,7 +169,6 @@ def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
         raise NumericError(f"Hessian not finite at upsilon={upsilon}, epsilon={epsilon}, "
                            f"beta={beta}: (L + epsilon*I)^beta or its upsilon multiple overflows")
     factor, info = dpbtrf(band, overwrite_ab=True)
-    size = mask.size
     if info == 0:
         q = _vec(mask)
         n_snapshots = ddt.shape[0]
@@ -179,8 +178,8 @@ def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
             return q * v + upsilon * (ddt @ transposed @ penalty).ravel()
 
         try:
-            mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], size)
-            return 1.0 / mu, _largest_eigenvalue(action, size)
+            mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], mask.size)
+            return 1.0 / mu, _largest_eigenvalue(action, mask.size)
         except ArpackError:  # ArpackNoConvergence included
             pass
     eigenvalues = _eigh_in_place(_assemble(mask, ddt, penalty, upsilon), eigvals_only=True)
@@ -276,8 +275,8 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Check the extreme Hessian eigenvalues against their analytic brackets.
 
     Returns one :class:`WeylReport` per grid epsilon. The extremes of each
-    distinct Hessian are found once, so E epsilons cost at most E+1 NM x NM
-    factorizations.
+    distinct Hessian are found once, so E epsilons cost at most E+1 band
+    factorizations, and an NM x NM buffer only for a singular Hessian.
     Both Hessians are examined in the scale-invariant form
     (1/upsilon) Q + (D D^T) kron K, whose extremes are those of
     :func:`hessian` divided by upsilon. The brackets read

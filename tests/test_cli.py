@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,9 +349,11 @@ class TestAnalyze:
     def test_overflowing_hessian_is_a_numeric_failure(self, synth_dir, tmp_path, capsys):
         # (L + eps I)^1000 overflows; ARPACK used to die on the NaN factor in a traceback
         out = tmp_path / "an"
-        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
-                     "--snapshots", "6", "--density", "0.5", "--seed", "2", "--beta", "1e3",
-                     "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warnings
+            code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                         "--snapshots", "6", "--density", "0.5", "--seed", "2", "--beta", "1e3",
+                         "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err.startswith("tvgsr: numeric failure: Hessian not finite")
         assert not out.exists()
