@@ -19,18 +19,15 @@ zero there and every iterate keeps the samples bit for bit.
 By default the loop is preconditioned along the time axis: M keeps the data
 term and each node's own temporal chains exactly, with K replaced by its
 diagonal, so M is one tridiagonal matrix over the unknowns, factored once by
-LAPACK's ``dpttrf`` (see :func:`_temporal_preconditioner`).
-``SolverConfig(preconditioner="none")`` runs the paper's plain
-Fletcher-Reeves CG.
+LAPACK's ``dpttrf``; a singular H's null space is projected out of M^-1 g
+(see :func:`_temporal_preconditioner`). ``SolverConfig(preconditioner="none")``
+runs the paper's plain Fletcher-Reeves CG.
 
 :class:`ProblemOperator` applies that action and the smoothness gradient
-K X D D^T through one body, into the caller's array when given ``out=``
-(bit-identical to the allocating call): it writes J o V, or zeros for the
-gradient, and adds upsilon * K V D D^T, or K X D D^T, onto it in place.
-The loop reuses buffers allocated once, so an iteration allocates nothing,
-and it reports why it stopped and how it got there in a
-:class:`SolveStats`. Messages go to the ``tvgsr`` logger, which is silent
-unless logging is configured.
+K X D D^T through one body, in place. The loop reuses buffers allocated
+once, so an iteration allocates nothing, and it reports why it stopped and
+how it got there in a :class:`SolveStats`. Messages go to the ``tvgsr``
+logger, which is silent unless logging is configured.
 
 Solvers are deterministic given identical inputs; independent solves may run
 concurrently over shared immutable graphs. A ProblemOperator holds scratch
@@ -350,18 +347,15 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     :func:`_temporal_preconditioner` unless the config says "none". A refresh
     sets g = H X - Y and reads the loss from f(X) = 1/2 <X, g - Y> + 1/2 ||Y||_F^2,
     which holds because supp(Y) lies inside J (the observations are J o Y).
-    A node with no sample on a chain t = r (mod s), the whole row at step 1,
-    makes H singular along that chain's indicator (e_i kron 1 at step 1); the
-    solve logs a warning on the ``tvgsr`` logger and returns the minimum-norm
-    minimizer, since J o Y and every gradient are orthogonal to H's null
-    space. With ``record_iterates`` the result keeps a copy of every iterate
-    (small problems only).
+    A singular H (:func:`_null_basis`) draws a warning on the ``tvgsr``
+    logger, and the solve returns the minimum-norm minimizer, since J o Y and
+    every gradient are orthogonal to null(H). With ``record_iterates`` the
+    result keeps a copy of every iterate (small problems only).
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
     problem = ProblemOperator(graph, mask, config)
-    chains = _unsampled_chains(mask, config.temporal_step)
-    _warn_unsampled_chains(chains)
+    chains, null = _null_space(graph, mask, config)
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
     of = observed.ravel()
     half_observed_sq = 0.5 * float(np.dot(of, of))
@@ -373,7 +367,7 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         np.subtract(g.ravel(), of, out=hf)
         return 0.5 * float(np.dot(x.ravel(), hf)) + half_observed_sq
 
-    precondition = _temporal_preconditioner(graph, mask, config, chains, constrained=False)
+    precondition = _temporal_preconditioner(graph, mask, config, chains, null, constrained=False)
     return _fr_cg("solve_cg", observed.copy(), problem.hessian_action, refresh, config,
                   entry, record_iterates, precondition)
 
@@ -388,9 +382,9 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     zeroed on the samples, as its action, and the temporal preconditioner of
     that free block. A refresh reads the loss 1/2 <X, K X D D^T> from the
     gradient and then zeroes the gradient there too. So every direction is
-    zero on the samples, and each iterate keeps them bit for bit. An
-    unsampled chain makes the free block singular along its indicator; as in
-    :func:`solve_cg`, the solve warns and returns the minimum-norm minimizer.
+    zero on the samples, and each iterate keeps them bit for bit. The free
+    block is singular along null(H); as :func:`solve_cg`, the solve then warns
+    and returns the minimum-norm minimizer.
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
@@ -398,8 +392,7 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     sampled = mask > 0
     if not sampled.any():
         raise InputError("mask selects no entries")
-    chains = _unsampled_chains(mask, config.temporal_step)
-    _warn_unsampled_chains(chains)
+    chains, null = _null_space(graph, mask, config)
 
     def action(v, out):  # the smoothness Hessian on the free entries
         problem.smoothness_gradient(v, out=out)
@@ -411,34 +404,78 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
         np.copyto(g, 0.0, where=sampled)
         return loss
 
-    precondition = _temporal_preconditioner(graph, mask, config, chains, constrained=True)
+    precondition = _temporal_preconditioner(graph, mask, config, chains, null, constrained=True)
     return _fr_cg("solve_noiseless", mask * y, action, refresh, config, entry, record_iterates,
                   precondition)
 
 
-def _unsampled_chains(mask, step) -> np.ndarray:
-    """N x s flags: (i, r) is True when node i has no sample at any t = r (mod s).
-
-    D D^T couples t only with t +- s, so each node's unknowns fall into s
-    chains; an unsampled chain's indicator is a null vector of the Hessian.
-    """
-    sampled = mask > 0
-    return np.stack([~sampled[:, r::step].any(axis=1) for r in range(step)], axis=1)
-
-
-def _warn_unsampled_chains(chains):
+def _null_space(graph, mask, config):
+    """N x s flags of the unsampled chains, (i, r) when node i has no sample at any
+    t = r (mod s), and :func:`_null_basis`; warns of both."""
+    step = config.temporal_step
+    chains = np.stack([~np.any(mask[:, r::step] > 0, axis=1) for r in range(step)], axis=1)
     nodes = np.flatnonzero(chains.any(axis=1))
     if nodes.size:
-        step = chains.shape[1]
         where = "" if step == 1 else f" on some chain of snapshots t = r (mod {step})"
         _log.warning("%d of %d nodes are never sampled%s (first: %s); the Hessian is singular "
                      "along each unsampled chain's indicator, e_i kron 1 at step 1, so the "
                      "reconstruction is not unique", nodes.size, chains.shape[0], where,
                      ", ".join(str(i) for i in nodes[:5]))
+    null = _null_basis(graph, mask, config, chains)
+    if null is not None and null[0].shape[1] > chains.sum():
+        _log.warning("%d (graph component, snapshot) levels are undetermined at epsilon = 0, "
+                     "such as every forecast snapshot's; the minimum-norm reconstruction gives "
+                     "each of them zero mean", null[0].shape[1] - chains.sum())
+    return chains, null
 
 
-def _temporal_preconditioner(graph, mask, config, chains, constrained):
-    """``precondition(g, z)``, writing z = M^-1 g for :func:`_fr_cg`, or None to run plain.
+def _null_basis(graph, mask, config, chains):
+    """(B, solve): a sparse basis B of null(H), rows in C order, and a solve with B^T B.
+
+    None when H is nonsingular. null(H) holds each X[i, t] = u(i) (w_C(t) + b_i(t mod s))
+    that is zero on the samples, with u spanning null(L) on node i's component C (ones,
+    or sqrt(degree) for the normalized Laplacian; 1 on an isolated node): w is free only at
+    epsilon = 0, and b is constant on each (node, chain). A sample (i, t) ties b_i(t mod s)
+    to -w_C(t), so join the vertex (i, t mod s) to the vertex (C, t). Each connected part P
+    gives v_P[i, t] = u(i) ([(C, t) in P] - [(i, t mod s) in P]); on each (component,
+    chain) the parts sum to zero, so all but those of (C, t), t < s, are a basis. At
+    epsilon > 0 the vertices (C, t) are one per chain, (0, t mod s), all left out, and B is
+    the unsampled chains. Each v_P vanishes on the samples, so B also spans the null space
+    of :func:`solve_noiseless`'s free block.
+    """
+    (n, m), s = mask.shape, config.temporal_step
+    if config.epsilon > 0.0 and not chains.any():
+        return None
+    n_components, labels = (1, np.zeros(n, dtype=int)) if config.epsilon > 0.0 else \
+        connected_components(graph.adjacency_csr, directed=False)
+    cells = s if config.epsilon > 0.0 else m
+    nodes, times = np.nonzero(mask > 0)
+    size = n * s + n_components * cells
+    joined = coo_matrix((np.ones(nodes.size), (nodes * s + times % s,
+                                               n * s + labels[nodes] * cells + times % cells)),
+                        shape=(size, size))
+    n_parts, part = connected_components(joined, directed=False)
+    if n_parts == n_components * s:
+        return None
+    keep = np.ones(n_parts, dtype=bool)
+    keep[part[n * s:].reshape(n_components, cells)[:, :s]] = False
+    cell = part[n * s + labels[:, None] * cells + np.arange(m) % cells]  # N x M: part of (C, t)
+    chain = part[np.arange(n)[:, None] * s + np.arange(m) % s]  # and of (i, t mod s)
+    u = np.ones(n) if graph.laplacian_kind == "combinatorial" else \
+        np.where(graph.degrees > 0, np.sqrt(graph.degrees), 1.0)
+    u = np.broadcast_to(u[:, None], (n, m))
+    rows = np.arange(n * m).reshape(n, m)
+    column = np.cumsum(keep) - 1
+    plus, minus = keep[cell] & (cell != chain), keep[chain] & (cell != chain)
+    basis = coo_matrix((np.concatenate([u[plus], -u[minus]]),
+                        (np.concatenate([rows[plus], rows[minus]]),
+                         column[np.concatenate([cell[plus], chain[minus]])])),
+                       shape=(n * m, column[-1] + 1)).tocsr()
+    return basis, splu((basis.T @ basis).tocsc(), permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).solve
+
+
+def _temporal_preconditioner(graph, mask, config, chains, null, constrained):
+    """``precondition(g, z)``, writing z = P M^-1 g for :func:`_fr_cg`, or None to run plain.
 
     M is the Hessian with K replaced by its diagonal (L_ii + epsilon)^beta,
     exact at beta 1: block Jacobi along the time axis. Node i's block is
@@ -449,23 +486,20 @@ def _temporal_preconditioner(graph, mask, config, chains, constrained):
     call, with a gather into chain order and back at step 2 or 3, into
     buffers allocated here. ``constrained`` builds the noiseless problem's M:
     upsilon is 1, and a sample's row and column are the identity's, so z is
-    exactly 0 wherever g is.
+    exactly 0 wherever g is. A zero diagonal entry (K_ii = 0 or upsilon = 0,
+    without a sample) becomes 1; g is 0 there. An unsampled chain's block is
+    singular along the chain's indicator, as H is: its diagonal is lifted by
+    1e-8 of its coupling.
 
-    A zero diagonal entry (K_ii = 0 or upsilon = 0, without a sample)
-    becomes 1; g is 0 there. An unsampled chain's block is singular along
-    the chain's indicator, as H is: its diagonal is lifted by 1e-8 of its
-    coupling and z is projected to zero mean on the chain, so the iterates
-    stay orthogonal to null(H). At epsilon = 0 null(H) may hold more
-    (:func:`_chains_span_null_space`), which M does not respect; the loop
-    then runs plain, as it does if the factorization fails.
+    ``null`` is :func:`_null_basis`'s (B, solve), and P = I - B (B^T B)^-1 B^T
+    (I when H is nonsingular). Every g lies in null(H)^perp, so this is PCG
+    with P M^-1 P, whose iterates stay there and reach the minimum-norm
+    minimizer (Kaasschieter, J. Comput. Appl. Math. 24, 1988). The loop runs
+    plain for ``preconditioner="none"`` and when the factorization fails.
     """
     if config.preconditioner == "none":
         return None
     m, s = mask.shape[1], config.temporal_step
-    if config.epsilon == 0.0 and not _chains_span_null_space(graph, mask, s, chains):
-        _log.debug("null(H) holds more than the unsampled chains at epsilon = 0; "
-                   "running without the temporal preconditioner")
-        return None
     coupling = (graph.laplacian_csr.diagonal() + config.epsilon) ** config.beta
     if not constrained:
         coupling *= config.upsilon
@@ -481,13 +515,7 @@ def _temporal_preconditioner(graph, mask, config, chains, constrained):
         off[:, :-1][sampled[:, 1:]] = 0.0
     else:
         diagonal += sampled
-    bounds = np.cumsum([0] + [len(range(r, m, s)) for r in range(s)])
-    segments = []  # (nodes, first, stop) of the unsampled chains, in chain order
-    for r in range(s):
-        nodes = np.flatnonzero(chains[:, r])
-        if nodes.size:
-            diagonal[nodes, bounds[r]:bounds[r + 1]] += _CHAIN_SHIFT * coupling[nodes, None]
-            segments.append((nodes, bounds[r], bounds[r + 1]))
+    np.add(diagonal, _CHAIN_SHIFT * coupling[:, None], out=diagonal, where=chains[:, order % s])
     diagonal[diagonal == 0.0] = 1.0
     factor_d, factor_e, info = dpttrf(diagonal.ravel(), off.ravel()[:-1],
                                       overwrite_d=1, overwrite_e=1)
@@ -496,6 +524,7 @@ def _temporal_preconditioner(graph, mask, config, chains, constrained):
         return None
     inverse = np.argsort(order)
     gathered = np.empty(mask.shape) if s > 1 else None
+    basis, solve = null or (None, None)
 
     def precondition(g, z):
         if gathered is None:
@@ -505,44 +534,12 @@ def _temporal_preconditioner(graph, mask, config, chains, constrained):
             line = gathered
             np.take(g, order, axis=1, out=line, mode="clip")
         dpttrs(factor_d, factor_e, line.ravel(), overwrite_b=1)
-        for nodes, first, stop in segments:
-            block = line[nodes, first:stop]
-            line[nodes, first:stop] = block - block.mean(axis=1, keepdims=True)
         if gathered is not None:
             np.take(line, inverse, axis=1, out=z, mode="clip")
+        if basis is not None:  # z -= B (B^T B)^-1 B^T z
+            _add_product(basis, basis.data, -solve(basis.T @ z.ravel())[:, None], z.reshape(-1, 1))
 
     return precondition
-
-
-def _chains_span_null_space(graph, mask, step, chains) -> bool:
-    """Whether null(H) at epsilon = 0 is spanned by the unsampled chains' indicators alone.
-
-    At epsilon = 0, null(K) holds a vector u_C for each graph component C,
-    and null(H) holds every u_C kron w + sum_r a_r kron 1_{t = r mod s} that
-    vanishes on the samples. Join a vertex (C, t) per component and snapshot
-    to a vertex (i, t mod s) per node and chain for each sample (i, t): each
-    connected part carries one free parameter, and s per component cancel.
-    So null(H) is the unsampled chains (isolated vertices) alone exactly when
-    the graph has s parts per component besides them. A (C, t) without a
-    sample is a part of its own, one too many unless t is alone on its
-    chain; that settles every forecast and snapshot mask before the joined
-    graph is built.
-    """
-    n, m = mask.shape
-    n_components, labels = connected_components(graph.adjacency_csr, directed=False)
-    sampled = mask > 0
-    members = coo_matrix((np.ones(n), (labels, np.arange(n))), shape=(n_components, n))
-    snapshots = np.arange(m)
-    shared = (snapshots >= step) | (snapshots + step < m)  # another snapshot on t's chain
-    if np.any((members @ sampled)[:, shared] == 0):
-        return False
-    nodes, times = np.nonzero(sampled)
-    size = n_components * m + n * step
-    joined = coo_matrix((np.ones(nodes.size), (labels[nodes] * m + times,
-                                                n_components * m + nodes * step + times % step)),
-                        shape=(size, size))
-    parts = connected_components(joined, directed=False)[0]
-    return parts == n_components * step + int(chains.sum())
 
 
 def _fr_cg(name, x, action, refresh, config, entry, record_iterates,

@@ -163,7 +163,8 @@ def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
     """
     mask = _checked_mask(mask, graph, op, upsilon)
     ddt = op.matrix @ op.matrix.T
-    penalty = sobolev_power(graph.laplacian, epsilon, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+        penalty = sobolev_power(graph.laplacian, epsilon, beta)
     band = _band(mask, ddt, penalty, upsilon, op.step)
     if not np.all(np.isfinite(band)):
         raise NumericError(f"Hessian not finite at upsilon={upsilon}, epsilon={epsilon}, "
@@ -293,6 +294,8 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
         raise InputError("mask selects no entries (J must be nonzero)")
     if upsilon <= 0:
         raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
+    if not math.isfinite(1.0 / upsilon):  # the brackets divide by upsilon
+        raise ParameterError(f"1/upsilon must be finite for bound checks, got upsilon={upsilon}")
     extremes = _hessian_extremes(mask, graph, op, upsilon)
     lap_min, lap_max = extremes(0.0, 1.0)  # first, so a bad request raises hessian's errors
     d = op.matrix

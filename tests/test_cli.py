@@ -346,11 +346,13 @@ class TestAnalyze:
                      "--out", str(tmp_path / "an")])
         assert code == 1
 
-    def test_overflowing_hessian_is_a_numeric_failure(self, synth_dir, tmp_path, capsys):
-        # (L + eps I)^1000 overflows; ARPACK used to die on the NaN factor in a traceback
+    @pytest.mark.parametrize("action", ["ignore", "error"])
+    def test_overflowing_hessian_is_a_numeric_failure(self, synth_dir, tmp_path, capsys, action):
+        # (L + eps I)^1000 overflows; ARPACK used to die on the NaN factor in a traceback, and
+        # numpy's overflow warnings are silenced around the power, whose failure is reported
         out = tmp_path / "an"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's own overflow warnings
+            warnings.simplefilter(action, RuntimeWarning)
             code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
                          "--snapshots", "6", "--density", "0.5", "--seed", "2", "--beta", "1e3",
                          "--out", str(out)])
@@ -358,17 +360,16 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("tvgsr: numeric failure: Hessian not finite")
         assert not out.exists()
 
-    def test_subnormal_hessian_reads_as_singular(self, synth_dir, tmp_path, capsys):
-        # upsilon * K is subnormal: ARPACK breaks down on the factor, and the dense
-        # fallback finds lambda_min <= 0, so every kappa is infinite
+    def test_subnormal_upsilon_is_rejected(self, synth_dir, tmp_path, capsys):
+        # 1/upsilon overflows, so the brackets, which divide by upsilon, would be meaningless
         out = tmp_path / "an"
         code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
                      "--snapshots", "6", "--density", "0.5", "--seed", "2",
                      "--upsilon", "1e-320", "--out", str(out)])
-        assert code == 0
-        assert capsys.readouterr().err == ""
-        sweep = textio.read_matrix(out / "condition_sweep.csv")
-        assert np.all(np.isinf(sweep[:, 1:]))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "tvgsr: 1/upsilon must be finite for bound checks, got upsilon=1e-320\n"
+        assert not out.exists()
 
 
 def strip_timing(path):

@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse
-import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 import tvgsr
@@ -680,15 +679,11 @@ class TestTemporalPreconditioner:
         with pytest.raises(ParameterError, match="preconditioner"):
             SolverConfig(preconditioner="jacobi")
 
-    @pytest.mark.parametrize("case", ["unsampled_snapshot", "failed_factor"])
-    def test_falls_back_to_the_plain_loop_bit_for_bit(self, monkeypatch, caplog, case):
+    def test_falls_back_to_the_plain_loop_bit_for_bit(self, monkeypatch, caplog):
         rng = np.random.default_rng(55)
         graph = connected_geometric_graph(rng, 8, 3)
-        mask = tvgsr.random_entry_mask(8, 6, 0.6, 56).mask.copy()
-        if case == "unsampled_snapshot":  # at epsilon 0, 1 kron e_4 joins null(H)
-            mask[:, 4] = 0.0
-        else:
-            monkeypatch.setattr(tvgsr.solvers, "dpttrf", lambda d, e, **_: (d, e, 1))
+        mask = tvgsr.random_entry_mask(8, 6, 0.6, 56).mask
+        monkeypatch.setattr(tvgsr.solvers, "dpttrf", lambda d, e, **_: (d, e, 1))
         y = mask * rng.normal(size=mask.shape)
         config = SolverConfig(upsilon=0.5, epsilon=0.0)
         with caplog.at_level(logging.DEBUG, logger="tvgsr"):
@@ -699,54 +694,57 @@ class TestTemporalPreconditioner:
         assert any("without the temporal preconditioner" in r.getMessage()
                    for r in caplog.records)
 
-    @pytest.mark.parametrize("regime", ["forecasting", "snapshot"])
-    def test_a_snapshot_without_samples_settles_before_the_joined_graph(self, monkeypatch,
-                                                                        regime):
-        rng = np.random.default_rng(57)
-        graph = connected_geometric_graph(rng, 8, 3)
-        mask = tvgsr.forecasting_mask(8, 7, 2).mask if regime == "forecasting" else \
-            tvgsr.snapshot_mask(8, 7, 0.5, 58).mask
-        components = tvgsr.solvers.connected_components
-        calls = []
-
-        def graph_components_only(*args, **kwargs):
-            calls.append(1)
-            assert len(calls) == 1, "the joined graph was built"
-            return components(*args, **kwargs)
-
-        monkeypatch.setattr(tvgsr.solvers, "connected_components", graph_components_only)
-        assert not tvgsr.solvers._chains_span_null_space(
-            graph, mask, 1, tvgsr.solvers._unsampled_chains(mask, 1))
-
-    def test_null_space_rule_matches_the_joined_graph_count(self):
-        # in-test copy of the rule without its early exit; m = s + 1 leaves a snapshot alone
-        # on its chain, whose missing sample the joined graph does not count against it
-        def joined_graph_rule(graph, mask, step, chains):
-            n, m = mask.shape
-            n_components, labels = scipy.sparse.csgraph.connected_components(
-                graph.adjacency_csr, directed=False)
-            nodes, times = np.nonzero(mask > 0)
-            size = n_components * m + n * step
-            joined = scipy.sparse.coo_matrix(
-                (np.ones(nodes.size), (labels[nodes] * m + times,
-                                       n_components * m + nodes * step + times % step)),
-                shape=(size, size))
-            parts = scipy.sparse.csgraph.connected_components(joined, directed=False)[0]
-            return parts == n_components * step + int(chains.sum())
-
+    def test_null_basis_spans_the_dense_null_space(self):
+        # isolated and never-sampled nodes, and (component, snapshot) cells without a sample
         rng = np.random.default_rng(59)
-        decisions = set()
-        for _ in range(400):
-            n, step = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        extra_levels = set()  # whether null(H) holds more than the unsampled chains
+        for trial in range(120):
+            n, step = int(rng.integers(2, 8)), int(rng.integers(1, 4))
             m = int(rng.integers(step + 1, step + 5))
             weights = np.triu((rng.random((n, n)) < 0.35) * rng.uniform(0.2, 1.0, (n, n)), 1)
-            graph = tvgsr.Graph(weights + weights.T)
-            mask = (rng.random((n, m)) < rng.uniform(0.2, 1.0)).astype(float)
-            chains = tvgsr.solvers._unsampled_chains(mask, step)
-            decision = tvgsr.solvers._chains_span_null_space(graph, mask, step, chains)
-            assert decision == joined_graph_rule(graph, mask, step, chains)
-            decisions.add(decision)
-        assert decisions == {True, False}
+            graph = tvgsr.Graph(weights + weights.T, ("combinatorial", "normalized")[trial % 2])
+            mask = (rng.random((n, m)) < rng.uniform(0.3, 1.0)).astype(float)
+            mask[int(rng.integers(n))] = 0.0
+            mask[:, int(rng.integers(m))] = 0.0
+            mask[0, 0] = 1.0
+            config = SolverConfig(upsilon=0.5, epsilon=(0.0, 0.1)[trial // 2 % 2],
+                                  temporal_step=step, delta=1e-13)
+            op = tvgsr.difference_operator(m, step)
+            hessian = tvgsr.spectral.hessian(mask, graph, op, config.upsilon, config.epsilon, 1.0)
+            eigenvalues = np.linalg.eigvalsh(hessian)
+            dimension = int(np.sum(eigenvalues < 1e-10 * eigenvalues[-1]))
+            chains, null = tvgsr.solvers._null_space(graph, mask, config)
+            basis = np.zeros((n * m, 0)) if null is None else null[0].toarray()
+            assert basis.shape[1] == dimension
+            columns = basis.reshape(n, m, -1).transpose(1, 0, 2).reshape(n * m, -1)  # F order
+            assert np.abs(hessian @ columns).max(initial=0.0) <= 1e-12 * np.abs(hessian).max()
+            y = mask * rng.normal(size=mask.shape)
+            for result, expected in minimum_norm_answers(y, mask, graph, config):
+                assert result.termination == "converged"
+                assert np.linalg.norm(result.x_hat - expected) <= 1e-10 * np.linalg.norm(expected)
+            extra_levels.add(dimension > chains.sum())
+        assert extra_levels == {True, False}
+
+    @pytest.mark.parametrize("objective, beta", [("tgsr", 1.0), ("sobolev", 1.5)])
+    def test_a_tgsr_snapshot_mask_runs_preconditioned(self, caplog, objective, beta):
+        # at epsilon 0, 1 kron e_t joins null(H) for each of the mask's unsampled snapshots
+        rng = np.random.default_rng(60)
+        graph = connected_geometric_graph(rng, 30, 4)
+        mask = tvgsr.snapshot_mask(30, 40, 0.5, 61).mask
+        y = mask * rng.normal(size=mask.shape)
+        config = SolverConfig(upsilon=0.05, beta=beta, objective=objective, delta=1e-10)
+        with caplog.at_level(logging.WARNING, logger="tvgsr"):
+            plain, projected = (tvgsr.solve_cg(y, mask, graph, dataclasses.replace(
+                config, preconditioner=preconditioner)) for preconditioner in ("none", "temporal"))
+        oracle = tvgsr.dense_oracle_solve(y, mask, graph, config)
+        assert oracle.singular and projected.termination == "converged"
+        assert 3 * projected.iterations < plain.iterations
+        scale = np.linalg.norm(oracle.x_hat)
+        assert np.linalg.norm(projected.x_hat - oracle.x_hat) <= 1e-8 * scale
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["20 (graph component, snapshot) levels are undetermined at "
+                            "epsilon = 0, such as every forecast snapshot's; the minimum-norm "
+                            "reconstruction gives each of them zero mean"] * 2
 
     def test_noiseless_samples_stay_bit_exact(self):
         y, mask, graph, config = long_cg_problem()
