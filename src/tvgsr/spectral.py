@@ -9,19 +9,17 @@ Cholesky factor without that buffer. D D^T couples snapshot t only with
 t +- s, so the Hessian is a band matrix of half-width (s+1) N - 1:
 :func:`_band` fills that band straight from q = vec(J), D D^T and one
 K = (L + epsilon*I)^beta, with the buffer's bits, and its factor costs
-O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. A singular
-Hessian falls back to LAPACK's ``dsyevd`` on the buffer, built from the
-same K only then, through :func:`_eigh_in_place`, as the oracle's
-eigendecomposition does. So a nonsingular Hessian's extremes hold its
-(s+1) N x NM band and no NM x NM array; the fallback adds the buffer and
-``dsyevd``'s 2 (NM)^2 workspace, and the oracle holds the buffer, which the
-eigenvectors overwrite, plus that workspace.
+O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. The Hessian
+is positive semidefinite, so a band that ``dpbtrf`` rejects is singular:
+its lambda_min is 0. So the extremes hold the (s+1) N x NM band and no
+NM x NM array, and only :func:`hessian` and the oracle, which
+eigendecomposes the buffer in place with LAPACK's ``dsyevd``, build one.
 
-Built on the extremes are condition numbers of the shifted-power (Sobolev)
-and plain Laplacian objectives and checks of the extremes against the
-additive (Weyl) brackets, both finding the extremes of each distinct
-Hessian of a sweep once, and the dense eigendecomposition oracle that
-solves the stationarity system for tests.
+Built on the extremes are checks of the extremes against the additive
+(Weyl) brackets of the shifted-power (Sobolev) and plain Laplacian
+objectives, which find the extremes of each distinct Hessian of a sweep
+once, the condition numbers read from those checks, and the dense
+eigendecomposition oracle that solves the stationarity system for tests.
 """
 
 from __future__ import annotations
@@ -69,15 +67,6 @@ def _checked_mask(mask, graph: Graph, op, upsilon) -> np.ndarray:
     return mask
 
 
-def _assemble(mask, ddt, penalty, upsilon) -> np.ndarray:
-    """The NM x NM buffer of :func:`hessian` from the mask, D D^T and K."""
-    matrix = np.kron(ddt, penalty)
-    matrix *= upsilon
-    matrix += 0.0  # -0.0 to +0.0, as in the sum Q + smoothness: LAPACK's output depends on zero signs
-    matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
-    return matrix
-
-
 def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
     """The dense vectorized Hessian Q + upsilon * (D D^T) kron (L + epsilon*I)^beta.
 
@@ -86,7 +75,11 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
     """
     mask = _checked_mask(mask, graph, op, upsilon)
     d = op.matrix
-    return _assemble(mask, d @ d.T, sobolev_power(graph.laplacian, epsilon, beta), upsilon)
+    matrix = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
+    matrix *= upsilon
+    matrix += 0.0  # -0.0 to +0.0, as in the sum Q + smoothness: LAPACK's output depends on zero signs
+    matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
+    return matrix
 
 
 def _put_blocks(slabs, penalty, coefficients, upsilon, lower=False):
@@ -130,61 +123,59 @@ def _band(mask, ddt, penalty, upsilon, step) -> np.ndarray:
     return band
 
 
-def _eigh_in_place(matrix, eigvals_only):
-    """``dsyevd``, as in ``np.linalg.eigh``, on a :func:`hessian` buffer, which it overwrites.
+def _largest_eigenvalue(matvec, size, setting) -> float:
+    """ARPACK's largest eigenvalue of a symmetric operator, from a fixed start vector.
 
-    ``matrix.T`` is the same matrix in Fortran order, since it is bitwise symmetric.
+    A failed run (no convergence, or a breakdown) or a value that is not
+    finite raises :class:`NumericError` naming ``setting``.
     """
-    return linalg.eigh(matrix.T, eigvals_only=eigvals_only, overwrite_a=True,
-                       check_finite=False, driver="evd")
-
-
-def _largest_eigenvalue(matvec, size) -> float:
-    """ARPACK's largest eigenvalue of a symmetric operator, from a fixed start vector."""
     v0 = np.random.default_rng(0).standard_normal(size)
     operator = LinearOperator((size, size), matvec=matvec, dtype=float)
-    return float(eigsh(operator, k=1, which="LA", v0=v0, ncv=min(size, _LANCZOS_NCV), tol=0,
-                       return_eigenvectors=False)[0])
+    try:
+        value = float(eigsh(operator, k=1, which="LA", v0=v0, ncv=min(size, _LANCZOS_NCV), tol=0,
+                            return_eigenvectors=False)[0])
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise NumericError(f"Lanczos run failed: {str(exc).strip()} (at {setting})") from exc
+    if not math.isfinite(value):
+        raise NumericError(f"Lanczos run failed: largest eigenvalue {value} (at {setting})")
+    return value
 
 
 def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
-    """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum.
+    """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum or any NM x NM array.
 
     One K = (L + epsilon*I)^beta serves the whole call. The Hessian's band is
     built by :func:`_band` and Cholesky-factored (``dpbtrf``), and lambda_min
     is 1/mu, with mu the largest eigenvalue of H^-1 applied by ``dpbtrs``.
-    lambda_max comes from the matrix-free action q v + upsilon vec(K V D D^T),
+    H is positive semidefinite, so a factor that ``dpbtrf`` rejects means
+    lambda_min is 0 to working precision, and 0.0 is returned. lambda_max
+    comes from the matrix-free action q v + upsilon vec(K V D D^T),
     O(N^2 M) per product. Both are Lanczos runs (ARPACK) to machine
-    precision. A band that is not finite (K or its product with upsilon
-    overflows) raises :class:`NumericError` before anything is factored.
-    When ``dpbtrf`` fails (a singular or indefinite Hessian) or ARPACK does
-    (no convergence, or a breakdown on a subnormal Hessian), the NM x NM
-    buffer is built and eigensolved whole.
+    precision; a failed run raises :class:`NumericError`, as does a band
+    that is not finite (K or its product with upsilon overflows), before
+    anything is factored.
     """
     mask = _checked_mask(mask, graph, op, upsilon)
     ddt = op.matrix @ op.matrix.T
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
         penalty = sobolev_power(graph.laplacian, epsilon, beta)
     band = _band(mask, ddt, penalty, upsilon, op.step)
+    setting = f"upsilon={upsilon}, epsilon={epsilon}, beta={beta}"
     if not np.all(np.isfinite(band)):
-        raise NumericError(f"Hessian not finite at upsilon={upsilon}, epsilon={epsilon}, "
-                           f"beta={beta}: (L + epsilon*I)^beta or its upsilon multiple overflows")
+        raise NumericError(f"Hessian not finite at {setting}: "
+                           "(L + epsilon*I)^beta or its upsilon multiple overflows")
     factor, info = dpbtrf(band, overwrite_ab=True)
-    if info == 0:
-        q = _vec(mask)
-        n_snapshots = ddt.shape[0]
+    q = _vec(mask)
+    n_snapshots = ddt.shape[0]
 
-        def action(v):
-            transposed = v.reshape(n_snapshots, -1)  # V^T, since vec(V) stacks V's columns
-            return q * v + upsilon * (ddt @ transposed @ penalty).ravel()
+    def action(v):
+        transposed = v.reshape(n_snapshots, -1)  # V^T, since vec(V) stacks V's columns
+        return q * v + upsilon * (ddt @ transposed @ penalty).ravel()
 
-        try:
-            mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], mask.size)
-            return 1.0 / mu, _largest_eigenvalue(action, mask.size)
-        except ArpackError:  # ArpackNoConvergence included
-            pass
-    eigenvalues = _eigh_in_place(_assemble(mask, ddt, penalty, upsilon), eigvals_only=True)
-    return float(eigenvalues[0]), float(eigenvalues[-1])
+    if info != 0:  # singular, or indefinite by rounding
+        return 0.0, _largest_eigenvalue(action, mask.size, setting)
+    mu = _largest_eigenvalue(lambda v: dpbtrs(factor, v)[0], mask.size, setting)
+    return 1.0 / mu, _largest_eigenvalue(action, mask.size, setting)
 
 
 def _kappa(lam_min, lam_max) -> float:
@@ -264,20 +255,12 @@ def _bracket_check(lam_min, lam_max, penalty_max, lam_temporal, upsilon):
     )
 
 
-def _hessian_extremes(mask, graph: Graph, op, upsilon):
-    """Memoized (epsilon, beta) -> Hessian extremes; the Laplacian Hessian is (0.0, 1.0)."""
-    @functools.cache
-    def extremes(epsilon, beta):
-        return _extremes(mask, graph, op, upsilon, epsilon, beta)
-    return extremes
-
-
 def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Check the extreme Hessian eigenvalues against their analytic brackets.
 
     Returns one :class:`WeylReport` per grid epsilon. The extremes of each
     distinct Hessian are found once, so E epsilons cost at most E+1 band
-    factorizations, and an NM x NM buffer only for a singular Hessian.
+    factorizations, and no NM x NM array.
     Both Hessians are examined in the scale-invariant form
     (1/upsilon) Q + (D D^T) kron K, whose extremes are those of
     :func:`hessian` divided by upsilon. The brackets read
@@ -296,7 +279,7 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
         raise ParameterError(f"upsilon must be > 0 for bound checks, got {upsilon}")
     if not math.isfinite(1.0 / upsilon):  # the brackets divide by upsilon
         raise ParameterError(f"1/upsilon must be finite for bound checks, got upsilon={upsilon}")
-    extremes = _hessian_extremes(mask, graph, op, upsilon)
+    extremes = functools.cache(lambda eps, power: _extremes(mask, graph, op, upsilon, eps, power))
     lap_min, lap_max = extremes(0.0, 1.0)  # first, so a bad request raises hessian's errors
     d = op.matrix
     lam_temporal = float(np.linalg.eigvalsh(d @ d.T)[-1])
@@ -325,16 +308,12 @@ class SweepPoint(NamedTuple):
 def condition_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
     """Condition numbers of both Hessians over a grid of epsilon values.
 
-    Each row pairs the Laplacian value with the shifted-power value at one
-    epsilon; the extremes of each distinct Hessian are found once.
+    A view of :func:`weyl_sweep`, with its checks: each row pairs the
+    Laplacian kappa with the shifted-power kappa of one report, as
+    ``analyze`` writes them to ``condition_sweep.csv``.
     """
-    epsilon_grid = [float(e) for e in epsilon_grid]
-    if not epsilon_grid:
-        raise ParameterError("epsilon grid must be nonempty")
-    extremes = _hessian_extremes(mask, graph, op, upsilon)
-    kappa_laplacian = _kappa(*extremes(0.0, 1.0))
-    return [SweepPoint(epsilon, _kappa(*extremes(epsilon, beta)), kappa_laplacian)
-            for epsilon in epsilon_grid]
+    return [SweepPoint(r.epsilon, r.sobolev.kappa, r.laplacian.kappa)
+            for r in weyl_sweep(graph, op, upsilon, beta, epsilon_grid, mask)]
 
 
 def eigenvalue_penalization(spec, beta_list) -> np.ndarray:
@@ -380,8 +359,11 @@ def dense_oracle_solve(y, mask, graph, config: SolverConfig) -> OracleSolution:
     y, mask = _check_problem(y, mask, graph)
     n, m = y.shape
     op = difference_operator(m, config.temporal_step)
-    eigenvalues, eigenvectors = _eigh_in_place(
-        hessian(mask, graph, op, config.upsilon, config.epsilon, config.beta), eigvals_only=False)
+    # dsyevd, as in np.linalg.eigh, on the hessian(...) buffer, which it overwrites: the
+    # buffer's transpose is the same matrix in Fortran order, since it is bitwise symmetric
+    eigenvalues, eigenvectors = linalg.eigh(
+        hessian(mask, graph, op, config.upsilon, config.epsilon, config.beta).T,
+        overwrite_a=True, check_finite=False, driver="evd")
     # C order, as np.linalg.eigh gives, so the products below run its BLAS kernels and bits;
     # dsyevd's workspace is freed by now, so this copy raises no peak
     eigenvectors = np.ascontiguousarray(eigenvectors)

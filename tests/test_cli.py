@@ -271,15 +271,12 @@ class TestAnalyze:
             first = sweep_lines[1].split(",")
             assert first[0] == "0" and first[1] == first[2]  # identical Hessians at eps = 0
 
-            # the kappa columns are read from the Weyl extremes, which carry a 1/upsilon scale
+            # the kappa columns are read from the Weyl extremes, as condition_sweep reads them
             got = textio.read_matrix(out / "condition_sweep.csv")
             want = np.array([[p.epsilon, p.kappa_sobolev, p.kappa_laplacian] for p in
                              tvgsr.condition_sweep(graph, tvgsr.difference_operator(n_snapshots),
                                                    upsilon, 1.0, epsilon_grid, mask)])
-            if upsilon == 1.0:
-                assert np.array_equal(got, want)
-            else:
-                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            assert np.array_equal(got, want)
 
             weyl = np.array([row.split(",") for row in
                              (out / "weyl_report.csv").read_text().strip().split("\n")[1:]])
@@ -359,6 +356,29 @@ class TestAnalyze:
         assert code == 3
         assert capsys.readouterr().err.startswith("tvgsr: numeric failure: Hessian not finite")
         assert not out.exists()
+
+    def test_tiny_upsilon_reports_no_false_bracket_violation(self, tmp_path, capsys):
+        # H is positive definite, but Lanczos on H^-1 breaks down at upsilon 1e-160: the run
+        # fails as a whole, or every lambda_min is >= 0 and inside its bracket
+        data = tmp_path / "data"
+        assert main(["synth", "--n", "12", "--k", "3", "--snapshots", "6", "--seed", "1",
+                     "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(data / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--density", "0.8", "--seed", "2",
+                     "--epsilon-grid", "0,0.1", "--upsilon", "1e-160", "--out", str(out)])
+        if code == 3:
+            assert capsys.readouterr().err.startswith(
+                "tvgsr: numeric failure: Lanczos run failed: ")
+            assert not out.exists()
+        else:
+            assert code == 0
+            lines = (out / "weyl_report.csv").read_text().strip().split("\n")
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            assert all(float(row["lambda_min"]) >= 0.0 for row in rows)
+            assert all(row["min_within"] == "True" for row in rows)
 
     def test_subnormal_upsilon_is_rejected(self, synth_dir, tmp_path, capsys):
         # 1/upsilon overflows, so the brackets, which divide by upsilon, would be meaningless

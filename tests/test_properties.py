@@ -228,8 +228,9 @@ def test_the_solution_is_additive_in_y(name, problem):
 def hessian_problems(draw):
     """A graph, mask and Hessian setting from N*M = 2 up, maybe with an isolated node.
 
-    The isolated node misses one sample, which makes the Hessian singular at
-    epsilon=0, so both the Lanczos route and its dense fallback are drawn.
+    The mask holds at least one sample, as every entry point requires. The
+    isolated node misses one sample, which makes the Hessian singular at
+    epsilon=0, so both a factored band and one that ``dpbtrf`` rejects are drawn.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 8))
@@ -242,6 +243,8 @@ def hessian_problems(draw):
             weights = tvgsr.build_knn_graph(rng.uniform(0.0, 10.0, size=(n, 2)),
                                             min(3, n - 1)).adjacency
     mask = (rng.random((n, m)) < 0.7).astype(float)
+    if not mask.any():
+        mask[0, 0] = 1.0
     if draw(st.booleans()):
         weights = np.pad(weights, ((0, 1), (0, 1)))
         mask = np.vstack([mask, np.ones((1, m))])
@@ -256,7 +259,7 @@ def hessian_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(problem=hessian_problems())
 def test_hessian_extremes_match_the_dense_spectrum(problem):
-    """Lanczos on the Cholesky factor, or the dense fallback, within 1e-12 lambda_max of eigvalsh."""
+    """Lanczos on the band factor, or a rejected factor's 0, within 1e-12 lambda_max of eigvalsh."""
     eigenvalues = np.linalg.eigvalsh(tvgsr.spectral.hessian(*problem))
     lam_min, lam_max = tvgsr.spectral._extremes(*problem)
     bound = 1e-12 * abs(eigenvalues[-1])

@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import tvgsr
-from tvgsr import InputError, ParameterError
+from tvgsr import InputError, NumericError, ParameterError
 from conftest import connected_geometric_graph, random_geometric_graph, uniqueness_mask
 
 
@@ -205,6 +205,17 @@ class TestConditionSweep:
             tvgsr.condition_sweep(path_graph3, tvgsr.difference_operator(3, 1), 1.0, 1.0,
                                   [], np.ones((3, 3)))
 
+    def test_subnormal_upsilon_rejected_before_any_eigensolve(self, capfd):
+        # ARPACK's DLASCL complaints about a subnormal Hessian are written to fd 2 directly
+        _, graph = tvgsr.synth_dataset(n_nodes=12, k=3, n_snapshots=6, seed=1)
+        mask = tvgsr.random_entry_mask(12, 6, 0.5, 2).mask
+        capfd.readouterr()
+        with pytest.raises(ParameterError, match=re.escape(
+                "1/upsilon must be finite for bound checks, got upsilon=1e-320")):
+            tvgsr.condition_sweep(graph, tvgsr.difference_operator(6, 1), 1e-320, 1.0,
+                                  [0.0, 0.1], mask)
+        assert capfd.readouterr().err == ""
+
 
 def per_epsilon_extremes(graph, op, upsilon, epsilon, beta, mask):
     """The extremes of one ``hessian(...)``, unmemoized, as every call made before the sweep."""
@@ -245,9 +256,13 @@ def per_epsilon_weyl(graph, op, upsilon, epsilon, beta, mask):
 
 
 def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
-    """In-test copy of the condition sweep with one eigensolve per row plus the Laplacian's."""
+    """In-test copy of the condition sweep with one eigensolve per row plus the Laplacian's.
+
+    kappa is read from the extremes divided by upsilon, as ``EigenvalueBounds.kappa`` reads it.
+    """
     def kappa(epsilon, power):
         lam_min, lam_max = per_epsilon_extremes(graph, op, upsilon, epsilon, power, mask)
+        lam_min, lam_max = lam_min / upsilon, lam_max / upsilon
         return math.inf if lam_max <= 0 or lam_min < 1e-12 * lam_max else lam_max / lam_min
 
     kappa_laplacian = kappa(0.0, 1.0)
@@ -326,7 +341,8 @@ class TestWeylSweep:
             with pytest.raises((InputError, ParameterError)) as want:
                 per_epsilon_weyl(graph, op, upsilon, 0.1, 1.0, mask)
             for call in (lambda: tvgsr.weyl_sweep(graph, op, upsilon, 1.0, [0.1], mask),
-                         lambda: tvgsr.weyl_bounds(graph, op, upsilon, 0.1, 1.0, mask)):
+                         lambda: tvgsr.weyl_bounds(graph, op, upsilon, 0.1, 1.0, mask),
+                         lambda: tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)):
                 with pytest.raises(want.type, match=re.escape(str(want.value))):
                     call()
 
@@ -338,7 +354,6 @@ class TestWeylSweep:
             (big, tvgsr.difference_operator(60, 1), 1.0, np.ones((70, 60))),  # guard
             (small, tvgsr.difference_operator(4, 1), 1.0, np.ones((5, 4))),   # row count
             (small, tvgsr.difference_operator(5, 1), 1.0, np.ones((6, 4))),   # operator length
-            (small, tvgsr.difference_operator(4, 1), -1.0, np.ones((6, 4))),  # upsilon < 0
         ]
         for graph, op, upsilon, mask in requests:
             with pytest.raises((InputError, ParameterError)) as want:
@@ -443,27 +458,37 @@ class TestInPlaceEigensolve:
             eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.3, epsilon, power))
             return np.array([eigenvalues[0], eigenvalues[-1]]) / 0.3
 
-        # the singular epsilon = 0 Hessians take the dense fallback, which keeps numpy's bits
+        # dpbtrf rejects the singular epsilon = 0 Hessians, so their lambda_min reads 0
         for bounds, power in ((got[0].laplacian, 1.0), (got[0].sobolev, beta)):
-            assert np.array([bounds.lambda_min, bounds.lambda_max]).tobytes() == \
-                numpy_extremes(0.0, power).tobytes()
+            reference = numpy_extremes(0.0, power)
+            assert bounds.lambda_min == 0.0
+            assert abs(bounds.lambda_max - reference[1]) <= 1e-12 * reference[1]
+            assert bounds.kappa == math.inf
         reference = numpy_extremes(0.1, beta)
         assert np.abs([got[1].sobolev.lambda_min, got[1].sobolev.lambda_max] - reference).max() \
             <= 1e-12 * reference[1]
-        assert got[0].sobolev.kappa == math.inf  # the singular epsilon = 0 Hessian
         assert tvgsr.condition_sweep(graph, op, 0.3, beta, grid, mask) == \
             per_epsilon_condition_sweep(graph, op, 0.3, beta, grid, mask)
 
-    def test_unconverged_lanczos_falls_back_to_the_dense_bits(self, monkeypatch):
+    def test_unconverged_lanczos_raises_numeric_error(self, monkeypatch):
         graph, op, mask = isolated_node_problem("combinatorial", 1)
 
         def unconverged(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
         monkeypatch.setattr(tvgsr.spectral, "eigsh", unconverged)
-        eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.3, 0.1, 1.0))
-        extremes = tvgsr.spectral._extremes(mask, graph, op, 0.3, 0.1, 1.0)
-        assert np.array(extremes).tobytes() == eigenvalues[[0, -1]].tobytes()
+        with pytest.raises(NumericError, match=re.escape(
+                "Lanczos run failed: ARPACK error -1: no convergence "
+                "(at upsilon=0.3, epsilon=0.1, beta=1.0)")):
+            tvgsr.spectral._extremes(mask, graph, op, 0.3, 0.1, 1.0)
+
+    def test_non_finite_lanczos_value_raises_numeric_error(self, monkeypatch):
+        graph, op, mask = isolated_node_problem("combinatorial", 1)
+        monkeypatch.setattr(tvgsr.spectral, "eigsh", lambda *args, **kwargs: np.array([np.nan]))
+        with pytest.raises(NumericError, match=re.escape(
+                "Lanczos run failed: largest eigenvalue nan "
+                "(at upsilon=0.3, epsilon=0.1, beta=1.0)")):
+            tvgsr.spectral._extremes(mask, graph, op, 0.3, 0.1, 1.0)
 
     @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
     @pytest.mark.parametrize("step", [1, 2, 3])
@@ -536,6 +561,27 @@ class TestDirectBand:
         assert 0.0 < lam_min < lam_max
         assert peak < one_matrix / 4
 
+    def test_singular_extremes_hold_no_nm_by_nm_array(self):
+        # Node 29 is isolated and never sampled, so at epsilon 0 and beta 1 its rows of H are
+        # exactly zero: dpbtrf meets an exact zero pivot, whatever the rounding elsewhere.
+        rng = np.random.default_rng(38)
+        weights = np.pad(random_geometric_graph(rng, 29, 3).adjacency, ((0, 1), (0, 1)))
+        graph = tvgsr.Graph(weights)
+        op = tvgsr.difference_operator(40, 1)
+        mask = tvgsr.random_entry_mask(30, 40, 0.5, 1).mask.copy()
+        mask[29] = 0.0
+        one_matrix = (30 * 40) ** 2 * 8
+        tracemalloc.start()
+        try:
+            lam_min, lam_max = tvgsr.spectral._extremes(mask, graph, op, 0.5, 0.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lam_min == 0.0
+        assert peak < one_matrix / 4
+        largest = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.5, 0.0, 1.0))[-1]
+        assert abs(lam_max - largest) <= 1e-12 * largest
+
     def test_guard_raises_before_allocating(self):
         rng = np.random.default_rng(39)
         graph = random_geometric_graph(rng, 100, 3)
@@ -567,7 +613,7 @@ class TestDirectBand:
         reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(6, 1), 0.7, 1.5,
                                    [0.0, 0.1, 0.5, 0.1], mask)
         assert all(math.isfinite(r.laplacian.kappa) and math.isfinite(r.sobolev.kappa)
-                   for r in reports)  # nonsingular: no dense fallback
+                   for r in reports)  # nonsingular: every Hessian factors
         assert sorted(calls) == [(0.0, 1.0), (0.0, 1.5), (0.1, 1.5), (0.5, 1.5)]
 
 
