@@ -421,27 +421,23 @@ def _null_space(graph, mask, config):
                      "along each unsampled chain's indicator, e_i kron 1 at step 1, so the "
                      "reconstruction is not unique", nodes.size, chains.shape[0], where,
                      ", ".join(str(i) for i in nodes[:5]))
-    null = _null_basis(graph, mask, config, chains)
-    if null is not None and null[0].shape[1] > chains.sum():
-        _log.warning("%d (graph component, snapshot) levels are undetermined at epsilon = 0, "
-                     "such as every forecast snapshot's; the minimum-norm reconstruction gives "
-                     "each of them zero mean", null[0].shape[1] - chains.sum())
-    return chains, null
+    return chains, _null_basis(graph, mask, config, chains)
 
 
 def _null_basis(graph, mask, config, chains):
     """(B, solve): a sparse basis B of null(H), rows in C order, and a solve with B^T B.
 
-    None when H is nonsingular. null(H) holds each X[i, t] = u(i) (w_C(t) + b_i(t mod s))
-    that is zero on the samples, with u spanning null(L) on node i's component C (ones,
-    or sqrt(degree) for the normalized Laplacian; 1 on an isolated node): w is free only at
-    epsilon = 0, and b is constant on each (node, chain). A sample (i, t) ties b_i(t mod s)
-    to -w_C(t), so join the vertex (i, t mod s) to the vertex (C, t). Each connected part P
-    gives v_P[i, t] = u(i) ([(C, t) in P] - [(i, t mod s) in P]); on each (component,
-    chain) the parts sum to zero, so all but those of (C, t), t < s, are a basis. At
-    epsilon > 0 the vertices (C, t) are one per chain, (0, t mod s), all left out, and B is
-    the unsampled chains. Each v_P vanishes on the samples, so B also spans the null space
-    of :func:`solve_noiseless`'s free block.
+    None when H is nonsingular, and under ``preconditioner="none"``, which never uses B; the
+    levels beyond the unsampled chains are warned of either way. null(H) holds each
+    X[i, t] = u(i) (w_C(t) + b_i(t mod s)) that is zero on the samples, with u spanning
+    null(L) on node i's component C (ones, or sqrt(degree) for the normalized Laplacian;
+    1 on an isolated node): w is free only at epsilon = 0, and b is constant on each (node,
+    chain). A sample (i, t) ties b_i(t mod s) to -w_C(t), so join the vertex (i, t mod s)
+    to the vertex (C, t). Each connected part P gives v_P[i, t] = u(i) ([(C, t) in P] -
+    [(i, t mod s) in P]); on each (component, chain) the parts sum to zero, so all but
+    those of (C, t), t < s, are a basis. At epsilon > 0 the vertices (C, t) are one per
+    chain, (0, t mod s), all left out, and B is the unsampled chains. Each v_P vanishes on
+    the samples, so B also spans the null space of :func:`solve_noiseless`'s free block.
     """
     (n, m), s = mask.shape, config.temporal_step
     if config.epsilon > 0.0 and not chains.any():
@@ -455,7 +451,12 @@ def _null_basis(graph, mask, config, chains):
                                                n * s + labels[nodes] * cells + times % cells)),
                         shape=(size, size))
     n_parts, part = connected_components(joined, directed=False)
-    if n_parts == n_components * s:
+    levels = n_parts - n_components * s - chains.sum()  # B's columns are the parts but (C, t < s)
+    if levels > 0:
+        _log.warning("%d (graph component, snapshot) levels are undetermined at epsilon = 0, "
+                     "such as every forecast snapshot's; the minimum-norm reconstruction gives "
+                     "each of them zero mean", levels)
+    if n_parts == n_components * s or config.preconditioner == "none":
         return None
     keep = np.ones(n_parts, dtype=bool)
     keep[part[n * s:].reshape(n_components, cells)[:, :s]] = False

@@ -6,13 +6,16 @@ using column-major vectorization. Only this module forms it, under a hard
 size guard (N*M <= 4000): :func:`hessian` builds it in one NM x NM buffer.
 :func:`_extremes` finds its two extreme eigenvalues by Lanczos on its
 Cholesky factor without that buffer. D D^T couples snapshot t only with
-t +- s, so the Hessian is a band matrix of half-width (s+1) N - 1:
-:func:`_band` fills that band straight from q = vec(J), D D^T and one
-K = (L + epsilon*I)^beta, with the buffer's bits, and its factor costs
-O(NM ((s+1) N)^2) flops, not a full spectrum's 4/3 (NM)^3. The Hessian
+t +- s, and K = (L + epsilon*I)^beta couples node i only with the nodes
+within beta graph hops, so with every snapshot's nodes in one reverse
+Cuthill-McKee order of K the Hessian is a band matrix of half-width
+s N + b, b being K's half-bandwidth in that order (N - 1 for a dense K):
+:func:`_band` fills that band straight from q = vec(J), D D^T and K, with
+the bits of the node-permuted buffer, and its factor costs
+O(NM (s N + b)^2) flops, not a full spectrum's 4/3 (NM)^3. The Hessian
 is positive semidefinite, so a band that ``dpbtrf`` rejects is singular:
-its lambda_min is 0. So the extremes hold the (s+1) N x NM band and no
-NM x NM array, and only :func:`hessian` and the oracle, which
+its lambda_min is 0. So the extremes hold the (s N + b + 1) x NM band and
+no NM x NM array, and only :func:`hessian` and the oracle, which
 eigendecomposes the buffer in place with LAPACK's ``dsyevd``, build one.
 
 Built on the extremes are checks of the extremes against the additive
@@ -30,9 +33,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy import linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .exceptions import InputError, NumericError, ParameterError
@@ -82,44 +86,38 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
     return matrix
 
 
-def _put_blocks(slabs, penalty, coefficients, upsilon, lower=False):
-    """Write the buffer's block fl(fl(c K) upsilon) + 0.0, transposed, into ``slabs[u]``.
-
-    c is ``coefficients[u]``. Each distinct coefficient's block is computed
-    once: a diagonal of D D^T holds at most two values. ``lower`` writes
-    zeros above the diagonal of the transposed block.
-    """
-    values, which = np.unique(coefficients, return_inverse=True)
-    for index, value in enumerate(values):
-        block = value * penalty.T
-        block *= upsilon
-        block += 0.0
-        slabs[which == index] = np.tril(block) if lower else block
-
-
 def _band(mask, ddt, penalty, upsilon, step) -> np.ndarray:
     """The upper band of :func:`hessian` in LAPACK's storage, entry for entry with its bits.
 
     Returns the Fortran-ordered (width + 1) x NM array ``band`` with
     ``band[width + r - c, c] = H[r, c]`` for 0 <= c - r <= width, where
-    width = (s+1) N - 1, and zeros elsewhere. Only the blocks (t, t) and
-    (t, t + s) of D D^T are nonzero: one N x N slab per snapshot each,
-    written by :func:`_put_blocks`, plus q on the diagonal.
+    width = s N + b and b is the half-bandwidth of ``penalty`` (K), and zeros
+    elsewhere. Only the blocks (t, t) and (t, t + s) of D D^T are nonzero:
+    they take K's diagonals 0..b and -b..b, laid out one diagonal at a time
+    in the band rows of one column block, and each distinct pair of the
+    column block's coefficients c in D D^T scales that layout once, as
+    fl(fl(c K) upsilon) + 0.0. q goes on the diagonal.
     """
     n, m = mask.shape
-    width = (step + 1) * n - 1  # M > s, so the band is narrower than the matrix
+    rows, cols = np.nonzero(penalty)
+    reach = int(np.abs(rows - cols).max(initial=0))
+    width = step * n + reach  # M > s and b < N, so the band is narrower than the matrix
+    # K in the band rows of one column block u: entry (i, j) of the block (u, u), i <= j,
+    # goes to [j, width - (j - i)], and of the block (u - s, u) to [j, reach - (j - i)]
+    own, coupled = np.zeros((2, n, width + 1))
+    for offset in range(-reach, reach + 1):
+        diagonal = np.diagonal(penalty, offset)
+        if offset >= 0:
+            own[offset:, width - offset] = diagonal
+        coupled[max(offset, 0):n + min(offset, 0), reach - offset] = diagonal
     band = np.zeros((width + 1, n * m), order="F")
-    # With r = t N + i and c = u N + j, entry (i, j) of the block in column block u
-    # sits at stride (width + 1) N in u, width in j and 1 in i: slab [u, j, i].
-    strides = ((width + 1) * n * band.itemsize, width * band.itemsize, band.itemsize)
-    # A diagonal block's i > j would land below the band, at rows 0..N-1-j of the
-    # next column: zeros there, and row N-1-j is the coupling block's, written after.
-    diagonal = as_strided(band[width:], (m, n, n), strides)
-    _put_blocks(diagonal, penalty, ddt.diagonal(), upsilon, lower=True)
-    nodes = np.arange(n)
-    diagonal[:, nodes, nodes] += mask.T
-    coupling = as_strided(band[n - 1:, step * n:], (m - step, n, n), strides)
-    _put_blocks(coupling, penalty, ddt.diagonal(step), upsilon)
+    blocks = band.T.reshape(m, n, width + 1)  # [u, j, row]: column u N + j
+    # column block u's coefficients of the blocks (u, u) and (u - s, u), 0 when u < s
+    coefficients = np.stack([ddt.diagonal(), np.r_[np.zeros(step), ddt.diagonal(step)]])
+    pairs, which = np.unique(coefficients, axis=1, return_inverse=True)
+    for index, (c, c_coupled) in enumerate(pairs.T):  # an entry is in one part; the other adds +0.0
+        blocks[which == index] = (own * c * upsilon + 0.0) + (coupled * c_coupled * upsilon + 0.0)
+    blocks[:, :, width] += mask.T
     return band
 
 
@@ -144,22 +142,25 @@ def _largest_eigenvalue(matvec, size, setting) -> float:
 def _extremes(mask, graph: Graph, op, upsilon, epsilon, beta):
     """(lambda_min, lambda_max) of :func:`hessian`, without its full spectrum or any NM x NM array.
 
-    One K = (L + epsilon*I)^beta serves the whole call. The Hessian's band is
-    built by :func:`_band` and Cholesky-factored (``dpbtrf``), and lambda_min
-    is 1/mu, with mu the largest eigenvalue of H^-1 applied by ``dpbtrs``.
+    One K = (L + epsilon*I)^beta serves the whole call. With P the reverse
+    Cuthill-McKee order of K's nonzero pattern, the band of
+    (I_M kron P) H (I_M kron P)^T, which has H's eigenvalues, is built by
+    :func:`_band` and Cholesky-factored (``dpbtrf``), and lambda_min is 1/mu,
+    with mu the largest eigenvalue of its inverse applied by ``dpbtrs``.
     H is positive semidefinite, so a factor that ``dpbtrf`` rejects means
     lambda_min is 0 to working precision, and 0.0 is returned. lambda_max
-    comes from the matrix-free action q v + upsilon vec(K V D D^T),
-    O(N^2 M) per product. Both are Lanczos runs (ARPACK) to machine
-    precision; a failed run raises :class:`NumericError`, as does a band
-    that is not finite (K or its product with upsilon overflows), before
-    anything is factored.
+    comes from the matrix-free action q v + upsilon vec(K V D D^T) in the
+    input order, O(N^2 M) per product. Both are Lanczos runs (ARPACK) to
+    machine precision; a failed run raises :class:`NumericError`, as does a
+    band that is not finite (K or its product with upsilon overflows),
+    before anything is factored.
     """
     mask = _checked_mask(mask, graph, op, upsilon)
     ddt = op.matrix @ op.matrix.T
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
         penalty = sobolev_power(graph.laplacian, epsilon, beta)
-    band = _band(mask, ddt, penalty, upsilon, op.step)
+        order = reverse_cuthill_mckee(csr_matrix(penalty), symmetric_mode=True)
+        band = _band(mask[order], ddt, penalty[np.ix_(order, order)], upsilon, op.step)
     setting = f"upsilon={upsilon}, epsilon={epsilon}, beta={beta}"
     if not np.all(np.isfinite(band)):
         raise NumericError(f"Hessian not finite at {setting}: "

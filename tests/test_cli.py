@@ -358,8 +358,9 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_tiny_upsilon_reports_no_false_bracket_violation(self, tmp_path, capsys):
-        # H is positive definite, but Lanczos on H^-1 breaks down at upsilon 1e-160: the run
-        # fails as a whole, or every lambda_min is >= 0 and inside its bracket
+        # H is positive definite, but lambda_max's Lanczos run on the action breaks down at
+        # upsilon 1e-160 (ARPACK error 3, at epsilon 0): the run fails as a whole, or every
+        # lambda_min is >= 0 and inside its bracket
         data = tmp_path / "data"
         assert main(["synth", "--n", "12", "--k", "3", "--snapshots", "6", "--seed", "1",
                      "--out", str(data)]) == 0

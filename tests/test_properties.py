@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import tvgsr
 from tvgsr import SolverConfig
@@ -278,11 +280,19 @@ def copied_band(matrix, width):
 @settings(max_examples=150, deadline=None)
 @given(problem=hessian_problems())
 def test_direct_band_equals_the_band_of_the_dense_hessian(problem):
-    """Byte for byte: at beta = 1, K's zeros times D D^T's -1 are -0.0 until the buffer's + 0.0."""
+    """Byte for byte, in the nodes' reverse Cuthill-McKee order of K, at half-width s N + b_K:
+    at beta = 1, K's zeros times D D^T's -1 are -0.0 until the buffer's + 0.0."""
     mask, graph, op, upsilon, epsilon, beta = problem
+    n, m = mask.shape
     penalty = tvgsr.sobolev_power(graph.laplacian, epsilon, beta)
-    band = tvgsr.spectral._band(mask, op.matrix @ op.matrix.T, penalty, upsilon, op.step)
-    want = copied_band(tvgsr.spectral.hessian(*problem), (op.step + 1) * graph.n_nodes - 1)
+    order = reverse_cuthill_mckee(csr_matrix(penalty), symmetric_mode=True)
+    penalty = penalty[np.ix_(order, order)]
+    band = tvgsr.spectral._band(mask[order], op.matrix @ op.matrix.T, penalty, upsilon, op.step)
+    rows, cols = np.nonzero(penalty)
+    reach = int(np.abs(rows - cols).max(initial=0))
+    entries = (n * np.arange(m)[:, None] + order).ravel()  # snapshot t's node i is t N + order[i]
+    permuted = tvgsr.spectral.hessian(*problem)[np.ix_(entries, entries)]
+    want = copied_band(permuted, op.step * n + reach)
     assert band.flags.f_contiguous
     assert band.shape == want.shape
     assert band.tobytes(order="F") == want.tobytes(order="F")

@@ -746,6 +746,33 @@ class TestTemporalPreconditioner:
                             "epsilon = 0, such as every forecast snapshot's; the minimum-norm "
                             "reconstruction gives each of them zero mean"] * 2
 
+    @pytest.mark.parametrize("solve", [tvgsr.solve_cg, tvgsr.solve_noiseless])
+    def test_a_plain_solve_builds_no_null_basis(self, monkeypatch, caplog, solve):
+        # "none" never uses B, so no splu factors B^T B; the levels are counted all the same
+        rng = np.random.default_rng(60)
+        graph = connected_geometric_graph(rng, 30, 4)
+        mask = tvgsr.snapshot_mask(30, 40, 0.5, 61).mask
+        y = mask * rng.normal(size=mask.shape)
+        factored = []
+        splu = tvgsr.solvers.splu
+        monkeypatch.setattr(tvgsr.solvers, "splu",
+                            lambda *args, **kwargs: factored.append(1) or splu(*args, **kwargs))
+        calls, messages = {}, {}
+        for preconditioner in ("none", "temporal"):
+            config = SolverConfig(upsilon=0.05, objective="tgsr", delta=1e-10,
+                                  preconditioner=preconditioner)
+            factored.clear()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="tvgsr"):
+                solve(y, mask, graph, config)
+            calls[preconditioner] = len(factored)
+            messages[preconditioner] = [r.getMessage() for r in caplog.records]
+        assert calls == {"none": 0, "temporal": 1}
+        assert messages["none"] == messages["temporal"] == [
+            "20 (graph component, snapshot) levels are undetermined at epsilon = 0, such as "
+            "every forecast snapshot's; the minimum-norm reconstruction gives each of them "
+            "zero mean"]
+
     def test_noiseless_samples_stay_bit_exact(self):
         y, mask, graph, config = long_cg_problem()
         result = tvgsr.solve_noiseless(y, mask, graph, config, record_iterates=True)

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrf
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import tvgsr
@@ -581,6 +584,36 @@ class TestDirectBand:
         assert peak < one_matrix / 4
         largest = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.5, 0.0, 1.0))[-1]
         assert abs(lam_max - largest) <= 1e-12 * largest
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_band_narrows_to_the_reach_of_k_in_rcm_order(self, monkeypatch, step):
+        # K couples beta graph hops at integer beta, so its RCM half-bandwidth b_K is below
+        # N - 1 and the factored band has s N + b_K + 1 rows; a fractional beta's K is dense.
+        rng = np.random.default_rng(29)
+        graph = random_geometric_graph(rng, 30, 3)
+        op = tvgsr.difference_operator(12, step)
+        mask = tvgsr.random_entry_mask(30, 12, 0.6, 2).mask
+        factored = []
+
+        def recording_dpbtrf(band, **kwargs):
+            factored.append(band.shape)
+            return dpbtrf(band, **kwargs)
+
+        monkeypatch.setattr(tvgsr.spectral, "dpbtrf", recording_dpbtrf)
+        for beta in (1.0, 2.0, 1.5):
+            penalty = tvgsr.sobolev_power(graph.laplacian, 0.1, beta)
+            rank = np.argsort(reverse_cuthill_mckee(csr_matrix(penalty), symmetric_mode=True))
+            rows, cols = np.nonzero(penalty)
+            reach = int(np.abs(rank[rows] - rank[cols]).max())
+            lam_min, lam_max = tvgsr.spectral._extremes(mask, graph, op, 0.5, 0.1, beta)
+            assert factored.pop() == (step * 30 + reach + 1, 30 * 12)
+            if beta == 1.5:
+                assert reach == 29
+            else:
+                assert step * 30 + reach + 1 < (step + 1) * 30
+            eigenvalues = np.linalg.eigvalsh(tvgsr.hessian(mask, graph, op, 0.5, 0.1, beta))
+            assert abs(lam_min - eigenvalues[0]) <= 1e-12 * eigenvalues[-1]
+            assert abs(lam_max - eigenvalues[-1]) <= 1e-12 * eigenvalues[-1]
 
     def test_guard_raises_before_allocating(self):
         rng = np.random.default_rng(39)
