@@ -22,6 +22,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -74,11 +75,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_float_list(text):
+def _parse_grid(settings, name):
+    """Setting ``name``, a comma-separated grid of epsilons or betas, all finite and >= 0."""
+    text = settings[name]
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        grid = [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise _UsageError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+    if not grid or not all(math.isfinite(value) and value >= 0 for value in grid):
+        raise _UsageError(f"--{name.replace('_', '-')} values must be finite and >= 0, "
+                          f"got {text!r}")
+    return grid
 
 
 def _truthy(raw) -> bool:
@@ -155,12 +162,17 @@ def cmd_synth(settings, path):
     })
 
 
-def _mask_from_flags(settings, n_nodes, n_snapshots):
+def _mask_from_flags(settings, n_nodes, n_snapshots, regime=None, density=None):
+    """(mask, generated): the --mask file, else a --regime mask at its level and --seed. The
+    command's default ``regime``, and ``density`` where the regime reads one, fill unset
+    flags; config.txt echoes them."""
     if settings.get("mask"):  # the solvers check its shape
         return textio.read_mask(settings["mask"]), False
-    regime = settings.get("regime")
+    regime = settings["regime"] = settings["regime"] or regime
     if not regime:
         raise _UsageError("either --mask or --regime is required")
+    if regime != "forecasting" and settings["density"] is None:
+        settings["density"] = density
     level = settings["horizon"] if regime == "forecasting" else settings["density"]
     if level is None:
         raise _UsageError("random_entry/snapshot need --density; forecasting needs --horizon")
@@ -231,29 +243,17 @@ def cmd_analyze(settings, path):
     if settings["mask"] and settings["snapshots"] is not None:
         raise _UsageError("--snapshots sizes a generated mask; a --mask file fixes its own")
     graph = _build_graph_from_flags(settings)
-    if settings["mask"]:  # spectral.hessian checks its rows
-        mask = textio.read_mask(settings["mask"])
-    else:
-        if not settings["snapshots"]:
-            raise _UsageError("analyze needs --mask or --snapshots (to generate one)")
-        regime = settings["regime"] or "random_entry"
-        settings["regime"] = regime
-        if regime == "forecasting":
-            level = settings["horizon"]
-        else:
-            level = 0.5 if settings["density"] is None else settings["density"]
-        if level is None:
-            raise _UsageError("forecasting needs --horizon")
-        mask = make_regime_mask(regime, graph.n_nodes, settings["snapshots"],
-                                level, settings["seed"]).mask
-
-    epsilon_grid = _parse_float_list(settings["epsilon_grid"])
-    beta_grid = _parse_float_list(settings["beta_grid"])
-    # before the Hessians are built, so that a bad beta grid fails first
-    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)
+    if not (settings["mask"] or settings["snapshots"]):
+        raise _UsageError("analyze needs --mask or --snapshots (to generate one)")
+    mask, _ = _mask_from_flags(settings, graph.n_nodes, settings["snapshots"],
+                               regime="random_entry", density=0.5)
+    epsilon_grid = _parse_grid(settings, "epsilon_grid")
+    beta_grid = _parse_grid(settings, "beta_grid")
     op = difference_operator(mask.shape[1], settings["step"])
-    # One Weyl report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
+    # The sweep's checks, N*M guard included, also run before any O(N^3) step. One Weyl
+    # report per epsilon; kappa is scale-invariant, so the sweep reads its extremes.
     reports = weyl_sweep(graph, op, settings["upsilon"], settings["beta"], epsilon_grid, mask)
+    penalties = eigenvalue_penalization(graph.spectrum(), beta_grid)  # the sweep's cached spectrum
     textio.write_table(path("condition_sweep.csv"),
                        ("epsilon", "kappa_sobolev", "kappa_laplacian"),
                        [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in reports])

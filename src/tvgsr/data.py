@@ -131,15 +131,12 @@ def synth_dataset(n_nodes=SYNTH_DEFAULT_NODES, side=SYNTH_DEFAULT_SIDE, k=SYNTH_
     return dataset, graph
 
 
-def load_dataset(coords_path, signal_path, nonfinite="reject") -> Dataset:
+def load_dataset(coords_path, signal_path) -> Dataset:
     """Load a dataset from a coordinate file and a signal matrix file.
 
     Node order is fixed by the coordinate file; the signal file must have one
-    row per node. Non-finite signal entries are either rejected with their
-    indices ("reject") or imputed as zero ("zero").
+    row per node. Non-finite signal entries are rejected with their indices.
     """
-    if nonfinite not in ("reject", "zero"):
-        raise ParameterError(f"nonfinite policy must be 'reject' or 'zero', got {nonfinite!r}")
     _, coords = textio.read_coordinates(coords_path)
     signal = textio.read_matrix(signal_path)
     if coords.shape[0] != signal.shape[0]:
@@ -149,13 +146,8 @@ def load_dataset(coords_path, signal_path, nonfinite="reject") -> Dataset:
         )
     bad = np.argwhere(~np.isfinite(signal))
     if bad.size:
-        if nonfinite == "reject":
-            shown = [tuple(int(v) for v in idx) for idx in bad[:5]]
-            raise InputError(
-                f"{signal_path}: {len(bad)} non-finite entries at (row, column) {shown}"
-            )
-        signal = signal.copy()
-        signal[~np.isfinite(signal)] = 0.0
+        shown = [tuple(int(v) for v in idx) for idx in bad[:5]]
+        raise InputError(f"{signal_path}: {len(bad)} non-finite entries at (row, column) {shown}")
     return Dataset(coords=coords, signal=signal)
 
 

@@ -355,7 +355,6 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
     problem = ProblemOperator(graph, mask, config)
-    chains, null = _null_space(graph, mask, config)
     observed = mask * y  # the observation model guarantees supp(Y) within the mask
     of = observed.ravel()
     half_observed_sq = 0.5 * float(np.dot(of, of))
@@ -367,7 +366,7 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
         np.subtract(g.ravel(), of, out=hf)
         return 0.5 * float(np.dot(x.ravel(), hf)) + half_observed_sq
 
-    precondition = _temporal_preconditioner(graph, mask, config, chains, null, constrained=False)
+    precondition = _temporal_preconditioner(graph, mask, config, constrained=False)
     return _fr_cg("solve_cg", observed.copy(), problem.hessian_action, refresh, config,
                   entry, record_iterates, precondition)
 
@@ -392,7 +391,6 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     sampled = mask > 0
     if not sampled.any():
         raise InputError("mask selects no entries")
-    chains, null = _null_space(graph, mask, config)
 
     def action(v, out):  # the smoothness Hessian on the free entries
         problem.smoothness_gradient(v, out=out)
@@ -404,7 +402,7 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
         np.copyto(g, 0.0, where=sampled)
         return loss
 
-    precondition = _temporal_preconditioner(graph, mask, config, chains, null, constrained=True)
+    precondition = _temporal_preconditioner(graph, mask, config, constrained=True)
     return _fr_cg("solve_noiseless", mask * y, action, refresh, config, entry, record_iterates,
                   precondition)
 
@@ -475,7 +473,7 @@ def _null_basis(graph, mask, config, chains):
     return basis, splu((basis.T @ basis).tocsc(), permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS).solve
 
 
-def _temporal_preconditioner(graph, mask, config, chains, null, constrained):
+def _temporal_preconditioner(graph, mask, config, constrained):
     """``precondition(g, z)``, writing z = P M^-1 g for :func:`_fr_cg`, or None to run plain.
 
     M is the Hessian with K replaced by its diagonal (L_ii + epsilon)^beta,
@@ -492,12 +490,14 @@ def _temporal_preconditioner(graph, mask, config, chains, null, constrained):
     singular along the chain's indicator, as H is: its diagonal is lifted by
     1e-8 of its coupling.
 
-    ``null`` is :func:`_null_basis`'s (B, solve), and P = I - B (B^T B)^-1 B^T
-    (I when H is nonsingular). Every g lies in null(H)^perp, so this is PCG
-    with P M^-1 P, whose iterates stay there and reach the minimum-norm
+    P = I - B (B^T B)^-1 B^T, I when H is nonsingular, with B from
+    :func:`_null_space`, which runs first and so warns of a singular H under
+    ``preconditioner="none"`` too. Every g lies in null(H)^perp, so this is
+    PCG with P M^-1 P, whose iterates stay there and reach the minimum-norm
     minimizer (Kaasschieter, J. Comput. Appl. Math. 24, 1988). The loop runs
     plain for ``preconditioner="none"`` and when the factorization fails.
     """
+    chains, null = _null_space(graph, mask, config)
     if config.preconditioner == "none":
         return None
     m, s = mask.shape[1], config.temporal_step

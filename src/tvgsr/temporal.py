@@ -104,22 +104,18 @@ def temporal_difference(x, op: TemporalOperator) -> np.ndarray:
     return op.apply(x)
 
 
-def _quadratic(z, matrix) -> float:
-    """sum(z * (K @ z)): z^T K z for a vector, tr(Z^T K Z) for the columns of a matrix."""
-    z = np.asarray(z, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    if z.shape[0] != matrix.shape[0]:
-        raise InputError(f"signal has {z.shape[0]} rows, Laplacian is {matrix.shape[0]} x {matrix.shape[0]}")
-    return float(np.sum(z * (matrix @ z)))
-
-
 def sobolev_smoothness(x, op: TemporalOperator, laplacian_matrix, epsilon, beta) -> float:
     """Temporal-difference smoothness tr((XD)^T (L + epsilon*I)^beta (XD)).
 
     Equals the sum of squared Sobolev norms of the difference columns; with
     epsilon = 0 and beta = 1 this is the plain Laplacian temporal smoothness.
     """
-    return _quadratic(temporal_difference(x, op), sobolev_power(laplacian_matrix, epsilon, beta))
+    diff = temporal_difference(x, op)
+    power = sobolev_power(laplacian_matrix, epsilon, beta)
+    if diff.shape[0] != power.shape[0]:
+        raise InputError(f"signal has {diff.shape[0]} rows, Laplacian is {power.shape[0]} x "
+                         f"{power.shape[0]}")
+    return float(np.sum(diff * (power @ diff)))
 
 
 def alpha_smoothness_level(x, op: TemporalOperator, laplacian_matrix) -> float:
@@ -128,4 +124,4 @@ def alpha_smoothness_level(x, op: TemporalOperator, laplacian_matrix) -> float:
     A signal belongs to the alpha-structured set of smoothly evolving
     signals exactly when this level is <= alpha.
     """
-    return _quadratic(temporal_difference(x, op), laplacian_matrix) / op.n_differences
+    return sobolev_smoothness(x, op, laplacian_matrix, 0.0, 1.0) / op.n_differences

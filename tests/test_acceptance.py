@@ -164,16 +164,16 @@ def test_criterion_4_conditioning_claim():
                                     density, held_out_seed(density),
                                     epsilon_grid=(0.01, 0.05, 0.1, 0.5))
     op = difference_operator(n_snapshots, 1)
-    kappa_laplacian = tvgsr.condition_sweep(graph, op, tuned_t.upsilon, 1.0,
-                                            [0.0], mask)[0].kappa_laplacian
-    sweep = tvgsr.condition_sweep(graph, op, tuned_s.upsilon, 1.0,
-                                  [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0], mask)
-    blowup = tvgsr.condition_sweep(graph, op, tuned_s.upsilon, 1.0, [1e6],
-                                   mask)[0].kappa_sobolev
-    dip = any(row.kappa_sobolev < kappa_laplacian for row in sweep)
+    kappa_laplacian = tvgsr.weyl_sweep(graph, op, tuned_t.upsilon, 1.0,
+                                       [0.0], mask)[0].laplacian.kappa
+    sweep = tvgsr.weyl_sweep(graph, op, tuned_s.upsilon, 1.0,
+                             [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0], mask)
+    blowup = tvgsr.weyl_sweep(graph, op, tuned_s.upsilon, 1.0, [1e6],
+                              mask)[0].sobolev.kappa
+    dip = any(row.sobolev.kappa < kappa_laplacian for row in sweep)
     elapsed = time.perf_counter() - start
     ok = dip and blowup > kappa_laplacian and elapsed < 120.0
-    best = min(row.kappa_sobolev for row in sweep)
+    best = min(row.sobolev.kappa for row in sweep)
     assert report(4, "conditioning claim", ok,
                   f"kappa_L={kappa_laplacian:.3g}, best kappa_S={best:.3g}, "
                   f"kappa_S(1e6)={blowup:.3g}, {elapsed:.1f}s")
@@ -223,10 +223,9 @@ def test_criterion_6_weyl_bound_verification():
         m = int(rng.integers(3, 7))
         graph = random_geometric_graph(rng, n, 2)
         mask = uniqueness_mask(rng, n, m)
-        report_w = tvgsr.weyl_bounds(graph, difference_operator(m, 1),
-                                     float(rng.uniform(0.1, 10.0)),
-                                     float(rng.uniform(0.0, 1.0)),
-                                     float(rng.choice([1.0, 2.0])), mask)
+        upsilon, epsilon = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.0, 1.0))
+        report_w = tvgsr.weyl_sweep(graph, difference_operator(m, 1), upsilon,
+                                    float(rng.choice([1.0, 2.0])), [epsilon], mask)[0]
         if not (report_w.laplacian.premise_holds and report_w.sobolev.premise_holds):
             continue
         if not report_w.all_pass:

@@ -271,11 +271,11 @@ class TestAnalyze:
             first = sweep_lines[1].split(",")
             assert first[0] == "0" and first[1] == first[2]  # identical Hessians at eps = 0
 
-            # the kappa columns are read from the Weyl extremes, as condition_sweep reads them
+            # the kappa columns are read from the Weyl extremes
             got = textio.read_matrix(out / "condition_sweep.csv")
-            want = np.array([[p.epsilon, p.kappa_sobolev, p.kappa_laplacian] for p in
-                             tvgsr.condition_sweep(graph, tvgsr.difference_operator(n_snapshots),
-                                                   upsilon, 1.0, epsilon_grid, mask)])
+            want = np.array([[r.epsilon, r.sobolev.kappa, r.laplacian.kappa] for r in
+                             tvgsr.weyl_sweep(graph, tvgsr.difference_operator(n_snapshots),
+                                              upsilon, 1.0, epsilon_grid, mask)])
             assert np.array_equal(got, want)
 
             weyl = np.array([row.split(",") for row in
@@ -318,7 +318,40 @@ class TestAnalyze:
                      "--snapshots", "6", "--regime", "forecasting",
                      "--out", str(tmp_path / "an")])
         assert code == 1
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err and "forecasting needs --horizon" in err
+
+    @pytest.mark.parametrize("flags, regime, level", [
+        ([], "random_entry", 0.5),
+        (["--regime", "snapshot"], "snapshot", 0.5),
+        (["--regime", "forecasting", "--horizon", "2"], "forecasting", 2),
+    ])
+    def test_generated_mask_is_the_shared_regime_mask(self, synth_dir, tmp_path, flags, regime,
+                                                      level):
+        # analyze draws its mask as reconstruct and sample do: random_entry and density 0.5
+        # unless set, and a forecast's horizon
+        out = tmp_path / "an"
+        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--seed", "4", "--epsilon-grid", "0,0.1", *flags,
+                     "--out", str(out)]) == 0
+        _, coords = textio.read_coordinates(synth_dir / "coords.csv")
+        mask = tvgsr.evaluation.make_regime_mask(regime, 30, 6, level, 4).mask
+        want = [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in tvgsr.weyl_sweep(
+            tvgsr.build_knn_graph(coords, 3), tvgsr.difference_operator(6), 1.0, 1.0,
+            [0.0, 0.1], mask)]
+        assert np.array_equal(textio.read_matrix(out / "condition_sweep.csv"), np.array(want))
+        config = read_kv(out / "config.txt")
+        assert config["regime"] == regime
+        assert ("density" in config) == (regime != "forecasting")
+
+    def test_request_over_the_guard_fails_before_the_spectrum(self, synth_dir, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(tvgsr.Graph, "spectrum", lambda self: pytest.fail("eigensolved"))
+        out = tmp_path / "an"
+        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "150", "--out", str(out)]) == 1
+        assert f"N*M <= {tvgsr.spectral.DENSE_GUARD}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mask_file_with_snapshots_is_usage_error(self, synth_dir, tmp_path, capsys):
         mask_path = tmp_path / "mask.csv"
@@ -722,8 +755,8 @@ class TestSettingsTable:
                              "objective", "upsilon", "epsilon", "beta", "delta", "max_iter",
                              "step", "preconditioner", "out", "oracle_check"]),
             "analyze": (["--coords", coords, "--k", "3", "--snapshots", "4"],
-                        ["coords", "k", "laplacian", "regime", "seed", "snapshots", "upsilon",
-                         "beta", "epsilon_grid", "beta_grid", "step", "out"]),
+                        ["coords", "k", "laplacian", "regime", "density", "seed", "snapshots",
+                         "upsilon", "beta", "epsilon_grid", "beta_grid", "step", "out"]),
             "benchmark": (["--plan", str(plan), "--coords", coords, "--signal", signal,
                            "--k", "3"],
                           ["plan", "coords", "signal", "k", "laplacian", "jobs", "out",
@@ -940,6 +973,15 @@ class TestRunLifecycle:
                      "--snapshots", "6", "--beta-grid", "1,nan",
                      "--out", str(tmp_path / "run")]) == 1
         assert "finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.1,nan", "0,-0.1", ","])
+    def test_bad_epsilon_grid_fails_before_the_eigensolves(self, synth_dir, tmp_path, capsys,
+                                                           monkeypatch, grid):
+        monkeypatch.setattr(tvgsr.cli, "weyl_sweep", lambda *args: pytest.fail("eigensolved"))
+        assert main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--epsilon-grid", grid,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "--epsilon-grid values must be finite and >= 0" in capsys.readouterr().err
 
     def test_missing_out_is_one_usage_error_for_every_command(self, capsys):
         for command in tvgsr.cli.COMMANDS:

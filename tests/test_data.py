@@ -119,14 +119,11 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             tvgsr.load_dataset(tmp_path / "c.csv", tmp_path / "s.csv")
 
-    def test_nonfinite_reject_and_zero_policies(self, tmp_path):
+    def test_nonfinite_entries_are_rejected_with_their_indices(self, tmp_path):
         textio.write_coordinates(tmp_path / "c.csv", np.zeros((2, 2)))
         (tmp_path / "s.csv").write_text("1.0,nan\n3.0,4.0\n")
-        with pytest.raises(InputError, match="non-finite"):
+        with pytest.raises(InputError, match=r"1 non-finite entries at .* \[\(0, 1\)\]"):
             tvgsr.load_dataset(tmp_path / "c.csv", tmp_path / "s.csv")
-        dataset = tvgsr.load_dataset(tmp_path / "c.csv", tmp_path / "s.csv",
-                                     nonfinite="zero")
-        assert dataset.signal[0, 1] == 0.0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
