@@ -1,7 +1,9 @@
 """Delimited-text serialization for coordinates, signals, masks, tables, and manifests.
 
 All numeric output uses 17 significant digits so that values round-trip
-losslessly through text. Fields are separated by commas.
+losslessly through text. Fields are separated by commas. :func:`write_matrix`
+renders each value that ``'%.17g'`` writes without an exponent in numpy, with
+``'%.17g'``'s bytes, and every other value one at a time.
 """
 
 from __future__ import annotations
@@ -35,13 +37,91 @@ def _is_numeric_row(tokens) -> bool:
     return True
 
 
+# --- write_matrix: '%.17g' in numpy -----------------------------------------------
+# '%.17g' writes a value in [1e-4, 1e17) as the 17 digits of d * 10**(e - 16), without an
+# exponent. Its text fills a 40-byte slot of five little-endian words, NUL where no character
+# goes: sign, "0.000" prefix and leading digit in word 0, then a digit every other byte, so
+# the NUL after digit i (byte 7 + 2i) can hold the point.
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a float64 into two 26-bit halves
+_TEN = np.array([float(f"1e{k}") for k in range(-4, 21)])  # each the least double >= 10**k
+_TEN_HI = _SPLIT * _TEN - (_SPLIT * _TEN - _TEN)
+_TEN_LO = _TEN - _TEN_HI
+_Q = np.arange(10000)
+_GROUP = sum((48 + _Q // 10 ** (3 - i) % 10) << (16 * i) for i in range(4)).astype("<u8")
+_TRAIL = sum(_Q % 10 ** i == 0 for i in range(1, 5))  # trailing zeros of a 4-digit group
+
+
+def _words(chunks, n):  # byte strings, NUL-padded, as rows of n little-endian words
+    return np.frombuffer(b"".join(c.ljust(8 * n, b"\0") for c in chunks), "<u8").reshape(-1, n)
+
+
+# by (sign, e + 4, leading digit); a "0.000" prefix holds its point
+_HEAD = _words(((sign + ("0.000"[:1 - e] if e < 0 else "").ljust(5, "\0") + str(lead)).encode()
+                for sign in "\0-" for e in range(-4, 17) for lead in range(10)), 1)[:, 0]
+_POINT = _words((b"\0" * (7 + 2 * e) + b"." if 0 <= e < 16 else b"" for e in range(-4, 17)), 5)
+_KEEP = _words((b"\xff" * (5 + 2 * n) for n in range(18)), 5)  # the slot of the first n digits
+
+
+def _decimal(a):
+    """'%.17g's digits d (17, rounded half-even) and exponent e of each a in [1e-4, 1e17)."""
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    e += a >= _TEN.take(e + 5)  # log10 may round across a power of ten
+    e -= a < _TEN.take(e + 4)
+    ten, hi, lo = _TEN.take(20 - e), _TEN_HI.take(20 - e), _TEN_LO.take(20 - e)  # 10**(16 - e)
+    ah = _SPLIT * a - (_SPLIT * a - a)  # Veltkamp's halves: a == ah + al
+    al = a - ah
+    p = a * ten  # p + err == a * ten exactly (Dekker); p >= 1e16 is an even integer
+    err = ((ah * hi - p) + ah * lo + al * hi) + al * lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), e
+
+
+def _render(flat, seps):
+    """The text of a block of whole rows; ``seps[j]`` follows each value of column j."""
+    a = np.abs(flat)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    sel = np.flatnonzero(fixed)
+    d, e = _decimal(a[sel])
+    hi = d // 10 ** 8
+    lead = hi // 10 ** 8
+    g = np.empty((4, sel.size), np.intp)  # the four 4-digit groups after the leading digit
+    g[1] = hi - lead * 10 ** 8
+    g[3] = d - hi * 10 ** 8
+    g[0::2] = g[1::2] // 10 ** 4
+    g[1::2] -= g[0::2] * 10 ** 4
+    zeros = _TRAIL.take(g[3])
+    r = np.flatnonzero(zeros == 4)
+    for j in (2, 1, 0):  # a group of zeros: count on into the group before it
+        r = r[zeros[r] == 4 * (3 - j)]
+        zeros[r] += _TRAIL.take(g[j, r])
+    words = np.empty((sel.size, 5), "<u8")
+    words[:, 0] = _HEAD.take((np.signbit(flat[sel]) * 21 + e + 4) * 10 + lead)
+    words[:, 1:] = _GROUP.take(g).T
+    words |= _POINT.take(e + 4, axis=0)
+    words &= _KEEP.take(np.maximum(17 - zeros, e + 1), axis=0)  # integer digits stay
+    if sel.size < flat.size:  # zeros, and values format_float writes
+        words, fixed_words = np.zeros((flat.size, 5), "<u8"), words
+        words[:, 0] = _HEAD.take(np.signbit(flat) * 210 + 40)  # "0" and "-0"
+        words[sel] = fixed_words
+    other = np.flatnonzero(~fixed & (a != 0))
+    text = "".join(format_float(v).ljust(39, "\0") for v in flat[other].tolist())
+    slots = words.view(np.uint8)
+    slots[other, :-1] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 39)
+    slots.reshape(-1, seps.size, 40)[:, :, -1] = seps
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def write_matrix(path, matrix):
-    """Write a 2-D array, one row per line."""
+    """Write a 2-D array, one row per line, each value as :func:`format_float` writes it."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    # one %-format per row gives format_float's bytes for every value
-    row_format = DELIMITER.join(["%.17g"] * matrix.shape[1]) + "\n"
+    rows, cols = matrix.shape
+    seps = np.frombuffer((DELIMITER * (cols - 1) + "\n").encode("ascii"), np.uint8)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(row_format % tuple(row.tolist()) for row in matrix)
+        if cols == 0:
+            fh.write("\n" * rows)
+            return
+        step = max(1, 4096 // cols)  # blocks of about 4096 values keep the temporaries in cache
+        for r in range(0, rows, step):
+            fh.write(_render(matrix[r:r + step].ravel(), seps))
 
 
 def read_matrix(path) -> np.ndarray:

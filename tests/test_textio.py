@@ -1,5 +1,10 @@
+from decimal import Decimal
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgsr import InputError, ParseError, textio
 
@@ -56,6 +61,74 @@ class TestMatrixRoundTrip:
         assert path.read_text() == "".join(
             delimiter.join(textio.format_float(v) for v in row) + "\n"
             for row in (matrix > 0).astype(float))
+
+
+def _per_value(matrix):
+    """The bytes of ``matrix`` written one :func:`textio.format_float` at a time."""
+    return "".join(",".join(textio.format_float(v) for v in row) + "\n"
+                   for row in matrix).encode("utf-8")
+
+
+def _edge_values():
+    """Powers of ten and their float neighbours, 18th-digit ties, integers, and specials."""
+    powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+    around = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    ints = np.random.default_rng(5).integers(10 ** 15, 2 ** 51, size=200).astype(float)
+    ties = np.concatenate([ints + 0.25, ints + 0.75])  # 16 integer digits: 17 digits end on a tie
+    assert np.array_equal(ties - np.tile(ints, 2), np.repeat([0.25, 0.75], ints.size))  # exact
+    values = np.concatenate([around, ties, ints, np.arange(1001.0), [5e-324, 0.1, 1 / 3, 0.0]])
+    return np.concatenate([values, -values, [np.nan, np.inf, -np.inf]])
+
+
+_BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+
+
+class TestWriteMatrixFormatting:
+    """``write_matrix`` renders most values in numpy; its bytes are still ``'%.17g'``'s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                           max_side=12),
+                             elements=st.one_of(_BITS, st.floats(), st.floats(-1e17, 1e17))))
+    def test_bytes_equal_per_value_format_float(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("w") / "m.csv"
+        textio.write_matrix(path, matrix)
+        assert path.read_bytes() == _per_value(matrix)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (1, 1), (3, 40000), (265, 302)])
+    def test_edge_values_in_every_shape(self, tmp_path, shape):
+        rng = np.random.default_rng(11)
+        pool = np.concatenate([
+            _edge_values(),
+            rng.normal(size=2000) * 10.0 ** rng.uniform(-6, 18, size=2000),
+            rng.integers(0, 2 ** 64, size=500, dtype=np.uint64).view(np.float64),
+        ])
+        matrix = rng.choice(pool, size=shape)
+        matrix.flat[: min(matrix.size, pool.size)] = pool[: matrix.size]
+        textio.write_matrix(tmp_path / "m.csv", matrix)
+        assert (tmp_path / "m.csv").read_bytes() == _per_value(matrix)
+
+    @pytest.mark.parametrize("miss", [-1, 1])
+    def test_a_log10_one_off_is_corrected(self, tmp_path, monkeypatch, miss):
+        """The decimal exponent starts from log10, which a libm may round across 10**k."""
+        matrix = _edge_values()[None, :]
+
+        def log10(a):  # the exact exponent, off by ``miss``
+            return np.array([Decimal(v).adjusted() for v in a.tolist()], float) + miss
+
+        monkeypatch.setattr(np, "log10", log10)
+        textio.write_matrix(tmp_path / "m.csv", matrix)
+        monkeypatch.undo()
+        assert (tmp_path / "m.csv").read_bytes() == _per_value(matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                             elements=st.one_of(_BITS.filter(np.isfinite),
+                                                st.floats(allow_nan=False, allow_infinity=False))))
+    def test_read_gives_back_every_bit(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("r") / "m.csv"
+        textio.write_matrix(path, matrix)
+        assert textio.read_matrix(path).view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
 
 
 _PARITY_CASES = {
