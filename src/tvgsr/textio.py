@@ -3,14 +3,18 @@
 All numeric output uses 17 significant digits so that values round-trip
 losslessly through text. Fields are separated by commas. :func:`write_matrix`
 renders each value that ``'%.17g'`` writes without an exponent in numpy, with
-``'%.17g'``'s bytes, and every other value one at a time.
+``'%.17g'``'s bytes, and every other value one at a time. :func:`read_matrix`
+reads a file once as bytes and converts each plain decimal token in numpy,
+with the bits ``float()`` gives it, and every other token one at a time.
+Every reader takes UTF-8 text; any other byte is a :class:`ParseError`
+naming its line.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
-import warnings
 
 import numpy as np
 
@@ -124,50 +128,231 @@ def write_matrix(path, matrix):
             fh.write(_render(matrix[r:r + step].ravel(), seps))
 
 
+# --- read_matrix: float()'s bits in numpy -----------------------------------------------
+# A token -?digits[.digits] (or .digits, digits.) of at most 24 digits whose digits, read as an
+# integer S, are below 10**18, with k <= 22 of them after the point, reads as the double nearest
+# S / 10**k; 10**k is exact for k <= 22. Its digits, right-aligned in a 24-byte window, read as
+# six little-endian 4-digit words, so no array shift reaches 32 bits.
+_BLOCK = 1 << 17  # bytes of whole lines per block: the temporaries stay in cache
+_NOT_DIGIT_OR_SEP = bytes(sorted(set(range(256)) - set(b"0123456789,\n")))
+_EXACT = np.array([float(f"1e{k}") for k in range(23)])
+_EXACT_HI = _SPLIT * _EXACT - (_SPLIT * _EXACT - _EXACT)
+_EXACT_LO = _EXACT - _EXACT_HI
+_DIGIT_MASK = _words((b"\0" * (24 - n) + b"\x0f" * n for n in range(25)), 3).view("<u4")
+
+
+def _quotient(s, k):
+    """The double nearest each ``s / 10**k``, and whether it lies too near a tie to tell.
+
+    ``s`` (int64, below 10**18) is ``x + lo`` with x its nearest double. Dekker's error-free
+    product gives ``q * 10**k == p + err`` for q = fl(x / 10**k), so ``(x - p) - err + lo`` is
+    the remainder s - q 10**k, and ``c = fl(q + t)``, t the remainder over 10**k, is within
+    about 2**-103 c of s / 10**k. A c whose error ``(q - c) + t`` lies within 2**-98 c of half
+    the gap to either neighbour (below a power of two that gap is halved) is flagged. The
+    arithmetic runs in place: a fresh temporary costs more than the operation.
+    """
+    x = s.astype(float)
+    lo = x.astype(np.int64)
+    np.subtract(s, lo, out=lo)  # s - x, exact
+    ten, ten_hi, ten_lo = (t.take(k, mode="clip") for t in (_EXACT, _EXACT_HI, _EXACT_LO))
+    q = x / ten
+    p = q * ten
+    hi = q * _SPLIT  # Veltkamp's halves: q == hi + low
+    low = hi - q
+    hi -= low
+    np.subtract(q, hi, out=low)
+    err = hi * ten_hi
+    err -= p
+    hi *= ten_lo
+    err += hi
+    ten_hi *= low
+    err += ten_hi
+    low *= ten_lo
+    err += low  # q * 10**k == p + err
+    x -= p
+    x -= err
+    x += lo
+    x /= ten  # t
+    c = q + x
+    q -= c
+    q += x
+    np.abs(q, out=q)  # c's error
+    half = (c.view(np.uint64) & 0x7FF0000000000000).view(float)
+    half *= 2.0 ** -53  # half the gap above c (c is 0 or at least 1e-22)
+    np.multiply(c, 2.0 ** -98, out=p)
+    np.subtract(q, half, out=err)
+    np.abs(err, out=err)
+    tie = err < p
+    half *= 0.5
+    q -= half
+    np.abs(q, out=q)
+    tie |= q < p
+    return c, tie
+
+
+def _float_tokens(block, starts, ends):
+    """float() of each token ``block[start:end]``, one at a time."""
+    return [float(block[a:b].decode("ascii")) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _read_block(block, cols):
+    """The values of ``block``, ASCII lines of ``cols`` comma-separated tokens, each with the
+    bits float() gives it; None for any other line or a token that float() rejects."""
+    a = np.frombuffer(block, np.uint8)
+    at = np.flatnonzero(a - np.uint8(48) > 9)  # every byte that is not a digit
+    ch = a[at]
+    is_sep = (ch == 44) | (ch == 10)
+    seps = np.flatnonzero(is_sep)  # a token ends at each
+    n = seps.size
+    lf = ch[seps] == 10
+    if n % cols or not lf[cols - 1::cols].all() or np.count_nonzero(lf) != n // cols:
+        return None
+    ends = at[seps]
+    length = np.diff(ends, prepend=-1)  # 1 + each token's length
+    other = np.diff(seps, prepend=-1)  # 1 + the count of its bytes that are not digits
+    values = a[ends - 1] - 48.0  # the value of a token of one digit
+    rest = np.flatnonzero((length != 2) | (other != 1))
+    if not rest.size:
+        return values
+    pick = slice(None) if rest.size == n else rest
+    ends, seps, length = ends[pick], seps[pick], length[pick]
+    n_digits = length - other[pick]
+    starts = ends - length
+    starts += 1
+    neg = a[starts] == 45
+    # In a token of digits, a '-' at its start and at most one '.', the byte before its end
+    # that is not a digit is its point, if it has one. (The block's last byte, a line end,
+    # stands before the first token.)
+    point = ch[seps - 1] == 46
+    k = ends - at[seps - 1]
+    k -= 1
+    k *= point
+    slow = (n_digits == 0) | (n_digits > 24) | (k > 22)  # tokens for float(), one at a time
+    n_minus, n_point = np.count_nonzero(ch == 45), np.count_nonzero(ch == 46)
+    if (n + n_minus + n_point != ch.size or np.count_nonzero(neg) != n_minus
+            or np.count_nonzero(point) != n_point):  # a token of another form
+        minus = at[ch == 45]
+        odd = np.concatenate([
+            at[~is_sep & (ch - np.uint8(45) > 1)],  # a byte but a digit, ',', '\n', '-' or '.'
+            minus[(a[minus - 1] != 44) & (a[minus - 1] != 10)],  # a '-' after a token's start
+            at[1:][(ch[1:] == 46) & (ch[:-1] == 46)],  # a second point
+        ])
+        slow[np.searchsorted(ends, odd)] = True
+    # Once the bytes that are neither digits nor separators are gone, token j ends at
+    # ends[j] - seps[j] + j: a window of 24 bytes ends there.
+    digits = b"\0" * 24 + block.translate(None, _NOT_DIGIT_OR_SEP)
+    windows = np.ndarray((len(digits) - 23,), "V24", digits, strides=(1,))
+    g = windows[ends - seps + rest].view("<u4").reshape(-1, 6)
+    g &= _DIGIT_MASK.take(n_digits, axis=0, mode="clip")  # each digit's value, 0 left of it
+    g *= 1 + (10 << 8)
+    g >>= 8
+    g &= 0x00FF00FF  # two-digit numbers in bytes 0 and 2
+    g *= 1 + (100 << 16)
+    g >>= 16  # four-digit numbers in the low halves of the <u8 words
+    g8 = g.view("<u8")
+    g8 *= 1 + (10 ** 4 << 32)
+    d = g.reshape(-1, 3, 2)[:, :, 1]  # eight-digit numbers, in the high halves
+    s = d[:, 0].astype(np.int64)
+    s *= 10 ** 8
+    s += d[:, 1]
+    s *= 10 ** 8
+    s += d[:, 2]
+    c, tie = _quotient(s, k)
+    np.negative(c, out=c, where=neg)
+    values[pick] = c
+    slow |= tie
+    slow |= d[:, 0] > 99  # 10**18 or more: s wrapped
+    if slow.any():
+        try:
+            values[rest[slow]] = _float_tokens(block, starts[slow], ends[slow])
+        except ValueError:
+            return None
+    return values
+
+
+def _read_lines(data, start):
+    """The matrix of ``data[start:]``, ASCII lines of equal counts of numbers; None otherwise."""
+    body = data[start:]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if not body.isascii():
+        return None
+    cols = body.count(b",", 0, body.index(b"\n")) + 1
+    out = np.empty(np.count_nonzero(np.frombuffer(body, np.uint8) == 10) * cols)
+    pos = done = 0
+    while pos < len(body):
+        end = body.find(b"\n", pos + _BLOCK) + 1 or len(body)
+        values = _read_block(body[pos:end], cols)
+        if values is None or done + values.size > out.size:
+            return None
+        out[done:done + values.size] = values
+        pos, done = end, done + values.size
+    return out.reshape(-1, cols) if done == out.size else None
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a numeric matrix; a leading non-numeric row is treated as a header.
 
-    Blank lines are skipped and tokens may carry surrounding whitespace.
-    numpy's parser reads a file it accepts; any other file is read token by
-    token, which names the first line and column that is not a number.
+    Blank lines are skipped and tokens may carry surrounding whitespace. A file
+    of equal-width ASCII lines is read in numpy with float()'s bits per token;
+    any other file is read token by token, which names the first line and
+    column that is not a number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    header = bool(first.strip()) and not _is_numeric_row(_split(first))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:  # a lone CR ends a line too
+            return _read_matrix_tokens(path)
+    start = data.find(b"\n") + 1 or len(data)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # a file without data rows only warns
-            return np.loadtxt(path, delimiter=DELIMITER, comments=None, ndmin=2,
-                              skiprows=int(header), encoding="utf-8")
-    except (ValueError, UserWarning):
+        first = data[:start].decode("utf-8")
+    except UnicodeDecodeError:
         return _read_matrix_tokens(path)
+    header = bool(first.strip()) and not _is_numeric_row(_split(first))
+    matrix = _read_lines(data, start if header else 0)
+    return _read_matrix_tokens(path) if matrix is None else matrix
+
+
+def _lines(path):
+    """The lines of a UTF-8 text file as ``open(path)`` gives them; a byte that is not
+    UTF-8 is a :class:`ParseError` naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read()
+        line = before.count("\n") + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+                         ) from None
+    return io.StringIO(text, newline=None)
 
 
 def _read_matrix_tokens(path) -> np.ndarray:
     """:func:`read_matrix` one token at a time, naming the first line and column it rejects."""
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = _split(line)
-            if lineno == 1 and not _is_numeric_row(tokens):
-                continue  # auto-detected header
-            try:
-                values = [float(tok) for tok in tokens]
-            except ValueError as exc:
-                bad = next(i for i, t in enumerate(tokens) if not _is_numeric_row([t]))
-                raise ParseError(
-                    f"{path}: line {lineno}, column {bad + 1}: not a number: {tokens[bad]!r}"
-                ) from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
-                )
-            rows.append(values)
+    for lineno, line in enumerate(_lines(path), start=1):
+        if not line.strip():
+            continue
+        tokens = _split(line)
+        if lineno == 1 and not _is_numeric_row(tokens):
+            continue  # auto-detected header
+        try:
+            values = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            bad = next(i for i, t in enumerate(tokens) if not _is_numeric_row([t]))
+            raise ParseError(
+                f"{path}: line {lineno}, column {bad + 1}: not a number: {tokens[bad]!r}"
+            ) from exc
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -190,8 +375,7 @@ def read_coordinates(path):
     """
     ids = []
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
+    lines = [ln for ln in _lines(path) if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty coordinate file")
     header = _split(lines[0])
@@ -293,13 +477,12 @@ def read_keyvalues(path) -> dict:
     if not os.path.exists(path):
         raise ParseError(f"{path}: no such file")
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = _COMMENT.split(line, 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ParseError(f"{path}: line {lineno}: expected key=value, got {line.rstrip()!r}")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(_lines(path), start=1):
+        stripped = _COMMENT.split(line, 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}: line {lineno}: expected key=value, got {line.rstrip()!r}")
+        key, value = stripped.split("=", 1)
+        out[key.strip()] = value.strip()
     return out

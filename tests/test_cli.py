@@ -76,6 +76,25 @@ class TestBuildGraph:
         assert main(["build-graph", "--coords", coords_path]) == 1
 
 
+class TestNotUtf8:
+    """A text input holding a byte that is not UTF-8 is a parse error (exit 2) naming its line."""
+
+    @pytest.mark.parametrize("reader", ["signal", "coords", "plan"])
+    def test_exit_2_names_the_line(self, toy_files, tmp_path, capsys, reader):
+        coords_path, signal_path = toy_files
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5\nrepetitions=1\nmethods=tgsr\n")
+        paths = {"signal": signal_path, "coords": coords_path, "plan": str(plan_path)}
+        lines = Path(paths[reader]).read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        Path(paths[reader]).write_bytes(b"\n".join(lines))
+        code = main(["benchmark", "--plan", str(plan_path), "--coords", coords_path,
+                     "--signal", signal_path, "--k", "1", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"tvgsr: parse error: {paths[reader]}: line 3: not UTF-8 text (byte 0xff)\n")
+
+
 class TestSynth:
     def test_default_node_count_shape(self, tmp_path):
         out = tmp_path / "s"

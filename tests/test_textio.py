@@ -131,11 +131,141 @@ class TestWriteMatrixFormatting:
         assert textio.read_matrix(path).view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
 
 
+def _bits(matrix):
+    return np.asarray(matrix, dtype=float).view(np.uint64).tolist()
+
+
+def _per_token(path):
+    """float() of each token of a comma-separated file, one at a time."""
+    return np.array([[float(tok) for tok in line.split(",")]
+                     for line in path.read_text().splitlines()])
+
+
+def _write_tokens(path, tokens):
+    """Write a 2-D list of token strings as comma-separated lines; return float() of each."""
+    path.write_text("".join(",".join(row) + "\n" for row in tokens))
+    return np.array([[float(tok) for tok in row] for row in tokens])
+
+
+def _format(values, fmt):
+    return [repr(v) if fmt == "repr" else fmt % v for v in np.asarray(values, float).tolist()]
+
+
+_FORMATS = ["repr", "%.17g", "%.6f", "%.20g", "%.3e"]
+
+
+def _ties():
+    """Decimals of 19 digits or fewer that lie halfway between two doubles, and their negatives."""
+    ties = ["2251799813685248.25", "2251799813685248.75", "4503599627370496.5",
+            "18014398509481986.0", "9007199254740993"]
+    rng = np.random.default_rng(21)
+    for lo, hi, frac in ((2 ** 51, 2 ** 52, [".25", ".75"]), (2 ** 52, 2 ** 53, [".5"])):
+        ints = rng.integers(lo, hi, size=40).tolist()
+        ties += [f"{i}{f}" for i in ints for f in frac]
+    ties += [str(2 * i + 1) for i in rng.integers(2 ** 52, 2 ** 53, size=40).tolist()]
+    return ties + ["-" + t for t in ties]
+
+
+def _edge_tokens():
+    """Tokens at the reader's limits: ties, 18-20 significant digits, 22-23 fraction digits,
+    random decimals of up to 26 digits, leading zeros, signed zeros, a bare point at either
+    end, exponents and specials."""
+    rng = np.random.default_rng(23)
+    digits = lambda n: "".join(map(str, rng.integers(0, 10, size=n).tolist()))  # noqa: E731
+    tokens = _ties()
+    for n in (18, 19, 20):  # significant digits, the point anywhere
+        for _ in range(60):
+            text = str(rng.integers(1, 10)) + digits(n - 1)
+            point = int(rng.integers(0, n + 1))
+            tokens.append(text[:point] + "." + text[point:])
+    for k in (22, 23):  # fraction digits
+        tokens += [f"{int(rng.integers(0, 10 ** 4))}.{digits(k)}" for _ in range(20)]
+    for n in rng.integers(1, 27, size=3000).tolist():  # up to 26 digits, the point anywhere
+        text, point = digits(n), int(rng.integers(0, n + 1))
+        tokens.append(("-" if rng.random() < 0.5 else "") + text[:point] + "." + text[point:])
+    tokens += ["0.00012345678901234567", "0000000000000000000000001", "000.000000000000000000001",
+               "-0", "-0.0", "0", "0.0", "5.", ".5", "-5.", "-.5", "0.", ".0", "1e-05", "2E+3",
+               "+1.5", "nan", "-inf", "1" + "0" * 24, "99999999999999999.9", "999999999999999999"]
+    return tokens
+
+
+class TestReadMatrixBits:
+    """``read_matrix`` gives every token the bits of ``float(token)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                             elements=st.one_of(_BITS, st.floats())),
+           fmt=st.sampled_from(["write_matrix"] + _FORMATS))
+    def test_bits_equal_per_token_float(self, tmp_path_factory, matrix, fmt):
+        path = tmp_path_factory.mktemp("b") / "m.csv"
+        if fmt == "write_matrix":
+            textio.write_matrix(path, matrix)
+        else:
+            _write_tokens(path, [_format(row, fmt) for row in matrix])
+        assert _bits(textio.read_matrix(path)) == _bits(_per_token(path))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 40000), (265, 302)])
+    def test_edge_tokens_in_every_shape(self, tmp_path, shape):
+        """(3, 40000) has rows wider than a block; (265, 302) crosses block boundaries."""
+        rng = np.random.default_rng(29)
+        values = np.concatenate([
+            _edge_values(),
+            rng.normal(size=2000) * 10.0 ** rng.uniform(-6, 18, size=2000),
+            rng.integers(0, 2 ** 64, size=500, dtype=np.uint64).view(np.float64),
+        ])
+        pool = _edge_tokens() + [tok for fmt in _FORMATS for tok in _format(values, fmt)]
+        tokens = [pool[i % len(pool)] for i in range(shape[0] * shape[1])]
+        if len(tokens) < len(pool):
+            tokens = rng.choice(pool, size=len(tokens)).tolist()
+        rng.shuffle(tokens)
+        want = _write_tokens(tmp_path / "m.csv",
+                             [tokens[r * shape[1]:(r + 1) * shape[1]] for r in range(shape[0])])
+        assert _bits(textio.read_matrix(tmp_path / "m.csv")) == _bits(want)
+
+
+def _count_float_tokens(monkeypatch):
+    """Record each token that :func:`read_matrix` hands to float() one at a time."""
+    sent = []
+    per_token = textio._float_tokens
+
+    def record(block, starts, ends):
+        sent.extend(block[a:b] for a, b in zip(starts.tolist(), ends.tolist()))
+        return per_token(block, starts, ends)
+
+    monkeypatch.setattr(textio, "_float_tokens", record)
+    return sent
+
+
+def test_fixed_notation_values_send_no_token_to_float(tmp_path, monkeypatch):
+    """Every value that write_matrix writes without an exponent reads in numpy."""
+    rng = np.random.default_rng(37)
+    values = np.concatenate([
+        rng.uniform(1e-4, 1e-3, size=3000), 10.0 ** rng.uniform(-4, 17, size=20000),
+        np.nextafter(1e17, 0.0) * rng.uniform(0.5, 1.0, size=996), [0.0, -0.0, 1.0, 1e-4],
+    ])
+    matrix = (values * np.where(rng.random(values.size) < 0.5, -1.0, 1.0)).reshape(-1, 8)
+    textio.write_matrix(tmp_path / "m.csv", matrix)
+    sent = _count_float_tokens(monkeypatch)
+    assert _bits(textio.read_matrix(tmp_path / "m.csv")) == _bits(matrix)
+    assert sent == []
+
+
+def test_ties_are_settled_by_float(tmp_path, monkeypatch):
+    """A decimal halfway between two doubles is flagged and read by float()."""
+    ties = _ties()
+    want = _write_tokens(tmp_path / "m.csv", [[tie] for tie in ties])
+    sent = _count_float_tokens(monkeypatch)
+    assert _bits(textio.read_matrix(tmp_path / "m.csv")) == _bits(want)
+    assert sorted(sent) == sorted(tie.encode() for tie in ties)
+
+
 _PARITY_CASES = {
     "blank lines": "1,2\n\n3,4\n\n",
     "whitespace-only lines": "1,2\n   \n\t\n3,4\n",
     "blank first line": "\na,b\n1,2\n",
     "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "lone cr": "1,2\r3,4\r",
+    "lone cr in the header": "a\rb,c\n1,2\n",
     "padded tokens": " 1.5 ,2\n3, 1.5 \n",
     "nan and inf": "nan,inf\n-inf,-nan\nNaN,Infinity\n",
     "underscore": "1_0,2\n3,4\n",
@@ -150,6 +280,15 @@ _PARITY_CASES = {
     "no final newline": "1,2\n3,4",
     "single column": "v\n1\n2\n",
     "late header": "1,2\na,b\n",
+    "exponents": "1e-05,2E+3\n",
+    "plus sign": "+1.5,2\n",
+    "bare points": ".5,5.\n",
+    "signed zeros": "-0,-0.0\n",
+    "lone minus": "-,1\n",
+    "two points": "1..2,3\n",
+    "inner minus": "1-2,3\n",
+    "arabic-indic digit": "\u0661,2\n",
+    "25 digits": "1234567890123456789012345,2\n",
 }
 
 
