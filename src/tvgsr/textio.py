@@ -47,7 +47,7 @@ def _is_numeric_row(tokens) -> bool:
 # goes: sign, "0.000" prefix and leading digit in word 0, then a digit every other byte, so
 # the NUL after digit i (byte 7 + 2i) can hold the point.
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a float64 into two 26-bit halves
-_TEN = np.array([float(f"1e{k}") for k in range(-4, 21)])  # each the least double >= 10**k
+_TEN = np.array([float(f"1e{k}") for k in range(-4, 23)])  # least double >= 10**k; exact if k >= 0
 _TEN_HI = _SPLIT * _TEN - (_SPLIT * _TEN - _TEN)
 _TEN_LO = _TEN - _TEN_HI
 _Q = np.arange(10000)
@@ -135,9 +135,6 @@ def write_matrix(path, matrix):
 # six little-endian 4-digit words, so no array shift reaches 32 bits.
 _BLOCK = 1 << 17  # bytes of whole lines per block: the temporaries stay in cache
 _NOT_DIGIT_OR_SEP = bytes(sorted(set(range(256)) - set(b"0123456789,\n")))
-_EXACT = np.array([float(f"1e{k}") for k in range(23)])
-_EXACT_HI = _SPLIT * _EXACT - (_SPLIT * _EXACT - _EXACT)
-_EXACT_LO = _EXACT - _EXACT_HI
 _DIGIT_MASK = _words((b"\0" * (24 - n) + b"\x0f" * n for n in range(25)), 3).view("<u4")
 
 
@@ -154,7 +151,7 @@ def _quotient(s, k):
     x = s.astype(float)
     lo = x.astype(np.int64)
     np.subtract(s, lo, out=lo)  # s - x, exact
-    ten, ten_hi, ten_lo = (t.take(k, mode="clip") for t in (_EXACT, _EXACT_HI, _EXACT_LO))
+    ten, ten_hi, ten_lo = (t[4:].take(k, mode="clip") for t in (_TEN, _TEN_HI, _TEN_LO))
     q = x / ten
     p = q * ten
     hi = q * _SPLIT  # Veltkamp's halves: q == hi + low
@@ -323,9 +320,8 @@ def _lines(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read()
-        line = before.count("\n") + 1
-        raise ParseError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
-                         ) from None
+        line, byte = before.count("\n") + 1, data[exc.start]
+        raise ParseError(f"{path}: line {line}: not UTF-8 text (byte 0x{byte:02x})") from None
     return io.StringIO(text, newline=None)
 
 
