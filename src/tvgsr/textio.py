@@ -279,12 +279,12 @@ def _read_lines(data, start):
     pos = done = 0
     while pos < len(body):
         end = body.find(b"\n", pos + _BLOCK) + 1 or len(body)
-        values = _read_block(body[pos:end], cols)
-        if values is None or done + values.size > out.size:
+        values = _read_block(body[pos:end], cols)  # cols values per line, or None
+        if values is None:
             return None
         out[done:done + values.size] = values
         pos, done = end, done + values.size
-    return out.reshape(-1, cols) if done == out.size else None
+    return out.reshape(-1, cols)
 
 
 def read_matrix(path) -> np.ndarray:
