@@ -73,10 +73,8 @@ from .solvers import (
 from .spectral import (
     EigenvalueBounds,
     OracleSolution,
-    SweepPoint,
     WeylReport,
     condition_number,
-    condition_sweep,
     dense_oracle_solve,
     eigenvalue_penalization,
     hessian,

@@ -50,11 +50,11 @@ from .solvers import (
     solve_gr_static,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.solve_gr_static
 )
 from .spectral import (
-    condition_sweep,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.condition_sweep
     dense_oracle_solve,
     eigenvalue_penalization,
     weyl_bounds,  # noqa: F401 - unused here; perfbench traces tvgsr.cli.weyl_bounds
     weyl_sweep,
+    weyl_sweep as condition_sweep,  # noqa: F401 - perfbench traces tvgsr.cli.condition_sweep
 )
 from .temporal import difference_operator
 
@@ -116,6 +116,8 @@ def _output(out_dir):
 
 
 def _build_graph_from_flags(settings):
+    if settings.get("adjacency") and settings["coords"]:
+        raise _UsageError("--coords and --adjacency are alternatives; give one")
     if settings.get("adjacency"):
         weights = textio.read_matrix(settings["adjacency"])
         return Graph(weights, laplacian_kind=settings["laplacian"])

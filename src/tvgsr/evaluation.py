@@ -55,22 +55,17 @@ def mae(x_hat, x_star) -> float:
     return float(np.mean(np.abs(a - b)))
 
 
-def mape(x_hat, x_star, with_count=False):
+def mape(x_hat, x_star) -> float:
     """Mean absolute percentage error, reported as a fraction (not x100).
 
-    Entries with zero ground truth are excluded; pass ``with_count`` to also
-    get the exclusion count. When every entry is excluded the value is NaN.
+    Entries with zero ground truth are excluded. When every entry is
+    excluded the value is NaN.
     """
     a, b = _flat_pair(x_hat, x_star)
     valid = b != 0
-    excluded = int(a.size - int(valid.sum()))
     if not np.any(valid):
-        value = math.nan
-    else:
-        value = float(np.mean(np.abs((b[valid] - a[valid]) / b[valid])))
-    if with_count:
-        return value, excluded
-    return value
+        return math.nan
+    return float(np.mean(np.abs((b[valid] - a[valid]) / b[valid])))
 
 
 def mask_seed(base_seed, regime, level, repetition) -> int:
@@ -185,7 +180,7 @@ def reconstruct(signal, mask, graph, config: SolverConfig) -> SolveResult:
     if result.evaluated_entries:
         estimate, truth = result.x_hat[hidden], np.asarray(signal, dtype=float)[hidden]
         result.rmse, result.mae = rmse(estimate, truth), mae(estimate, truth)
-        result.mape, result.mape_excluded = mape(estimate, truth, with_count=True)
+        result.mape, result.mape_excluded = mape(estimate, truth), int(np.count_nonzero(truth == 0))
     return result
 
 

@@ -339,6 +339,7 @@ def gradient(x_tilde, y, mask, graph, config: SolverConfig) -> np.ndarray:
     return residual + config.upsilon * problem.smoothness_gradient(x_tilde)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop's finiteness checks report overflow
 def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
     """Conjugate-gradient solve of the noisy reconstruction problem.
 
@@ -350,7 +351,10 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
     A singular H (:func:`_null_basis`) draws a warning on the ``tvgsr``
     logger, and the solve returns the minimum-norm minimizer, since J o Y and
     every gradient are orthogonal to null(H). With ``record_iterates`` the
-    result keeps a copy of every iterate (small problems only).
+    result keeps a copy of every iterate (small problems only). numpy's
+    overflow and invalid-value warnings are silenced: a value that overflows
+    reaches a gradient or curvature that is not finite, which raises
+    :class:`NumericError`.
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)
@@ -371,6 +375,7 @@ def solve_cg(y, mask, graph, config: SolverConfig, record_iterates=False) -> Sol
                   entry, record_iterates, precondition)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop's finiteness checks report overflow
 def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False) -> SolveResult:
     """Conjugate-gradient solve of the equality-constrained (noiseless) problem.
 
@@ -383,7 +388,8 @@ def solve_noiseless(y, mask, graph, config: SolverConfig, record_iterates=False)
     gradient and then zeroes the gradient there too. So every direction is
     zero on the samples, and each iterate keeps them bit for bit. The free
     block is singular along null(H); as :func:`solve_cg`, the solve then warns
-    and returns the minimum-norm minimizer.
+    and returns the minimum-norm minimizer, and overflow raises
+    :class:`NumericError` without numpy's warnings.
     """
     entry = time.perf_counter()
     y, mask = _check_problem(y, mask, graph)

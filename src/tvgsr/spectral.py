@@ -18,11 +18,12 @@ its lambda_min is 0. So the extremes hold the (s N + b + 1) x NM band and
 no NM x NM array, and only :func:`hessian` and the oracle, which
 eigendecomposes the buffer in place with LAPACK's ``dsyevd``, build one.
 
-Built on the extremes are checks of the extremes against the additive
-(Weyl) brackets of the shifted-power (Sobolev) and plain Laplacian
+Built on the extremes are :func:`weyl_sweep`'s checks of them against the
+additive (Weyl) brackets of the shifted-power (Sobolev) and plain Laplacian
 objectives, which find the extremes of each distinct Hessian of a sweep
-once, the condition numbers read from those checks, and the dense
-eigendecomposition oracle that solves the stationarity system for tests.
+once and carry each Hessian's condition number (``kappa``) beside its
+brackets, and the dense eigendecomposition oracle that solves the
+stationarity system for tests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -298,23 +298,6 @@ def weyl_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
 def weyl_bounds(graph: Graph, op, upsilon, epsilon, beta, mask) -> WeylReport:
     """:func:`weyl_sweep` at one epsilon: two Hessians' extremes, or one at (0, 1)."""
     return weyl_sweep(graph, op, upsilon, beta, [epsilon], mask)[0]
-
-
-class SweepPoint(NamedTuple):
-    epsilon: float
-    kappa_sobolev: float
-    kappa_laplacian: float
-
-
-def condition_sweep(graph: Graph, op, upsilon, beta, epsilon_grid, mask) -> list:
-    """Condition numbers of both Hessians over a grid of epsilon values.
-
-    A view of :func:`weyl_sweep`, with its checks: each row pairs the
-    Laplacian kappa with the shifted-power kappa of one report, as
-    ``analyze`` writes them to ``condition_sweep.csv``.
-    """
-    return [SweepPoint(r.epsilon, r.sobolev.kappa, r.laplacian.kappa)
-            for r in weyl_sweep(graph, op, upsilon, beta, epsilon_grid, mask)]
 
 
 def eigenvalue_penalization(spec, beta_list) -> np.ndarray:

@@ -79,20 +79,22 @@ class TestBuildGraph:
 class TestNotUtf8:
     """A text input holding a byte that is not UTF-8 is a parse error (exit 2) naming its line."""
 
-    @pytest.mark.parametrize("reader", ["signal", "coords", "plan"])
-    def test_exit_2_names_the_line(self, toy_files, tmp_path, capsys, reader):
+    @pytest.mark.parametrize("reader, line", [("signal", 3), ("coords", 3), ("plan", 3),
+                                              ("signal", 1)],
+                             ids=["signal", "coords", "plan", "signal-line-1"])
+    def test_exit_2_names_the_line(self, toy_files, tmp_path, capsys, reader, line):
         coords_path, signal_path = toy_files
         plan_path = tmp_path / "plan.txt"
         plan_path.write_text("densities=0.5\nrepetitions=1\nmethods=tgsr\n")
         paths = {"signal": signal_path, "coords": coords_path, "plan": str(plan_path)}
         lines = Path(paths[reader]).read_bytes().split(b"\n")
-        lines[2] = b"\xff" + lines[2]
+        lines[line - 1] = b"\xff" + lines[line - 1]
         Path(paths[reader]).write_bytes(b"\n".join(lines))
         code = main(["benchmark", "--plan", str(plan_path), "--coords", coords_path,
                      "--signal", signal_path, "--k", "1", "--out", str(tmp_path / "b")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"tvgsr: parse error: {paths[reader]}: line 3: not UTF-8 text (byte 0xff)\n")
+            f"tvgsr: parse error: {paths[reader]}: line {line}: not UTF-8 text (byte 0xff)\n")
 
 
 class TestSynth:
@@ -258,6 +260,45 @@ class TestReconstruct:
         assert (done.stdout, done.stderr) == ("", "")
         assert read_kv(tmp_path / "r" / "metrics.txt")["termination"] == "converged"
 
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_adjacency_gives_the_coords_bytes(self, synth_dir, tmp_path, kind):
+        common = ["reconstruct", "--signal", str(synth_dir / "signal.csv"), "--laplacian", kind,
+                  "--regime", "random_entry", "--density", "0.5", "--seed", "2"]
+        assert main(common + ["--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                              "--out", str(tmp_path / "c")]) == 0
+        assert main(common + ["--adjacency", str(synth_dir / "adjacency.csv"),
+                              "--out", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "a" / "x_hat.csv").read_bytes() == \
+            (tmp_path / "c" / "x_hat.csv").read_bytes()
+
+    def test_coords_with_adjacency_is_usage_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(["reconstruct", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--adjacency", str(synth_dir / "adjacency.csv"),
+                     "--signal", str(synth_dir / "signal.csv"),
+                     "--regime", "random_entry", "--density", "0.5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "tvgsr: usage error: --coords and --adjacency are alternatives; give one\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["ignore", "error", "always"])
+    def test_overflowing_solve_is_a_numeric_failure(self, synth_dir, tmp_path, capsys, action):
+        # upsilon * (L + eps I) overflows in the operator and the preconditioner; numpy's
+        # warnings are silenced around the solve, whose finiteness check reports it
+        out = tmp_path / "r"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main(["reconstruct", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                         "--signal", str(synth_dir / "signal.csv"), "--regime", "random_entry",
+                         "--density", "0.5", "--seed", "2", "--upsilon", "1e308",
+                         "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "tvgsr: numeric failure: non-finite gradient at iteration 0\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_three_tables_and_trivial_rows(self, synth_dir, tmp_path, monkeypatch):
@@ -395,6 +436,36 @@ class TestAnalyze:
                      "--out", str(tmp_path / "an")])
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["combinatorial", "normalized"])
+    def test_adjacency_writes_the_coords_csvs(self, synth_dir, tmp_path, kind):
+        common = ["analyze", "--laplacian", kind, "--snapshots", "6", "--density", "0.5",
+                  "--seed", "2"]
+        assert main(common + ["--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                              "--out", str(tmp_path / "c")]) == 0
+        assert main(common + ["--adjacency", str(synth_dir / "adjacency.csv"),
+                              "--out", str(tmp_path / "a")]) == 0
+        for name in ("condition_sweep.csv", "weyl_report.csv", "eigenvalue_penalization.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+    def test_coords_with_adjacency_is_usage_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--adjacency", str(synth_dir / "adjacency.csv"), "--snapshots", "6",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "tvgsr: usage error: --coords and --adjacency are alternatives; give one\n"
+        assert not out.exists()
+
+    def test_grid_with_a_word_is_usage_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "an"
+        code = main(["analyze", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
+                     "--snapshots", "6", "--epsilon-grid", "0,abc", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("tvgsr: usage error: expected a comma-separated "
+                                           "list of numbers, got '0,abc'\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("action", ["ignore", "error"])
     def test_overflowing_hessian_is_a_numeric_failure(self, synth_dir, tmp_path, capsys, action):
         # (L + eps I)^1000 overflows; ARPACK used to die on the NaN factor in a traceback, and
@@ -520,6 +591,24 @@ class TestBenchmark:
         assert len(raw) - 1 == 2 * 2 * 2
         aggregate = (out / "aggregate_results.csv").read_text().strip().split("\n")
         assert len(aggregate) - 1 == 2 * 2
+
+    @pytest.mark.parametrize("action", ["ignore", "error", "always"])
+    def test_overflowing_solve_names_its_cell(self, synth_dir, tmp_path, capsys, action):
+        plan_path = tmp_path / "plan.txt"
+        plan_path.write_text("densities=0.5\nrepetitions=1\nmethods=sobolev\nupsilon=1e308\n")
+        out = tmp_path / "bench"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main(["benchmark", "--plan", str(plan_path),
+                         "--coords", str(synth_dir / "coords.csv"),
+                         "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                         "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "tvgsr: numeric failure: method 'sobolev' at level 0.5 repetition 0: "
+            "non-finite gradient at iteration 0\n")
+        assert not out.exists()
 
     def test_rerun_identical_apart_from_timing(self, synth_dir, tmp_path):
         plan_path = tmp_path / "plan.txt"

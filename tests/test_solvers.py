@@ -148,6 +148,20 @@ class TestGradient:
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300)
             assert rel < 1e-5
 
+    def test_gr_static_matches_finite_differences(self):
+        rng = np.random.default_rng(8)
+        for trial in range(5):
+            graph = random_geometric_graph(rng, int(rng.integers(4, 7)), 2)
+            m = int(rng.integers(3, 5))
+            mask = tvgsr.random_entry_mask(graph.n_nodes, m, 0.5, trial).mask
+            x = rng.normal(size=(graph.n_nodes, m))
+            y = mask * rng.normal(size=(graph.n_nodes, m))
+            config = SolverConfig(upsilon=float(rng.uniform(0.2, 3.0)), objective="gr_static")
+            analytic = tvgsr.gradient(x, y, mask, graph, config)
+            numeric = finite_difference_gradient(x, y, mask, graph, config)
+            rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-300)
+            assert rel < 1e-5
+
     def test_vanishes_at_oracle_solution(self):
         rng = np.random.default_rng(5)
         graph = connected_geometric_graph(rng, 6, 2)

@@ -170,43 +170,43 @@ class TestConditionSweep:
         rng = np.random.default_rng(8)
         graph = random_geometric_graph(rng, 6, 2)
         mask = tvgsr.random_entry_mask(6, 4, 0.5, 9).mask
-        rows = tvgsr.condition_sweep(graph, tvgsr.difference_operator(4, 1),
-                                     1.0, 1.0, [0.0], mask)
-        assert rows[0].kappa_sobolev == rows[0].kappa_laplacian
+        reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(4, 1),
+                                   1.0, 1.0, [0.0], mask)
+        assert reports[0].sobolev.kappa == reports[0].laplacian.kappa
 
     def test_moderate_epsilon_improves_conditioning(self):
         # geometric graph with a half-density mask: some epsilon in [1e-2, 1] wins
         rng = np.random.default_rng(10)
         graph = random_geometric_graph(rng, 20, 3)
         mask = uniqueness_mask(rng, 20, 6, density=0.5)
-        rows = tvgsr.condition_sweep(graph, tvgsr.difference_operator(6, 1), 1.0, 1.0,
-                                     [0.01, 0.05, 0.1, 0.5, 1.0], mask)
-        kappa_laplacian = rows[0].kappa_laplacian
-        assert any(row.kappa_sobolev < kappa_laplacian for row in rows)
+        reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(6, 1), 1.0, 1.0,
+                                   [0.01, 0.05, 0.1, 0.5, 1.0], mask)
+        kappa_laplacian = reports[0].laplacian.kappa
+        assert any(r.sobolev.kappa < kappa_laplacian for r in reports)
 
     def test_very_large_epsilon_hurts(self):
         rng = np.random.default_rng(11)
         graph = random_geometric_graph(rng, 15, 3)
         mask = uniqueness_mask(rng, 15, 5, density=0.5)
-        rows = tvgsr.condition_sweep(graph, tvgsr.difference_operator(5, 1), 1.0, 1.0,
-                                     [1e3], mask)
-        assert rows[0].kappa_sobolev > rows[0].kappa_laplacian
+        reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(5, 1), 1.0, 1.0,
+                                   [1e3], mask)
+        assert reports[0].sobolev.kappa > reports[0].laplacian.kappa
 
     def test_blowup_reaches_infinity_flag(self):
         # beta = 2: by epsilon = 1e6 the smallest eigenvalue is negligible
         rng = np.random.default_rng(12)
         graph = random_geometric_graph(rng, 12, 2)
         mask = uniqueness_mask(rng, 12, 5, density=0.5)
-        rows = tvgsr.condition_sweep(graph, tvgsr.difference_operator(5, 1), 1.0, 2.0,
-                                     [1.0, 1e2, 1e4, 1e6], mask)
-        kappas = [row.kappa_sobolev for row in rows]
+        reports = tvgsr.weyl_sweep(graph, tvgsr.difference_operator(5, 1), 1.0, 2.0,
+                                   [1.0, 1e2, 1e4, 1e6], mask)
+        kappas = [r.sobolev.kappa for r in reports]
         assert np.all(np.diff(kappas) > 0)
         assert kappas[-1] == math.inf
 
     def test_empty_grid_rejected(self, path_graph3):
         with pytest.raises(ParameterError):
-            tvgsr.condition_sweep(path_graph3, tvgsr.difference_operator(3, 1), 1.0, 1.0,
-                                  [], np.ones((3, 3)))
+            tvgsr.weyl_sweep(path_graph3, tvgsr.difference_operator(3, 1), 1.0, 1.0,
+                             [], np.ones((3, 3)))
 
     def test_subnormal_upsilon_rejected_before_any_eigensolve(self, capfd):
         # ARPACK's DLASCL complaints about a subnormal Hessian are written to fd 2 directly
@@ -215,8 +215,8 @@ class TestConditionSweep:
         capfd.readouterr()
         with pytest.raises(ParameterError, match=re.escape(
                 "1/upsilon must be finite for bound checks, got upsilon=1e-320")):
-            tvgsr.condition_sweep(graph, tvgsr.difference_operator(6, 1), 1e-320, 1.0,
-                                  [0.0, 0.1], mask)
+            tvgsr.weyl_sweep(graph, tvgsr.difference_operator(6, 1), 1e-320, 1.0,
+                             [0.0, 0.1], mask)
         assert capfd.readouterr().err == ""
 
 
@@ -258,10 +258,11 @@ def per_epsilon_weyl(graph, op, upsilon, epsilon, beta, mask):
         upsilon=float(upsilon), epsilon=float(epsilon), beta=float(beta))
 
 
-def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
-    """In-test copy of the condition sweep with one eigensolve per row plus the Laplacian's.
+def per_epsilon_kappas(graph, op, upsilon, beta, epsilon_grid, mask):
+    """In-test rows (epsilon, kappa_sobolev, kappa_laplacian) of ``analyze``'s condition sweep.
 
-    kappa is read from the extremes divided by upsilon, as ``EigenvalueBounds.kappa`` reads it.
+    One eigensolve per row plus the Laplacian's; kappa is read from the extremes divided by
+    upsilon, as ``EigenvalueBounds.kappa`` reads it.
     """
     def kappa(epsilon, power):
         lam_min, lam_max = per_epsilon_extremes(graph, op, upsilon, epsilon, power, mask)
@@ -269,8 +270,7 @@ def per_epsilon_condition_sweep(graph, op, upsilon, beta, epsilon_grid, mask):
         return math.inf if lam_max <= 0 or lam_min < 1e-12 * lam_max else lam_max / lam_min
 
     kappa_laplacian = kappa(0.0, 1.0)
-    return [tvgsr.SweepPoint(float(e), kappa(float(e), beta), kappa_laplacian)
-            for e in epsilon_grid]
+    return [(float(e), kappa(float(e), beta), kappa_laplacian) for e in epsilon_grid]
 
 
 @pytest.fixture
@@ -300,10 +300,11 @@ class TestWeylSweep:
         mask = uniqueness_mask(rng, 9, 6, density=0.5)
         for upsilon in (1.0, 0.3):
             want = [per_epsilon_weyl(graph, op, upsilon, e, beta, mask) for e in grid]
-            assert tvgsr.weyl_sweep(graph, op, upsilon, beta, grid, mask) == want
+            reports = tvgsr.weyl_sweep(graph, op, upsilon, beta, grid, mask)
+            assert reports == want
             assert [tvgsr.weyl_bounds(graph, op, upsilon, e, beta, mask) for e in grid] == want
-            assert tvgsr.condition_sweep(graph, op, upsilon, beta, grid, mask) == \
-                per_epsilon_condition_sweep(graph, op, upsilon, beta, grid, mask)
+            assert [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in reports] == \
+                per_epsilon_kappas(graph, op, upsilon, beta, grid, mask)
 
     @pytest.mark.parametrize("beta, grid, distinct", [
         (1.0, [0.0, 0.01, 0.1, 0.5, 1.0], 5),  # the (0, 1) row shares the Laplacian's
@@ -319,9 +320,6 @@ class TestWeylSweep:
         reports = tvgsr.weyl_sweep(graph, op, 0.7, beta, grid, mask)
         assert count_eigensolves.count(40) == distinct
         assert [r.epsilon for r in reports] == grid
-        count_eigensolves.clear()
-        tvgsr.condition_sweep(graph, op, 0.7, beta, grid, mask)
-        assert count_eigensolves.count(40) == distinct
 
     def test_laplacian_row_reuses_its_eigensolve(self):
         rng = np.random.default_rng(31)
@@ -344,8 +342,7 @@ class TestWeylSweep:
             with pytest.raises((InputError, ParameterError)) as want:
                 per_epsilon_weyl(graph, op, upsilon, 0.1, 1.0, mask)
             for call in (lambda: tvgsr.weyl_sweep(graph, op, upsilon, 1.0, [0.1], mask),
-                         lambda: tvgsr.weyl_bounds(graph, op, upsilon, 0.1, 1.0, mask),
-                         lambda: tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)):
+                         lambda: tvgsr.weyl_bounds(graph, op, upsilon, 0.1, 1.0, mask)):
                 with pytest.raises(want.type, match=re.escape(str(want.value))):
                     call()
 
@@ -362,7 +359,7 @@ class TestWeylSweep:
             with pytest.raises((InputError, ParameterError)) as want:
                 tvgsr.hessian(mask, graph, op, upsilon, 0.1, 1.0)
             with pytest.raises(want.type, match=re.escape(str(want.value))):
-                tvgsr.condition_sweep(graph, op, upsilon, 1.0, [0.1], mask)
+                tvgsr.weyl_sweep(graph, op, upsilon, 1.0, [0.1], mask)
 
 
 class TestOneBufferAssembly:
@@ -470,8 +467,8 @@ class TestInPlaceEigensolve:
         reference = numpy_extremes(0.1, beta)
         assert np.abs([got[1].sobolev.lambda_min, got[1].sobolev.lambda_max] - reference).max() \
             <= 1e-12 * reference[1]
-        assert tvgsr.condition_sweep(graph, op, 0.3, beta, grid, mask) == \
-            per_epsilon_condition_sweep(graph, op, 0.3, beta, grid, mask)
+        assert [(r.epsilon, r.sobolev.kappa, r.laplacian.kappa) for r in got] == \
+            per_epsilon_kappas(graph, op, 0.3, beta, grid, mask)
 
     def test_unconverged_lanczos_raises_numeric_error(self, monkeypatch):
         graph, op, mask = isolated_node_problem("combinatorial", 1)
@@ -622,10 +619,8 @@ class TestDirectBand:
         mask = np.ones((100, 41))  # one NM x NM array would be 134 MB
         tracemalloc.start()
         try:
-            for call in (lambda: tvgsr.condition_sweep(graph, op, 1.0, 1.5, [0.1], mask),
-                         lambda: tvgsr.weyl_sweep(graph, op, 1.0, 1.5, [0.1], mask)):
-                with pytest.raises(ParameterError, match=re.escape("N*M <= 4000")):
-                    call()
+            with pytest.raises(ParameterError, match=re.escape("N*M <= 4000")):
+                tvgsr.weyl_sweep(graph, op, 1.0, 1.5, [0.1], mask)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
