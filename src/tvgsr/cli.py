@@ -119,6 +119,7 @@ def _build_graph_from_flags(settings):
     if settings.get("adjacency") and settings["coords"]:
         raise _UsageError("--coords and --adjacency are alternatives; give one")
     if settings.get("adjacency"):
+        settings["k"] = None  # unused, so config.txt leaves it out
         weights = textio.read_matrix(settings["adjacency"])
         return Graph(weights, laplacian_kind=settings["laplacian"])
     if not settings["coords"]:

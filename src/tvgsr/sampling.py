@@ -27,10 +27,6 @@ class SamplingMask:
 
     mask: np.ndarray
 
-    @property
-    def shape(self):
-        return self.mask.shape
-
 
 def as_mask_array(mask) -> np.ndarray:
     """Unwrap a SamplingMask or validate a raw array as a binary mask."""

@@ -700,17 +700,20 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     makes that column's system singular, and its minimum-norm answer is
     exactly zero there: such a column solves with 1 in place of j on the
     component's nodes, where the right-hand side is zero, so either path
-    returns zeros on the component and the ordinary answer elsewhere. Only
-    a column whose system still fails, where ``dpbtrf`` finds it not
-    positive definite or the LU factors it as exactly singular, takes the
-    minimum-norm least-squares solution in dense form, the only case that
-    forms an N x N matrix.
+    returns zeros on the component and the ordinary answer elsewhere.
+    upsilon * L that is not finite, a band that ``dpbtrf`` finds not
+    positive definite, or a column that the LU factors as exactly singular
+    (upsilon so large that j is lost beside it) raises :class:`NumericError`.
     """
     y, mask = _check_problem(y, mask, graph)
     observed = mask * y
     lap = graph.laplacian_csr
     start = time.perf_counter()
-    solve = _band_solver(lap, config.upsilon) or _lu_solver(lap, config.upsilon)
+    with np.errstate(over="ignore"):  # the finiteness check reports it
+        smoothing = config.upsilon * lap
+    if not np.all(np.isfinite(smoothing.data)):
+        raise NumericError(f"upsilon * L not finite at upsilon={config.upsilon}")
+    solve = _band_solver(smoothing, config.upsilon) or _lu_solver(smoothing, config.upsilon)
     labels = (np.arange(lap.shape[0]) if config.upsilon == 0.0
               else connected_components(lap, directed=False)[1])
     n_labels = int(labels.max(initial=-1)) + 1
@@ -721,14 +724,8 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
         if not np.any(j > 0):
             skipped.append(column)
             continue
-        rhs = j * observed[:, column]
         unsampled = np.bincount(labels[j > 0], minlength=n_labels)[labels] == 0
-        x = solve(j + unsampled, rhs)
-        if x is None:  # singular
-            system = config.upsilon * lap.toarray()
-            system[np.diag_indices_from(system)] += j
-            x = np.linalg.lstsq(system, rhs, rcond=None)[0]
-        x_hat[:, column] = x
+        x_hat[:, column] = solve(j + unsampled, j * observed[:, column])
     return SolveResult(
         x_hat=x_hat,
         iterations=0,
@@ -739,25 +736,25 @@ def solve_gr_static(y, mask, graph, config: SolverConfig) -> SolveResult:
     )
 
 
-def _band_solver(lap, upsilon):
-    """gr_static's per-column solve of (diag(j) + upsilon * L) x = rhs by banded Cholesky
-    in RCM order; None if singular.
+def _band_solver(smoothing, upsilon):
+    """gr_static's per-column solve of (diag(j) + smoothing) x = rhs, smoothing = upsilon * L,
+    by banded Cholesky in RCM order.
 
-    Returns None instead of a solver when the ordered Laplacian's half-bandwidth
+    Returns None instead of a solver when the ordered matrix's half-bandwidth
     exceeds ``_BAND_LIMIT``.
     """
-    n = lap.shape[0]
-    order = reverse_cuthill_mckee(lap, symmetric_mode=True)
+    n = smoothing.shape[0]
+    order = reverse_cuthill_mckee(smoothing, symmetric_mode=True)
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
-    entries = lap.tocoo()
+    entries = smoothing.tocoo()
     rows, cols = rank[entries.row], rank[entries.col]
     bandwidth = int(np.abs(rows - cols).max(initial=0))
     if bandwidth > _BAND_LIMIT:
         return None
     template = np.zeros((bandwidth + 1, n), order="F")  # LAPACK's lower band storage
     lower = rows >= cols
-    template[rows[lower] - cols[lower], cols[lower]] = upsilon * entries.data[lower]
+    template[rows[lower] - cols[lower], cols[lower]] = entries.data[lower]
     band = np.empty_like(template, order="F")
 
     def solve(j, rhs):
@@ -765,7 +762,7 @@ def _band_solver(lap, upsilon):
         band[0] += j[order]
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info > 0:
-            return None
+            raise NumericError(f"gr_static system not positive definite at upsilon={upsilon}")
         solution, _ = dpbtrs(factor, rhs[order], lower=1, overwrite_b=1)
         x = np.empty(n)
         x[order] = solution
@@ -774,19 +771,19 @@ def _band_solver(lap, upsilon):
     return solve
 
 
-def _lu_solver(lap, upsilon):
-    """gr_static's per-column solve of (diag(j) + upsilon * L) x = rhs by sparse LU; None
-    if the column factors as exactly singular.
+def _lu_solver(smoothing, upsilon):
+    """gr_static's per-column solve of (diag(j) + smoothing) x = rhs, smoothing = upsilon * L,
+    by sparse LU.
 
     Every diagonal entry of upsilon * L is stored, isolated nodes included, so
     all columns share one sparsity pattern: its fill-reducing ordering is found
     once, and each column factors pre-permuted in that order.
     """
-    n = lap.shape[0]
-    lap = lap.tocoo()
+    n = smoothing.shape[0]
+    entries = smoothing.tocoo()
     nodes = np.arange(n)
-    rows, cols = np.concatenate([lap.row, nodes]), np.concatenate([lap.col, nodes])
-    values = np.concatenate([upsilon * lap.data, np.zeros(n)])
+    rows, cols = np.concatenate([entries.row, nodes]), np.concatenate([entries.col, nodes])
+    values = np.concatenate([entries.data, np.zeros(n)])
     # The ordering depends on the pattern alone; with zeros off the diagonal and a
     # positive diagonal, the pattern's matrix always factors.
     pattern = coo_matrix(((rows == cols).astype(float), (rows, cols)), shape=(n, n)).tocsc()
@@ -802,8 +799,8 @@ def _lu_solver(lap, upsilon):
         try:
             factor = splu(csc_matrix((data, smoothing.indices, smoothing.indptr), shape=(n, n)),
                           permc_spec="NATURAL", **_LU_OPTIONS)
-        except RuntimeError:  # exactly singular
-            return None
+        except RuntimeError as exc:  # exactly singular
+            raise NumericError(f"gr_static system singular at upsilon={upsilon}") from exc
         x = np.empty(n)
         x[inverse] = factor.solve(rhs[inverse])
         return x

@@ -75,12 +75,17 @@ def hessian(mask, graph: Graph, op, upsilon, epsilon, beta) -> np.ndarray:
     """The dense vectorized Hessian Q + upsilon * (D D^T) kron (L + epsilon*I)^beta.
 
     Built in one NM x NM buffer under the N*M <= 4000 guard, with
-    Q = diag(vec(J)) added onto the diagonal.
+    Q = diag(vec(J)) added onto the diagonal. A buffer that is not finite
+    (K or its product with upsilon overflows) raises :class:`NumericError`.
     """
     mask = _checked_mask(mask, graph, op, upsilon)
     d = op.matrix
-    matrix = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
-    matrix *= upsilon
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+        matrix = np.kron(d @ d.T, sobolev_power(graph.laplacian, epsilon, beta))
+        matrix *= upsilon
+    if not np.all(np.isfinite(matrix)):
+        raise NumericError(f"Hessian not finite at upsilon={upsilon}, epsilon={epsilon}, "
+                           f"beta={beta}: (L + epsilon*I)^beta or its upsilon multiple overflows")
     matrix += 0.0  # -0.0 to +0.0, as in the sum Q + smoothness: LAPACK's output depends on zero signs
     matrix.flat[::matrix.shape[0] + 1] += _vec(mask)
     return matrix

@@ -75,6 +75,20 @@ class TestBuildGraph:
         coords_path, _ = toy_files
         assert main(["build-graph", "--coords", coords_path]) == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty coordinate file"),
+        ("node_id,latitude,longitude\na,1\n", "line 2: expected 3 columns, found 2"),
+        ("node_id,latitude,longitude\na,1,north\n", "line 2: non-numeric coordinate"),
+        ("node_id,latitude,longitude\n", "no coordinate rows"),
+    ])
+    def test_bad_coordinate_file_exit_2_names_it(self, tmp_path, capsys, text, reason):
+        coords_path = tmp_path / "coords.csv"
+        coords_path.write_text(text)
+        out = tmp_path / "g"
+        assert main(["build-graph", "--coords", str(coords_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"tvgsr: parse error: {coords_path}: {reason}")
+        assert not out.exists()
+
 
 class TestNotUtf8:
     """A text input holding a byte that is not UTF-8 is a parse error (exit 2) naming its line."""
@@ -217,6 +231,18 @@ class TestReconstruct:
         assert "stop_reason" not in metrics
         assert not (out / "trace.csv").exists()
 
+    def test_gr_static_lists_unsampled_columns(self, synth_dir, tmp_path):
+        out = tmp_path / "gr"
+        assert main(["reconstruct", "--coords", str(synth_dir / "coords.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--k", "3",
+                     "--regime", "snapshot", "--density", "0.5", "--seed", "2",
+                     "--objective", "gr_static", "--upsilon", "0.1", "--out", str(out)]) == 0
+        mask = textio.read_mask(out / "mask.csv")
+        unsampled = np.flatnonzero(mask.sum(axis=0) == 0)
+        assert len(unsampled) == 3
+        assert read_kv(out / "metrics.txt")["unsampled_columns"] == ",".join(map(str, unsampled))
+        assert np.all(textio.read_matrix(out / "x_hat.csv")[:, unsampled] == 0.0)
+
     @pytest.mark.parametrize("preconditioner, problem", [
         ("none", []), ("temporal", ["--beta", "2", "--upsilon", "1"])])  # both past 50 iterations
     def test_trace_and_telemetry_metrics(self, synth_dir, tmp_path, preconditioner, problem):
@@ -283,21 +309,43 @@ class TestReconstruct:
         assert not out.exists()
 
     @pytest.mark.parametrize("action", ["ignore", "error", "always"])
-    def test_overflowing_solve_is_a_numeric_failure(self, synth_dir, tmp_path, capsys, action):
-        # upsilon * (L + eps I) overflows in the operator and the preconditioner; numpy's
-        # warnings are silenced around the solve, whose finiteness check reports it
+    @pytest.mark.parametrize("flags, message", [
+        # upsilon * (L + eps I) overflows in the operator and the preconditioner
+        ("--upsilon 1e308", "non-finite gradient at iteration 0"),
+        # the oracle's dense Hessian overflows before the solve
+        ("--oracle-check --upsilon 1e308",
+         "Hessian not finite at upsilon=1e+308, epsilon=0.1, beta=1.0: "
+         "(L + epsilon*I)^beta or its upsilon multiple overflows"),
+        ("--objective gr_static --upsilon 1e308", "upsilon * L not finite at upsilon=1e+308"),
+        # finite, but j is lost beside upsilon * L, which is singular
+        ("--objective gr_static --upsilon 1e300",
+         "gr_static system not positive definite at upsilon=1e+300"),
+    ], ids=["cg", "oracle", "gr_static-1e308", "gr_static-1e300"])
+    def test_overflowing_solve_is_a_numeric_failure(self, synth_dir, tmp_path, capsys, action,
+                                                    flags, message):
+        # numpy's warnings are silenced where the values are formed; a check reports them
         out = tmp_path / "r"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
             code = main(["reconstruct", "--coords", str(synth_dir / "coords.csv"), "--k", "3",
                          "--signal", str(synth_dir / "signal.csv"), "--regime", "random_entry",
-                         "--density", "0.5", "--seed", "2", "--upsilon", "1e308",
+                         "--density", "0.5", "--seed", "2", *flags.split(),
                          "--out", str(out)])
         assert [str(w.message) for w in caught] == []
         assert code == 3
-        assert capsys.readouterr().err == \
-            "tvgsr: numeric failure: non-finite gradient at iteration 0\n"
+        assert capsys.readouterr().err == f"tvgsr: numeric failure: {message}\n"
         assert not out.exists()
+
+    def test_adjacency_config_leaves_out_k(self, synth_dir, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["reconstruct", "--adjacency", str(synth_dir / "adjacency.csv"),
+                     "--signal", str(synth_dir / "signal.csv"), "--regime", "random_entry",
+                     "--density", "0.5", "--seed", "2", "--out", str(first)]) == 0
+        assert "k" not in read_kv(first / "config.txt")
+        assert main(["reconstruct", "--config", str(first / "config.txt"),
+                     "--out", str(second)]) == 0
+        assert "k" not in read_kv(second / "config.txt")
+        assert (first / "x_hat.csv").read_bytes() == (second / "x_hat.csv").read_bytes()
 
 
 class TestAnalyze:
@@ -446,6 +494,7 @@ class TestAnalyze:
                               "--out", str(tmp_path / "a")]) == 0
         for name in ("condition_sweep.csv", "weyl_report.csv", "eigenvalue_penalization.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+        assert "k" not in read_kv(tmp_path / "a" / "config.txt")
 
     def test_coords_with_adjacency_is_usage_error(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "an"
@@ -593,9 +642,15 @@ class TestBenchmark:
         assert len(aggregate) - 1 == 2 * 2
 
     @pytest.mark.parametrize("action", ["ignore", "error", "always"])
-    def test_overflowing_solve_names_its_cell(self, synth_dir, tmp_path, capsys, action):
+    @pytest.mark.parametrize("method, upsilon, message", [
+        ("sobolev", "1e308", "non-finite gradient at iteration 0"),
+        ("gr_static", "1e300", "gr_static system not positive definite at upsilon=1e+300"),
+    ], ids=["sobolev", "gr_static"])
+    def test_overflowing_solve_names_its_cell(self, synth_dir, tmp_path, capsys, action,
+                                              method, upsilon, message):
         plan_path = tmp_path / "plan.txt"
-        plan_path.write_text("densities=0.5\nrepetitions=1\nmethods=sobolev\nupsilon=1e308\n")
+        plan_path.write_text(f"densities=0.5\nrepetitions=1\nmethods={method}\n"
+                             f"{method}.upsilon={upsilon}\n")
         out = tmp_path / "bench"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action, RuntimeWarning)
@@ -606,8 +661,7 @@ class TestBenchmark:
         assert [str(w.message) for w in caught] == []
         assert code == 3
         assert capsys.readouterr().err == (
-            "tvgsr: numeric failure: method 'sobolev' at level 0.5 repetition 0: "
-            "non-finite gradient at iteration 0\n")
+            f"tvgsr: numeric failure: method {method!r} at level 0.5 repetition 0: {message}\n")
         assert not out.exists()
 
     def test_rerun_identical_apart_from_timing(self, synth_dir, tmp_path):
@@ -662,14 +716,24 @@ class TestBenchmark:
             "fine": tvgsr.SolverConfig(upsilon=0.5, delta=1e-9, objective="sobolev"),
         }
 
-    def test_bad_plan_exit_1(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize("lines, reason", [
+        ("regime=random_entry\nmethods=tgsr\n", "plan needs a levels=/densities=/horizons="),
+        ("densities=0.5\n", "plan needs a methods= entry"),
+        ("densities=0.5\nmethods=fine\n", "method 'fine' needs fine.objective="),
+        ("densities=0.5\nmethods=tgsr\nsignal_transform=weekly\n",
+         "signal_transform must be 'none' or 'daily'"),
+    ], ids=["no_levels", "no_methods", "no_objective", "weekly"])
+    def test_bad_plan_exit_1(self, synth_dir, tmp_path, capsys, lines, reason):
         plan_path = tmp_path / "plan.txt"
-        plan_path.write_text("regime=random_entry\nmethods=tgsr\n")
+        plan_path.write_text(lines)
+        out = tmp_path / "bench"
         code = main(["benchmark", "--plan", str(plan_path),
                      "--coords", str(synth_dir / "coords.csv"),
                      "--signal", str(synth_dir / "signal.csv"),
-                     "--out", str(tmp_path / "bench")])
+                     "--out", str(out)])
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"tvgsr: {plan_path}: {reason}")
+        assert not out.exists()
 
     def test_forecasting_plan_with_daily_transform(self, synth_dir, tmp_path):
         plan_path = tmp_path / "plan.txt"
@@ -1027,13 +1091,19 @@ class TestRunLifecycle:
                                       "sample_random_entry_seed_negative",
                                       "sample_snapshot_seed_negative",
                                       "reconstruct_seed_negative", "analyze_seed_negative",
-                                      "sample_nodes_negative", "sample_snapshots_negative"])
+                                      "sample_nodes_negative", "sample_snapshots_negative",
+                                      "reconstruct_objective_unknown", "reconstruct_unknown_flag",
+                                      "reconstruct_config_k_not_int", "reconstruct_no_signal",
+                                      "reconstruct_no_graph", "analyze_no_mask",
+                                      "benchmark_no_plan"])
     def test_failed_run_leaves_no_output_directory(self, synth_dir, tmp_path, capsys, case):
         coords, signal = str(synth_dir / "coords.csv"), str(synth_dir / "signal.csv")
         wide = tmp_path / "wide.csv"  # 30 x 140 > the dense guard of 4000 entries
         textio.write_matrix(wide, np.random.default_rng(0).normal(size=(30, 140)))
         plan = tmp_path / "plan.txt"
         plan.write_text("densities=0.5\nrepetitions=2\nmethods=tgsr\n")
+        config = tmp_path / "config.txt"
+        config.write_text("k=abc\n")
         benchmark = ["benchmark", "--plan", str(plan), "--coords", coords, "--signal", signal,
                      "--k", "3"]
         analyze = ["analyze", "--coords", coords, "--k", "3", "--regime", "random_entry"]
@@ -1068,6 +1138,17 @@ class TestRunLifecycle:
                                       "--density", "0.5"],
             "sample_snapshots_negative": ["sample", "--n-nodes", "3", "--snapshots", "-4",
                                           "--density", "0.5"],
+            "reconstruct_objective_unknown": [*reconstruct, "--signal", signal, "--objective",
+                                              "foo"],
+            "reconstruct_unknown_flag": [*reconstruct, "--signal", signal, "--epsilom", "5"],
+            "reconstruct_config_k_not_int": ["reconstruct", "--coords", coords, "--signal",
+                                             signal, "--density", "0.5",
+                                             "--config", str(config)],
+            "reconstruct_no_signal": reconstruct,
+            "reconstruct_no_graph": ["reconstruct", "--signal", signal, "--regime",
+                                     "random_entry", "--density", "0.5"],
+            "analyze_no_mask": analyze,
+            "benchmark_no_plan": ["benchmark", "--coords", coords, "--signal", signal],
         }[case]
         out = tmp_path / "run"
         assert main([*argv, "--out", str(out)]) == 1

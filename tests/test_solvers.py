@@ -1049,19 +1049,30 @@ class TestSolveGrStatic:
             error = np.linalg.norm(result.x_hat[:, column] - expected[:, column])
             assert error <= 1e-12 * np.linalg.norm(expected[:, column])
 
-    def test_failed_band_factorization_takes_least_squares_answer(self, monkeypatch):
+    def test_failed_band_factorization_is_a_numeric_failure(self, monkeypatch):
         rng = np.random.default_rng(54)
         graph = connected_geometric_graph(rng, 30, k=4)
         mask = tvgsr.random_entry_mask(30, 3, 0.5, 55).mask
         y = mask * rng.normal(size=(30, 3))
         monkeypatch.setattr(tvgsr.solvers, "dpbtrf", lambda band, **options: (band, 1))
-        result = tvgsr.solve_gr_static(y, mask, graph,
-                                       SolverConfig(upsilon=0.3, objective="gr_static"))
-        for column in range(3):
-            j = mask[:, column]
-            system = np.diag(j) + 0.3 * graph.laplacian
-            least_squares = np.linalg.lstsq(system, j * y[:, column], rcond=None)[0]
-            assert np.array_equal(result.x_hat[:, column], least_squares)
+        with pytest.raises(NumericError, match="upsilon=0.3"):
+            tvgsr.solve_gr_static(y, mask, graph, SolverConfig(upsilon=0.3, objective="gr_static"))
+
+    def test_singular_lu_factorization_is_a_numeric_failure(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        graph = star_graph(rng, 2 * tvgsr.solvers._BAND_LIMIT + 40)
+        mask = tvgsr.random_entry_mask(graph.n_nodes, 3, 0.5, 61).mask
+        y = mask * rng.normal(size=mask.shape)
+        splu = tvgsr.solvers.splu
+
+        def singular(matrix, permc_spec, **options):  # the per-column factorizations
+            if permc_spec == "NATURAL":
+                raise RuntimeError("Factor is exactly singular")
+            return splu(matrix, permc_spec=permc_spec, **options)
+
+        monkeypatch.setattr(tvgsr.solvers, "splu", singular)
+        with pytest.raises(NumericError, match="upsilon=0.3"):
+            tvgsr.solve_gr_static(y, mask, graph, SolverConfig(upsilon=0.3, objective="gr_static"))
 
     def test_star_solve_allocates_less_than_a_dense_matrix(self):
         rng = np.random.default_rng(56)
